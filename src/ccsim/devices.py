@@ -46,6 +46,29 @@ class MosfetParams:
         if self.lam < 0.0:
             raise ValueError("MOSFET lambda must be non-negative")
 
+    @property
+    def sign(self) -> float:
+        return 1.0 if self.polarity == "nmos" else -1.0
+
+
+@dataclass(frozen=True)
+class MosfetBank:
+    """Parameters of several MOSFETs, one array entry per device, for a
+    single vectorized :func:`mosfet_eval` call.  ``sign`` is +1 for NMOS
+    and -1 for PMOS."""
+
+    sign: np.ndarray
+    vth: np.ndarray
+    beta: np.ndarray
+    lam: np.ndarray
+
+    @classmethod
+    def of(cls, params: list[MosfetParams]) -> "MosfetBank":
+        def col(name):
+            return np.array([getattr(p, name) for p in params], dtype=float)
+
+        return cls(col("sign"), col("vth"), col("beta"), col("lam"))
+
 
 @dataclass(frozen=True)
 class ConveyorParams:
@@ -121,49 +144,39 @@ def conveyor_rx(beta_n: float, ib: float) -> float:
     return 1.0 / math.sqrt(8.0 * beta_n * ib)
 
 
-def _eval_forward(vgs: float, vds: float, vth: float, beta: float, lam: float):
-    # Normalized NMOS with vds >= 0.  The (1 + lam*vds) factor is applied
-    # in both triode and saturation so the current is continuous at the
-    # region boundary vds = vgs - vth.
-    vov = vgs - vth
-    if vov <= 0.0:
-        return 0.0, 0.0, 0.0
-    mod = 1.0 + lam * vds
-    if vds < vov:
-        core = vov * vds - 0.5 * vds * vds
-        i = beta * core * mod
-        gm = beta * vds * mod
-        gds = beta * (vov - vds) * mod + beta * core * lam
-    else:
-        half = 0.5 * beta * vov * vov
-        i = half * mod
-        gm = beta * vov * mod
-        gds = half * lam
-    return i, gm, gds
-
-
-def _eval_nmos(vgs: float, vds: float, vth: float, beta: float, lam: float):
-    # Negative vds swaps the drain/source roles; the chain rule below keeps
-    # the returned partials exact for the original (vgs, vds) arguments.
-    if vds >= 0.0:
-        return _eval_forward(vgs, vds, vth, beta, lam)
-    i, g1, g2 = _eval_forward(vgs - vds, -vds, vth, beta, lam)
-    return -i, -g1, g1 + g2
-
-
-def mosfet_eval(vgs: float, vds: float, p: MosfetParams):
+def mosfet_eval(vgs, vds, p):
     """Drain current and small-signal derivatives at one operating point.
 
     Returns (id, gm, gds) where id is the current into the drain terminal,
-    gm = d id/d vgs and gds = d id/d vds, all evaluated analytically from
-    the active region's own expression.  PMOS devices are handled by
-    sign-flipping the terminal voltages and negating the current, which
-    leaves both derivatives positive for a conducting device.
+    gm = d id/d vgs and gds = d id/d vds, all evaluated analytically.
+    PMOS devices are handled by sign-flipping the terminal voltages and
+    negating the current, which leaves both derivatives positive for a
+    conducting device.
+
+    ``p`` is one :class:`MosfetParams` with scalar voltages, or a
+    :class:`MosfetBank` with voltage arrays of the bank's length; every
+    device is evaluated elementwise by the same arithmetic.
     """
-    if p.polarity == "pmos":
-        i, gm, gds = _eval_nmos(-vgs, -vds, p.vth, p.beta, p.lam)
-        return -i, gm, gds
-    return _eval_nmos(vgs, vds, p.vth, p.beta, p.lam)
+    vgs = p.sign * vgs
+    vds = p.sign * vds
+    # Negative vds swaps the drain/source roles: the device is evaluated
+    # as a normalized NMOS with vd = |vds| >= 0 and its gate drive taken
+    # against the lower terminal; the chain rule at the end keeps the
+    # partials exact for the original (vgs, vds).
+    rev = vds < 0.0
+    vd = np.abs(vds)
+    vov = np.maximum(vgs - np.minimum(vds, 0.0) - p.vth, 0.0)
+    # The effective drain voltage is vd in triode and vov in saturation
+    # (zero in cutoff), so one expression covers every region and is
+    # continuous at the boundary vd = vov.  The (1 + lam*vd) factor
+    # applies in both regions.
+    ve = np.minimum(vd, vov)
+    bmod = p.beta * (1.0 + p.lam * vd)
+    core = (vov - 0.5 * ve) * ve
+    g1 = bmod * ve
+    g2 = bmod * (vov - ve) + p.beta * p.lam * core
+    flip = 1.0 - 2.0 * rev
+    return p.sign * flip * (bmod * core), flip * g1, g2 + rev * g1
 
 
 def _pulse_value(s: Pulse, t: float) -> float:

@@ -1,4 +1,5 @@
-"""Modified nodal analysis: unknown allocation and element stamps.
+"""Modified nodal analysis: unknown allocation, element stamps and the
+compiled stamp plan.
 
 Unknowns are the non-ground node voltages followed by one branch current
 per voltage source and one per conveyor (its X-terminal current).  All
@@ -9,6 +10,13 @@ convention a plus-polarity conveyor satisfies
 
 and the single-conveyor amplifier (input at Y, R1 from X to ground, R2
 from Z to ground) comes out non-inverting with gain R2 / (R1 + R_X).
+
+:func:`compile` stamps a topology once into a :class:`StampPlan`: the
+static matrix (resistors, voltage sources, conveyors, gmin floor), a
+table of where each independent source enters the right-hand side, and
+index arrays for the MOSFETs and capacitors.  :func:`assemble` turns it
+into one Newton iterate: a copy of the static matrix plus the capacitor
+companions and all MOSFETs, linearized by one :func:`mosfet_eval` call.
 
 Matrices are dense; the circuits this simulator targets stay well under a
 couple hundred unknowns.  A system under assembly is exclusively owned by
@@ -21,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import mosfet_eval, source_value
+from .devices import MosfetBank, SourceSpec, mosfet_eval, source_value
 from .netlist import (
     Capacitor,
     Conveyor,
@@ -76,95 +84,55 @@ def index_unknowns(c: FlatCircuit) -> UnknownMap:
 class MnaSystem:
     a: np.ndarray
     b: np.ndarray
-    x: np.ndarray
 
     @classmethod
     def zeros(cls, n: int) -> "MnaSystem":
-        return cls(np.zeros((n, n)), np.zeros(n), np.zeros(n))
+        return cls(np.zeros((n, n)), np.zeros(n))
 
 
-def _add(a: np.ndarray, i: int, j: int, v: float):
-    if i >= 0 and j >= 0:
-        a[i, j] += v
-
-
-def _add_b(b: np.ndarray, i: int, v: float):
-    if i >= 0:
-        b[i] += v
-
-
-def stamp_linear(e: Element, c: FlatCircuit, u: UnknownMap, sys: MnaSystem, t: float):
-    """Stamp a resistor, source or conveyor.
+def _linear_stamp(e: Element, c: FlatCircuit, u: UnknownMap):
+    """Matrix entries (row, col, value) and right-hand-side rows (row,
+    sign) of a resistor, source or conveyor; ground is row -1.
 
     The conveyor contributes nothing to its Y row (zero input current),
     adds its branch current to the X and Z KCL rows (the Z entry scaled by
     the polarity), and adds the branch equation V_X - V_Y - R_X*I_X = 0.
     """
+    def row(node: str) -> int:
+        return u.node_row(c.nodes[node])
+
     if isinstance(e, Resistor):
         g = 1.0 / e.ohms
-        i, j = u.node_row(c.nodes[e.a]), u.node_row(c.nodes[e.b])
-        _add(sys.a, i, i, g)
-        _add(sys.a, j, j, g)
-        _add(sys.a, i, j, -g)
-        _add(sys.a, j, i, -g)
-    elif isinstance(e, VSource):
-        p, n = u.node_row(c.nodes[e.p]), u.node_row(c.nodes[e.n])
-        br = u.branch_row(e.name)
-        _add(sys.a, p, br, 1.0)
-        _add(sys.a, n, br, -1.0)
-        _add(sys.a, br, p, 1.0)
-        _add(sys.a, br, n, -1.0)
-        sys.b[br] += source_value(e.spec, t)
-    elif isinstance(e, ISource):
+        i, j = row(e.a), row(e.b)
+        return [(i, i, g), (j, j, g), (i, j, -g), (j, i, -g)], []
+    if isinstance(e, VSource):
+        p, n, br = row(e.p), row(e.n), u.branch_row(e.name)
+        return [(p, br, 1.0), (n, br, -1.0), (br, p, 1.0), (br, n, -1.0)], [(br, 1.0)]
+    if isinstance(e, ISource):
         # positive current flows from p through the source to n
-        val = source_value(e.spec, t)
-        _add_b(sys.b, u.node_row(c.nodes[e.p]), -val)
-        _add_b(sys.b, u.node_row(c.nodes[e.n]), val)
-    elif isinstance(e, Conveyor):
-        y = u.node_row(c.nodes[e.y])
-        x = u.node_row(c.nodes[e.x])
-        z = u.node_row(c.nodes[e.z])
-        br = u.branch_row(e.name)
-        _add(sys.a, x, br, 1.0)
-        _add(sys.a, z, br, float(e.params.polarity))
-        _add(sys.a, br, x, 1.0)
-        _add(sys.a, br, y, -1.0)
-        _add(sys.a, br, br, -e.params.rx)
-    else:
-        raise TypeError(f"stamp_linear cannot handle {type(e).__name__}")
+        return [], [(row(e.p), -1.0), (row(e.n), 1.0)]
+    if isinstance(e, Conveyor):
+        y, x, z, br = row(e.y), row(e.x), row(e.z), u.branch_row(e.name)
+        pol = float(e.params.polarity)
+        return [(x, br, 1.0), (z, br, pol), (br, x, 1.0), (br, y, -1.0), (br, br, -e.params.rx)], []
+    raise TypeError(f"stamp_linear cannot handle {type(e).__name__}")
 
 
-def stamp_nonlinear(e: Mosfet, x_est: np.ndarray, c: FlatCircuit, u: UnknownMap, sys: MnaSystem):
-    """Stamp the Newton linearization of a MOSFET around ``x_est``.
-
-    The linearized drain current id + gm*(vgs - vgs0) + gds*(vds - vds0)
-    splits into matrix entries for gm and gds plus the constant residual
-    ieq = id - gm*vgs0 - gds*vds0 moved to the right-hand side.
-    """
-
-    def volt(node: str) -> float:
-        r = u.node_row(c.nodes[node])
-        return 0.0 if r < 0 else x_est[r]
-
-    vgs = volt(e.g) - volt(e.s)
-    vds = volt(e.d) - volt(e.s)
-    i_d, gm, gds = mosfet_eval(vgs, vds, e.params)
-    ieq = i_d - gm * vgs - gds * vds
-    d = u.node_row(c.nodes[e.d])
-    g = u.node_row(c.nodes[e.g])
-    s = u.node_row(c.nodes[e.s])
-    _add(sys.a, d, g, gm)
-    _add(sys.a, d, d, gds)
-    _add(sys.a, d, s, -(gm + gds))
-    _add(sys.a, s, g, -gm)
-    _add(sys.a, s, d, -gds)
-    _add(sys.a, s, s, gm + gds)
-    _add_b(sys.b, d, -ieq)
-    _add_b(sys.b, s, ieq)
+def stamp_linear(e: Element, c: FlatCircuit, u: UnknownMap, sys: MnaSystem, t: float):
+    """Stamp a resistor, source or conveyor into ``sys``, sources valued
+    at time ``t``; entries in a ground row or column are dropped."""
+    entries, rhs = _linear_stamp(e, c, u)
+    for i, j, v in entries:
+        if i >= 0 and j >= 0:
+            sys.a[i, j] += v
+    for r, sign in rhs:
+        if r >= 0:
+            sys.b[r] += sign * source_value(e.spec, t)
 
 
-def companion_values(farads: float, method: str, dt: float, v_prev: float, i_prev: float):
-    """Discrete-time equivalent (geq, ieq) of a capacitor for one step."""
+def companion_values(farads, method: str, dt: float, v_prev, i_prev):
+    """Discrete-time equivalent (geq, ieq) of capacitors for one step;
+    scalars or arrays with one entry per capacitor."""
     if dt <= 0.0:
         raise ValueError("companion model requires dt > 0")
     if method == "be":
@@ -176,26 +144,71 @@ def companion_values(farads: float, method: str, dt: float, v_prev: float, i_pre
     raise ValueError(f"unknown integration method {method!r}")
 
 
-def companion_stamp(
-    e: Capacitor,
-    method: str,
-    dt: float,
-    v_prev: float,
-    i_prev: float,
-    c: FlatCircuit,
-    u: UnknownMap,
-    sys: MnaSystem,
-):
-    """Stamp a capacitor's companion model: geq in parallel with a current
-    source ieq injecting into the positive terminal."""
-    geq, ieq = companion_values(e.farads, method, dt, v_prev, i_prev)
-    i, j = u.node_row(c.nodes[e.a]), u.node_row(c.nodes[e.b])
-    _add(sys.a, i, i, geq)
-    _add(sys.a, j, j, geq)
-    _add(sys.a, i, j, -geq)
-    _add(sys.a, j, i, -geq)
-    _add_b(sys.b, i, ieq)
-    _add_b(sys.b, j, -ieq)
+_GROUND = np.zeros(1)  # appended to x as unknown n
+
+
+@dataclass
+class StampPlan:
+    """A topology stamped once.
+
+    A system is one flat buffer: the (n+1)x(n+1) matrix row by row, then
+    n+1 right-hand-side entries.  Row and column n (index -1 too) stand
+    for ground, so no stamp needs a ground test.  ``cap_at`` and
+    ``mos_at`` are the buffer positions the capacitors and MOSFETs stamp.
+    """
+
+    u: UnknownMap
+    static: np.ndarray  # R, V and conveyor entries plus the gmin floor
+    sources: list[tuple[int, float, SourceSpec]]  # b[row] += sign * value(t)
+    cap_ab: np.ndarray  # (2, capacitors) terminal rows
+    farads: np.ndarray
+    cap_at: np.ndarray
+    mos_dgs: np.ndarray  # (3, MOSFETs) terminal rows
+    mos: MosfetBank
+    mos_at: np.ndarray
+
+    @property
+    def linear(self) -> bool:
+        return self.mos_dgs.shape[1] == 0
+
+    def cap_voltages(self, x: np.ndarray) -> np.ndarray:
+        va, vb = np.concatenate((x, _GROUND))[self.cap_ab]
+        return va - vb
+
+
+def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> StampPlan:
+    """Stamp the fixed part of ``c`` once; see :class:`StampPlan`."""
+    m = u.size + 1
+    static = np.zeros(m * m + m)
+    matrix = static[: m * m].reshape(m, m)
+    sources, caps, mos = [], [], []
+    for e in c.elements:
+        if isinstance(e, Capacitor):
+            caps.append(e)
+        elif isinstance(e, Mosfet):
+            mos.append(e)
+        else:
+            entries, rhs = _linear_stamp(e, c, u)
+            for i, j, v in entries:
+                matrix[i, j] += v
+            sources += [(r, sign, e.spec) for r, sign in rhs]
+    static[: u.n_nodes * (m + 1) : m + 1] += gmin_floor  # the node-voltage diagonal
+
+    def rows(elements, *terminals):
+        idx = [[u.node_row(c.nodes[getattr(e, t)]) % m for e in elements] for t in terminals]
+        return np.array(idx, dtype=np.intp).reshape(len(terminals), -1)
+
+    a, b = cap_ab = rows(caps, "a", "b")
+    d, g, s = mos_dgs = rows(mos, "d", "g", "s")
+    rhs = m * m
+    return StampPlan(
+        u, static, sources, cap_ab, np.array([e.farads for e in caps]),
+        # +geq, +geq and +ieq, then the same entries negated
+        np.concatenate([a * m + a, b * m + b, rhs + a, a * m + b, b * m + a, rhs + b]),
+        mos_dgs, MosfetBank.of([e.params for e in mos]),
+        # row d: +gm, +gds, -(gm+gds) and -ieq; row s: the same negated
+        np.concatenate([d * m + g, d * m + d, d * m + s, rhs + d, s * m + g, s * m + d, s * m + s, rhs + s]),
+    )
 
 
 def assemble(
@@ -203,32 +216,37 @@ def assemble(
     u: UnknownMap,
     t: float,
     x_est: np.ndarray | None = None,
-    cap_state: dict[str, tuple[str, float, float, float]] | None = None,
+    companions: tuple[np.ndarray, np.ndarray] | None = None,
     gmin_extra: float = 0.0,
     gmin_floor: float = GMIN_FLOOR,
+    plan: StampPlan | None = None,
 ) -> MnaSystem:
-    """Build the full system at time ``t`` and estimate ``x_est``.
+    """Build the full system at time ``t`` linearized around ``x_est``.
 
-    ``cap_state`` maps capacitor names to (method, dt, v_prev, i_prev);
-    capacitors absent from the map are treated as open circuits (the DC
-    operating-point convention).  ``gmin_extra`` adds a homotopy
-    conductance on top of the permanent floor.
+    ``companions`` is the (geq, ieq) pair of :func:`companion_values`
+    arrays over the plan's capacitors; without it capacitors are open
+    circuits (the DC operating-point convention).  ``gmin_extra`` adds a
+    homotopy conductance on top of the permanent floor.  ``plan`` is
+    ``compile(c, u, gmin_floor)``, passed by repeated callers.
     """
-    sys = MnaSystem.zeros(u.size)
-    if x_est is None:
-        x_est = sys.x
-    for e in c.elements:
-        if isinstance(e, Mosfet):
-            stamp_nonlinear(e, x_est, c, u, sys)
-        elif isinstance(e, Capacitor):
-            if cap_state is not None and e.name in cap_state:
-                method, dt, v_prev, i_prev = cap_state[e.name]
-                companion_stamp(e, method, dt, v_prev, i_prev, c, u, sys)
-        else:
-            stamp_linear(e, c, u, sys, t)
-    g = gmin_floor + gmin_extra
-    if g:
-        for k in range(u.n_nodes):
-            sys.a[k, k] += g
-    sys.x = x_est.copy()
-    return sys
+    p = plan if plan is not None else compile(c, u, gmin_floor)
+    n, m = u.size, u.size + 1
+    buf = p.static.copy()
+    a, b = buf[: m * m].reshape(m, m), buf[m * m :]
+    for row, sign, spec in p.sources:
+        b[row] += sign * source_value(spec, t)
+    if companions is not None:
+        geq, ieq = companions
+        pos = np.concatenate([geq, geq, ieq])
+        np.add.at(buf, p.cap_at, np.concatenate([pos, -pos]))
+    if not p.linear:
+        # id + gm*(vgs - vgs0) + gds*(vds - vds0): gm and gds go into the
+        # matrix, the constant ieq = id - gm*vgs0 - gds*vds0 into b
+        v = np.zeros(m) if x_est is None else np.concatenate((x_est, _GROUND))
+        vd, vg, vs = v[p.mos_dgs]
+        vgs, vds = vg - vs, vd - vs
+        i_d, gm, gds = mosfet_eval(vgs, vds, p.mos)
+        row_d = np.concatenate([gm, gds, -(gm + gds), -(i_d - gm * vgs - gds * vds)])
+        np.add.at(buf, p.mos_at, np.concatenate([row_d, -row_d]))
+    buf[: u.n_nodes * (m + 1) : m + 1] += gmin_extra  # the node-voltage diagonal
+    return MnaSystem(a[:n, :n], b[:n])

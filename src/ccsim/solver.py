@@ -1,8 +1,10 @@
 """Linear solves and the DC operating point.
 
-The linear solver is a plain dense LU with partial pivoting.  A pivot
-smaller than 1e-13 aborts with the name of the unknown whose column lost
-rank, which is almost always a floating node.  The Newton loop damps
+Linear systems are solved by LAPACK, which only refuses exactly zero
+pivots.  A suspect answer is solved again by a hand-written dense LU with
+partial pivoting, the diagnostic: a pivot smaller than 1e-13 aborts with
+the name of the unknown whose column lost rank, almost always a floating
+node or a loop of voltage sources.  The Newton loop damps
 per-iteration voltage changes, and a gmin ladder (1e-3 S stepped down by
 decades to 1e-12 S) rescues cold starts that plain iteration cannot.
 A permanent gmin floor from every node to ground is always stamped, so
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mna
-from .netlist import FlatCircuit, Mosfet
+from .netlist import FlatCircuit
 
 PIVOT_TOL = 1e-13
+RESID_TOL = 1e-9
 
 
 class SingularMatrixError(Exception):
@@ -98,11 +101,24 @@ def lu_solve(factors, b: np.ndarray) -> np.ndarray:
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray, row_names: list[str] | None = None) -> np.ndarray:
-    """Solve a*x = b by LU with partial pivoting.
+    """Solve a*x = b for one right-hand side vector or a matrix of columns.
 
-    ``row_names`` (the unknown map's display names) makes the singular
-    diagnostic name the offending unknown.
+    LAPACK's x is kept when it reproduces b to RESID_TOL of b's largest
+    entry (a non-finite x never does) and is not so large that only a
+    pivot under PIVOT_TOL could make it from b.  Otherwise the hand LU
+    solves again; its :class:`SingularMatrixError` names the unknown
+    through ``row_names`` (the unknown map's display names).
     """
+    try:
+        x = np.linalg.solve(a, b)
+        scale = abs(b).max(initial=0.0)
+        if (
+            abs(a @ x - b).max(initial=0.0) <= RESID_TOL * scale
+            and abs(x).max(initial=0.0) * PIVOT_TOL <= scale
+        ):
+            return x
+    except np.linalg.LinAlgError:
+        pass
     try:
         return lu_solve(lu_factor(a), b)
     except SingularMatrixError as exc:
@@ -111,46 +127,34 @@ def solve_linear(a: np.ndarray, b: np.ndarray, row_names: list[str] | None = Non
         raise
 
 
-def is_linear(c: FlatCircuit) -> bool:
-    return not any(isinstance(e, Mosfet) for e in c.elements)
-
-
 def node_residual_norm(sys: mna.MnaSystem, x: np.ndarray, n_nodes: int) -> float:
     """Max KCL residual over the node-voltage rows, in amps."""
     r = sys.a @ x - sys.b
-    return float(np.max(np.abs(r[:n_nodes]))) if n_nodes else 0.0
+    return float(abs(r[:n_nodes]).max()) if n_nodes else 0.0
 
 
-def _newton_attempt(
-    c: FlatCircuit,
-    u: mna.UnknownMap,
-    tol: Tolerances,
-    t: float,
-    x0: np.ndarray,
-    cap_state,
-    gmin_extra: float,
-):
+def _newton_attempt(c, u, tol, t, x0, companions, gmin_extra, plan):
     """One damped Newton run.  Returns (x, residual, iterations) or raises."""
-    if is_linear(c):
-        sys = mna.assemble(c, u, t, None, cap_state, gmin_extra, tol.gmin_floor)
+    if plan.linear:
+        sys = mna.assemble(c, u, t, None, companions, gmin_extra, plan=plan)
         x = solve_linear(sys.a, sys.b, u.names)
-        resid = node_residual_norm(sys, x, u.n_nodes)
-        return x, resid, 1
+        return x, node_residual_norm(sys, x, u.n_nodes), 1
     x = x0.copy()
     nv = u.n_nodes
     dx_ok = False
     last_resid = np.inf
     for it in range(1, tol.maxiter + 1):
-        sys = mna.assemble(c, u, t, x, cap_state, gmin_extra, tol.gmin_floor)
+        sys = mna.assemble(c, u, t, x, companions, gmin_extra, plan=plan)
         last_resid = node_residual_norm(sys, x, u.n_nodes)
         if dx_ok and last_resid < tol.abstol:
             return x, last_resid, it - 1
         x_new = solve_linear(sys.a, sys.b, u.names)
         dx = x_new - x
-        np.clip(dx[:nv], -tol.damping, tol.damping, out=dx[:nv])
+        dv = dx[:nv]
+        # clip to +-damping in place (np.clip's wrapper costs more than the work)
+        np.minimum(np.maximum(dv, -tol.damping, out=dv), tol.damping, out=dv)
         x = x + dx
-        dv = np.abs(dx[:nv])
-        dx_ok = bool(np.all(dv <= tol.reltol * np.abs(x[:nv]) + tol.vntol))
+        dx_ok = bool((abs(dv) <= tol.reltol * abs(x[:nv]) + tol.vntol).all())
     raise ConvergenceError(
         f"Newton did not converge in {tol.maxiter} iterations "
         f"(last KCL residual {last_resid:.3e} A)",
@@ -164,25 +168,27 @@ def gmin_stepped_dc(
     tol: Tolerances,
     t: float = 0.0,
     x0: np.ndarray | None = None,
-    cap_state=None,
+    companions=None,
     gmin_start: float = 1e-3,
+    plan: mna.StampPlan | None = None,
 ) -> OperatingPoint:
     """Homotopy fallback: extra conductances from every node to ground,
     stepped down by decades from ``gmin_start`` to 1e-12 S, reusing each
     rung's solution as the next initial guess, then a final solve with
     only the permanent floor."""
+    plan = plan or mna.compile(c, u, tol.gmin_floor)
     x = np.zeros(u.size) if x0 is None else x0.copy()
     total_iters = 0
     g = gmin_start
     while g >= 1e-12 * 0.999:
         try:
-            x, _, its = _newton_attempt(c, u, tol, t, x, cap_state, g)
+            x, _, its = _newton_attempt(c, u, tol, t, x, companions, g, plan)
             total_iters += its
         except (ConvergenceError, SingularMatrixError):
             pass  # a failed rung keeps the previous rung's solution
         g /= 10.0
     try:
-        x, resid, its = _newton_attempt(c, u, tol, t, x, cap_state, 0.0)
+        x, resid, its = _newton_attempt(c, u, tol, t, x, companions, 0.0, plan)
         return OperatingPoint(x, resid, total_iters + its, tol.gmin_floor)
     except ConvergenceError as exc:
         raise ConvergenceError(
@@ -196,19 +202,22 @@ def newton_dc(
     tol: Tolerances | None = None,
     t: float = 0.0,
     x0: np.ndarray | None = None,
-    cap_state=None,
+    companions=None,
     gmin_start: float = 1e-3,
+    plan: mna.StampPlan | None = None,
 ) -> OperatingPoint:
     """Find the DC solution at time ``t`` (sources evaluated there).
 
     Plain damped Newton first, restarting with :func:`gmin_stepped_dc`
-    when it fails.
+    when it fails.  ``companions`` and ``plan`` are as in
+    :func:`mna.assemble`; the plan is compiled here when not given.
     """
     tol = tol or Tolerances()
+    plan = plan or mna.compile(c, u, tol.gmin_floor)
     x0 = np.zeros(u.size) if x0 is None else x0
     try:
-        x, resid, its = _newton_attempt(c, u, tol, t, x0, cap_state, 0.0)
+        x, resid, its = _newton_attempt(c, u, tol, t, x0, companions, 0.0, plan)
         return OperatingPoint(x, resid, its, tol.gmin_floor)
     except (ConvergenceError, SingularMatrixError):
         pass
-    return gmin_stepped_dc(c, u, tol, t, x0, cap_state, gmin_start)
+    return gmin_stepped_dc(c, u, tol, t, x0, companions, gmin_start, plan)

@@ -11,9 +11,10 @@ zero current is wrong whenever a source steps right after t = 0.  The
 backward-Euler first step has the same local order as the trapezoid's
 global error, so the method keeps its second-order convergence.
 
-Memoryless linear circuits (no MOSFETs, no capacitors) are solved with
-one LU factorization and all time steps as simultaneous right-hand
-sides, which is arithmetically identical to stepping but far faster.
+Every step reuses one compiled stamp plan (see :mod:`ccsim.mna`).
+Memoryless linear circuits (no MOSFETs, no capacitors) are solved by
+superposition: one solve for the response to each unit source, each
+response then scaled by that source's samples at every step.
 """
 
 from __future__ import annotations
@@ -25,15 +26,10 @@ import numpy as np
 
 from . import mna
 from .devices import Dc, source_samples
-from .netlist import Capacitor, Conveyor, FlatCircuit, ISource, Mosfet, VSource
-from .solver import (
-    ConvergenceError,
-    Tolerances,
-    lu_factor,
-    lu_solve,
-    newton_dc,
-    solve_linear,
-)
+from .netlist import Conveyor, FlatCircuit, ISource, VSource
+from .solver import ConvergenceError, Tolerances, newton_dc, solve_linear
+
+CSV_BLOCK = 4096  # rows formatted per write
 
 
 @dataclass
@@ -83,10 +79,6 @@ def _clip_rows(c: FlatCircuit, u: mna.UnknownMap):
     return out
 
 
-def _step_method(method: str, k: int) -> str:
-    return "be" if method == "be" or k == 1 else "trap"
-
-
 def run_transient(
     c: FlatCircuit,
     dt: float,
@@ -103,27 +95,21 @@ def run_transient(
         raise ValueError(f"unknown integration method {method!r}")
     tol = tol or Tolerances()
     u = mna.index_unknowns(c)
+    plan = mna.compile(c, u, tol.gmin_floor)
     n_steps = int(round(tstop / dt))
     times = np.arange(n_steps + 1) * dt
     clips = _clip_rows(c, u)
 
-    op = newton_dc(c, u, tol, t=0.0)
-    x0 = op.x.copy()
-    for r, lo, hi in clips:
-        x0[r] = min(max(x0[r], lo), hi)
-
-    caps = [e for e in c.elements if isinstance(e, Capacitor)]
-    has_mos = any(isinstance(e, Mosfet) for e in c.elements)
-
-    if not caps and not has_mos:
-        data = _run_batched(c, u, times, clips, tol)
-        data[:, 0] = x0
-        for r, lo, hi in clips:
-            np.clip(data[r], lo, hi, out=data[r])
+    op = newton_dc(c, u, tol, t=0.0, plan=plan)
+    if plan.linear and not len(plan.farads):
+        data = _run_batched(c, u, plan, times)
+        data[:, 0] = op.x
     else:
         data = np.empty((u.size, n_steps + 1))
-        data[:, 0] = x0
-        _run_stepped(c, u, times, method, tol, caps, has_mos, clips, data)
+        data[:, 0] = op.x
+        _run_stepped(c, u, plan, times, method, tol, clips, data)
+    for r, lo, hi in clips:
+        np.clip(data[r], lo, hi, out=data[r])
 
     columns = {name: data[i] for i, name in enumerate(u.names)}
     return Waveform(
@@ -136,63 +122,44 @@ def run_transient(
     )
 
 
-def _run_batched(c, u, times, clips, tol):
-    """All steps of a memoryless linear circuit in one multi-RHS solve."""
-    sys = mna.assemble(c, u, 0.0, gmin_floor=tol.gmin_floor)
-    b = np.zeros((u.size, len(times)))
-    for e in c.elements:
-        if isinstance(e, VSource):
-            b[u.branch_row(e.name)] += source_samples(e.spec, times)
-        elif isinstance(e, ISource):
-            s = source_samples(e.spec, times)
-            p = u.node_row(c.nodes[e.p])
-            n = u.node_row(c.nodes[e.n])
-            if p >= 0:
-                b[p] -= s
-            if n >= 0:
-                b[n] += s
-    return lu_solve(lu_factor(sys.a), b)
+def _run_batched(c, u, plan, times):
+    """All steps of a memoryless linear circuit, by superposition over
+    the rows of the plan's source table."""
+    sys = mna.assemble(c, u, 0.0, plan=plan)
+    unit = np.zeros((u.size + 1, len(plan.sources)))
+    for j, (row, sign, _) in enumerate(plan.sources):
+        unit[row, j] = sign
+    response = solve_linear(sys.a, unit[: u.size], u.names)
+    samples = np.array([source_samples(spec, times) for _, _, spec in plan.sources])
+    return response @ samples.reshape(len(plan.sources), len(times))
 
 
-def _run_stepped(c, u, times, method, tol, caps, has_mos, clips, data):
-    x = data[:, 0].copy()
+def _run_stepped(c, u, plan, times, method, tol, clips, data):
+    def clamp(x):
+        for r, lo, hi in clips:
+            x[r] = min(max(x[r], lo), hi)
+        return x
 
-    def vdiff(xv, e):
-        i = u.node_row(c.nodes[e.a])
-        j = u.node_row(c.nodes[e.b])
-        va = xv[i] if i >= 0 else 0.0
-        vb = xv[j] if j >= 0 else 0.0
-        return va - vb
-
+    x = clamp(data[:, 0].copy())
     # capacitor history: voltage from the operating point, current zero
     # (a capacitor is an open circuit at DC)
-    v_prev = {e.name: vdiff(x, e) for e in caps}
-    i_prev = {e.name: 0.0 for e in caps}
+    v_prev = plan.cap_voltages(x)
+    i_prev = np.zeros_like(v_prev)
     dt = times[1] - times[0]
 
     for k in range(1, len(times)):
         t = times[k]
-        meth = _step_method(method, k)
-        cap_state = {e.name: (meth, dt, v_prev[e.name], i_prev[e.name]) for e in caps}
-        if has_mos:
-            try:
-                op = newton_dc(c, u, tol, t=t, x0=x, cap_state=cap_state)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"transient Newton failure at t={t:.9e} s (step {k}): {exc}",
-                    exc.residual,
-                ) from None
-            x = op.x
-        else:
-            sys = mna.assemble(c, u, t, None, cap_state, gmin_floor=tol.gmin_floor)
-            x = solve_linear(sys.a, sys.b, u.names)
-        for r, lo, hi in clips:
-            x[r] = min(max(x[r], lo), hi)
-        for e in caps:
-            geq, ieq = mna.companion_values(e.farads, meth, dt, v_prev[e.name], i_prev[e.name])
-            v_new = vdiff(x, e)
-            i_prev[e.name] = geq * v_new - ieq
-            v_prev[e.name] = v_new
+        meth = "be" if method == "be" or k == 1 else "trap"
+        geq, ieq = mna.companion_values(plan.farads, meth, dt, v_prev, i_prev)
+        try:
+            x = clamp(newton_dc(c, u, tol, t=t, x0=x, companions=(geq, ieq), plan=plan).x)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"transient Newton failure at t={t:.9e} s (step {k}): {exc}",
+                exc.residual,
+            ) from None
+        v_prev = plan.cap_voltages(x)
+        i_prev = geq * v_prev - ieq
         data[:, k] = x
 
 
@@ -250,14 +217,18 @@ def format_sci(v: float) -> str:
 
 
 def write_csv(wave: Waveform, path, probes: list[str] | None = None):
-    """Waveform CSV: header row, first column time, LF line endings."""
+    """Waveform CSV: header row, first column time, LF line endings.
+
+    Cells are :func:`format_sci` text, formatted a block of rows at a time
+    so no copy of the whole table is held."""
     names = probes if probes is not None else list(wave.columns)
-    cols = [wave.column(n) for n in names]
+    cols = [wave.times] + [wave.column(n) for n in names]
+    row_fmt = ",".join(["%.8e"] * len(cols)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join([wave.time_label] + names) + "\n")
-        for k in range(len(wave.times)):
-            row = [format_sci(wave.times[k])] + [format_sci(col[k]) for col in cols]
-            fh.write(",".join(row) + "\n")
+        for k in range(0, len(wave.times), CSV_BLOCK):
+            block = np.column_stack([col[k : k + CSV_BLOCK] for col in cols])
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_csv(path) -> Waveform:

@@ -108,3 +108,68 @@ def conveyor_port_residuals(c, wave):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+def node_kcl_residuals(c, wave):
+    """Net current out of every non-ground node at every recorded sample,
+    rebuilt from the element laws and the recorded unknowns alone.
+
+    Returns ``(net, scale)``: per node, the summed current the elements
+    draw from the node, and the summed magnitude of the terms that make
+    up those currents (``G*va`` and ``G*vb`` apart for a two-terminal
+    element), so a check can be relative to the round-off a solve leaves
+    there.  Capacitor currents follow
+    the discrete law of the run: zero at the operating point, backward
+    Euler on the first step and for ``be`` runs, trapezoidal after that.
+    """
+    times = wave.times
+    zero = np.zeros_like(times)
+
+    def vcol(node):
+        return wave.column(f"v({node})")
+
+    net = {node: zero.copy() for node in c.nodes if node != "0"}
+    scale = {node: zero.copy() for node in c.nodes if node != "0"}
+
+    def flow(node, cur, mag=None):
+        if node != "0":
+            net[node] += cur
+            scale[node] += np.abs(cur) if mag is None else mag
+
+    for node in net:
+        flow(node, mna.GMIN_FLOOR * vcol(node))
+    for e in c.elements:
+        if isinstance(e, Resistor):
+            va, vb = vcol(e.a), vcol(e.b)
+            i_ab = (va - vb) / e.ohms
+            mag = (np.abs(va) + np.abs(vb)) / e.ohms
+            flow(e.a, i_ab, mag)
+            flow(e.b, -i_ab, mag)
+        elif isinstance(e, VSource):
+            i = wave.column(f"i({e.name})")
+            flow(e.p, i)
+            flow(e.n, -i)
+        elif isinstance(e, ISource):
+            val = source_samples(e.spec, times)
+            flow(e.p, val)
+            flow(e.n, -val)
+        elif isinstance(e, Conveyor):
+            ix = wave.column(f"i({e.name})")
+            flow(e.x, ix)
+            flow(e.z, e.params.polarity * ix)
+        elif isinstance(e, Capacitor):
+            v = vcol(e.a) - vcol(e.b)
+            size = np.abs(vcol(e.a)) + np.abs(vcol(e.b))
+            i = zero.copy()
+            mag = zero.copy()
+            for k in range(1, len(times)):
+                trap = wave.method == "trap" and k > 1
+                geq = (2.0 if trap else 1.0) * e.farads / (times[k] - times[k - 1])
+                hist = i[k - 1] if trap else 0.0
+                i[k] = geq * (v[k] - v[k - 1]) - hist
+                mag[k] = geq * (size[k] + size[k - 1]) + abs(hist)
+            flow(e.a, i, mag)
+            flow(e.b, -i, mag)
+        else:
+            raise AssertionError(f"KCL oracle has no law for {type(e).__name__}")
+    return net, scale

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,35 @@ def test_nonconvergence_reported():
     # update must be confirmed by a second pass, so the ladder gives up too
     with pytest.raises(ConvergenceError):
         newton_dc(c, u, Tolerances(maxiter=1))
+
+
+# ----------------------------------------------------------------------
+# the singular diagnostic names the unknown, whichever solver ran
+# ----------------------------------------------------------------------
+
+VSOURCE_LOOP = "t\nV1 a 0 DC 1\nV2 a 0 DC 2\nR1 a 0 1k\n.end\n"
+
+
+def test_vsource_loop_names_branch_unknown():
+    c = parse_and_flatten(VSOURCE_LOOP)
+    with pytest.raises(SingularMatrixError, match=r"i\(v[12]\)"):
+        newton_dc(c, index_unknowns(c))
+
+
+def test_vsource_loop_cli_exit_code(tmp_path, capsys):
+    from ccsim.cli import EXIT_CONVERGENCE, main
+
+    p = tmp_path / "loop.cir"
+    p.write_text(VSOURCE_LOOP)
+    assert main(["op", str(p)]) == EXIT_CONVERGENCE
+    assert re.search(r"i\(v[12]\)", capsys.readouterr().err)
+
+
+def test_near_singular_finite_answer_still_raises():
+    # the second pivot is 1.1e-15: LAPACK returns a finite x of order
+    # 1e15 with a zero residual, the pivot scan refuses it
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    b = np.array([1.0, 0.0])
+    assert np.all(np.isfinite(np.linalg.solve(a, b)))
+    with pytest.raises(SingularMatrixError, match=r"v\(q\)"):
+        solve_linear(a, b, row_names=["v(p)", "v(q)"])

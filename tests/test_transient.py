@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccsim.mna import index_unknowns
 from ccsim.netlist import parse_and_flatten
 from ccsim.solver import newton_dc
 from ccsim.transient import format_sci, read_csv, run_transient, write_csv
 
-from conftest import behavioral_amp, run_amp
+from conftest import behavioral_amp, node_kcl_residuals, run_amp
 
 RC = """rc charging step response
 vs in 0 PULSE(0 1 0 1p 1p 10 10)
@@ -148,3 +149,72 @@ def test_dc_sweep_of_divider():
     assert w.time_label == "v1"
     with pytest.raises(ValueError):
         run_dc_sweep(c, "nosuch", 0.0, 1.0, 0.5)
+
+
+def test_csv_matches_per_cell_format(tmp_path):
+    # special values spread over a row count that no block size near
+    # 4096 divides, so the last block is a partial one
+    from ccsim.transient import Waveform
+
+    n = 10_007
+    specials = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -1e308, 1 / 3])
+    times = np.arange(n) * 1e-6
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    b = np.resize(specials, n)
+    a[-len(specials):] = specials
+    w = Waveform(times, {"v(a)": a, "i(b)": b}, 1e-6, "trap", "", {})
+    path = tmp_path / "special.csv"
+    write_csv(w, path)
+    expect = "time,v(a),i(b)\n" + "".join(
+        ",".join(format_sci(v) for v in row) + "\n" for row in zip(times, a, b)
+    )
+    assert path.read_bytes() == expect.encode()
+
+
+@st.composite
+def memoryless_or_rc_netlists(draw, with_cap):
+    """Random unclamped R/V/I/conveyor netlists, optionally with one
+    capacitor.  Every node reaches ground through resistors and the
+    conveyor's X terminal is not the voltage-driven node, so each draw
+    is solvable."""
+    ohms = st.floats(100.0, 1e5)
+    millis = st.integers(-1000, 1000).map(lambda k: k / 1000)  # no subnormal drives
+    n = draw(st.integers(3, 5))
+    nodes = [f"n{k}" for k in range(1, n + 1)]
+    off, amp = draw(millis) / 2, abs(draw(millis))
+    lines = ["kcl oracle", f"v1 n1 0 SIN({off!r} {amp!r} 1000.0)"]
+    for k in range(2, n + 1):
+        to = draw(st.sampled_from(["0"] + nodes[: k - 1]))
+        lines.append(f"r{k} n{k} {to} {draw(ohms)!r}")
+    pairs = st.lists(st.sampled_from(["0"] + nodes), min_size=2, max_size=2, unique=True)
+    for j in range(draw(st.integers(0, 3))):
+        a, b = draw(pairs)
+        lines.append(f"rx{j} {a} {b} {draw(ohms)!r}")
+    if draw(st.booleans()):
+        a, b = draw(pairs)
+        lines.append(f"i1 {a} {b} DC {draw(millis) * 1e-3!r}")
+    x = draw(st.sampled_from(nodes[1:]))
+    y, z = draw(st.permutations([m for m in nodes if m != x]))[:2]
+    kind = draw(st.sampled_from(["cccii+", "cccii-", "ccii+", "ccii-"]))
+    lines.append(f"u1 {y} {x} {z} {kind} rx={draw(st.floats(0.0, 2000.0))!r}")
+    if with_cap:
+        a, b = draw(pairs)
+        lines.append(f"c1 {a} {b} {draw(st.floats(1e-9, 1e-6))!r}")
+    return "\n".join(lines + [".end", ""])
+
+
+@given(data=st.data(), with_cap=st.booleans(), method=st.sampled_from(["be", "trap"]))
+@settings(max_examples=60, deadline=None)
+def test_kcl_holds_at_every_sample(data, with_cap, method):
+    # without the capacitor the run takes the batched path, with it the
+    # stepped one; the oracle knows neither
+    c = parse_and_flatten(data.draw(memoryless_or_rc_netlists(with_cap)))
+    dt = data.draw(st.floats(1e-7, 1e-5))
+    w = run_transient(c, dt, 40 * dt, method)
+    net, scale = node_kcl_residuals(c, w)
+    # a solve's round-off in one node voltage is relative to the whole
+    # system, not only to the currents at that node
+    floor = 1e-12 * np.max(list(scale.values()), axis=0)
+    for node in net:
+        assert np.all(np.abs(net[node]) <= 1e-9 * scale[node] + floor), node
