@@ -11,12 +11,9 @@ convention a plus-polarity conveyor satisfies
 and the single-conveyor amplifier (input at Y, R1 from X to ground, R2
 from Z to ground) comes out non-inverting with gain R2 / (R1 + R_X).
 
-:func:`compile` stamps a topology once into a :class:`StampPlan`: the
-static matrix (resistors, voltage sources, conveyors, gmin floor), a
-table of where each independent source enters the right-hand side, and
-index arrays for the MOSFETs and capacitors.  :func:`assemble` turns it
-into one Newton iterate: a copy of the static matrix plus the capacitor
-companions and all MOSFETs, linearized by one :func:`mosfet_eval` call.
+:func:`compile` stamps a topology once into a :class:`StampPlan`;
+:func:`assemble` turns the plan into one Newton iterate, with all MOSFETs
+linearized by one vectorized :func:`mosfet_eval` call.
 
 Matrices are dense; the circuits this simulator targets stay well under a
 couple hundred unknowns.  A system under assembly is exclusively owned by
@@ -131,8 +128,7 @@ def stamp_linear(e: Element, c: FlatCircuit, u: UnknownMap, sys: MnaSystem, t: f
 
 
 def companion_values(farads, method: str, dt: float, v_prev, i_prev):
-    """Discrete-time equivalent (geq, ieq) of capacitors for one step;
-    scalars or arrays with one entry per capacitor."""
+    """Discrete-time equivalent (geq, ieq) of capacitors (scalars or arrays) for one step."""
     if dt <= 0.0:
         raise ValueError("companion model requires dt > 0")
     if method == "be":
@@ -157,7 +153,6 @@ class StampPlan:
     ``mos_at`` are the buffer positions the capacitors and MOSFETs stamp.
     """
 
-    u: UnknownMap
     static: np.ndarray  # R, V and conveyor entries plus the gmin floor
     sources: list[tuple[int, float, SourceSpec]]  # b[row] += sign * value(t)
     cap_ab: np.ndarray  # (2, capacitors) terminal rows
@@ -177,7 +172,8 @@ class StampPlan:
 
 
 def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> StampPlan:
-    """Stamp the fixed part of ``c`` once; see :class:`StampPlan`."""
+    """Stamp the fixed part of ``c`` once: the static matrix, the source
+    table and the capacitor and MOSFET index arrays of a :class:`StampPlan`."""
     m = u.size + 1
     static = np.zeros(m * m + m)
     matrix = static[: m * m].reshape(m, m)
@@ -202,7 +198,7 @@ def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> St
     d, g, s = mos_dgs = rows(mos, "d", "g", "s")
     rhs = m * m
     return StampPlan(
-        u, static, sources, cap_ab, np.array([e.farads for e in caps]),
+        static, sources, cap_ab, np.array([e.farads for e in caps]),
         # +geq, +geq and +ieq, then the same entries negated
         np.concatenate([a * m + a, b * m + b, rhs + a, a * m + b, b * m + a, rhs + b]),
         mos_dgs, MosfetBank.of([e.params for e in mos]),
@@ -235,7 +231,7 @@ def assemble(
     a, b = buf[: m * m].reshape(m, m), buf[m * m :]
     for row, sign, spec in p.sources:
         b[row] += sign * source_value(spec, t)
-    if companions is not None:
+    if companions is not None and len(p.farads):
         geq, ieq = companions
         pos = np.concatenate([geq, geq, ieq])
         np.add.at(buf, p.cap_at, np.concatenate([pos, -pos]))

@@ -1,10 +1,10 @@
 """Linear solves and the DC operating point.
 
-Linear systems are solved by LAPACK, which only refuses exactly zero
-pivots.  A suspect answer is solved again by a hand-written dense LU with
-partial pivoting, the diagnostic: a pivot smaller than 1e-13 aborts with
-the name of the unknown whose column lost rank, almost always a floating
-node or a loop of voltage sources.  The Newton loop damps
+Linear systems are solved by LAPACK.  A suspect answer is solved again
+by a hand-written dense LU with partial pivoting, the diagnostic: a pivot
+smaller than 1e-13 aborts with the name of the unknown whose column lost
+rank, almost always a floating node or a loop of voltage sources.  The
+Newton loop damps
 per-iteration voltage changes, and a gmin ladder (1e-3 S stepped down by
 decades to 1e-12 S) rescues cold starts that plain iteration cannot.
 A permanent gmin floor from every node to ground is always stamped, so
@@ -112,10 +112,8 @@ def solve_linear(a: np.ndarray, b: np.ndarray, row_names: list[str] | None = Non
     try:
         x = np.linalg.solve(a, b)
         scale = abs(b).max(initial=0.0)
-        if (
-            abs(a @ x - b).max(initial=0.0) <= RESID_TOL * scale
-            and abs(x).max(initial=0.0) * PIVOT_TOL <= scale
-        ):
+        resid = abs(a @ x - b).max(initial=0.0)
+        if resid <= RESID_TOL * scale and abs(x).max(initial=0.0) * PIVOT_TOL <= scale:
             return x
     except np.linalg.LinAlgError:
         pass
@@ -133,7 +131,16 @@ def node_residual_norm(sys: mna.MnaSystem, x: np.ndarray, n_nodes: int) -> float
     return float(abs(r[:n_nodes]).max()) if n_nodes else 0.0
 
 
-def _newton_attempt(c, u, tol, t, x0, companions, gmin_extra, plan):
+def _newton_attempt(
+    c: FlatCircuit,
+    u: mna.UnknownMap,
+    tol: Tolerances,
+    t: float,
+    x0: np.ndarray,
+    companions,
+    gmin_extra: float,
+    plan: mna.StampPlan,
+):
     """One damped Newton run.  Returns (x, residual, iterations) or raises."""
     if plan.linear:
         sys = mna.assemble(c, u, t, None, companions, gmin_extra, plan=plan)

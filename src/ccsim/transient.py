@@ -217,10 +217,8 @@ def format_sci(v: float) -> str:
 
 
 def write_csv(wave: Waveform, path, probes: list[str] | None = None):
-    """Waveform CSV: header row, first column time, LF line endings.
-
-    Cells are :func:`format_sci` text, formatted a block of rows at a time
-    so no copy of the whole table is held."""
+    """Waveform CSV: header row, first column time, LF line endings; cells
+    are :func:`format_sci` text, formatted a block of rows at a time."""
     names = probes if probes is not None else list(wave.columns)
     cols = [wave.times] + [wave.column(n) for n in names]
     row_fmt = ",".join(["%.8e"] * len(cols)) + "\n"
