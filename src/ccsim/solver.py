@@ -111,7 +111,7 @@ def solve_linear(a: np.ndarray, b: np.ndarray, row_names: list[str] | None = Non
     """
     try:
         x = np.linalg.solve(a, b)
-        scale = abs(b).max(initial=0.0)
+        scale = np.abs(b).max(initial=0.0)
         resid = abs(a @ x - b).max(initial=0.0)
         if resid <= RESID_TOL * scale and abs(x).max(initial=0.0) * PIVOT_TOL <= scale:
             return x
