@@ -31,7 +31,7 @@ from .solver import (
     newton_dc,
     solve_linear,
 )
-from .transient import Waveform, read_csv, run_transient, write_csv
+from .transient import Waveform, read_csv, run_transient, run_transient_stacked, write_csv
 from .measure import (
     Histogram,
     Measurement,

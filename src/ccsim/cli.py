@@ -4,6 +4,11 @@ Exit codes are the contract: 0 success, 2 netlist/parse problems,
 3 convergence failures, 4 I/O problems.  All numeric output is printed
 in scientific notation with 9 significant digits so runs are
 byte-reproducible.
+
+``ccsim sweep`` parses the netlist once, flattens it once per value, and
+runs each ``.tran`` of all the points together in one process (see
+:func:`ccsim.transient.run_transient_stacked`); the measurements are then
+taken point by point.
 """
 
 from __future__ import annotations
@@ -12,14 +17,21 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import library, mna, transient
 from .measure import Histogram, MeasureError, Measurement, run_measure
 from .netlist import NetlistError, expand_hierarchy, parse_netlist, parse_value
 from .solver import ConvergenceError, SingularMatrixError, Tolerances, newton_dc
-from .transient import Waveform, format_sci, read_csv, run_dc_sweep, run_transient, write_csv
+from .transient import (
+    Waveform,
+    format_sci,
+    read_csv,
+    run_dc_sweep,
+    run_transient,
+    run_transient_stacked,
+    write_csv,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -101,20 +113,28 @@ def _write_measures_csv(results: list[Measurement], path):
             writer.writerow([m.name, m.kind, val, m.units])
 
 
-def _execute_directives(c, tol, out_path, probes, quiet=False):
+def _execute_directives(c, tol, out_path, probes, quiet=False, waves=None):
     """Run .op/.dc/.tran/.measure in netlist order.  Returns the list of
-    measurement results (netlist order)."""
+    measurement results (netlist order).  ``waves``, when given, holds
+    the result of each .tran, run beforehand: a waveform, or the error
+    that run raised."""
     u = mna.index_unknowns(c)
     _validate_probes(c, u, probes)
     wave: Waveform | None = None
     results: list[Measurement] = []
+    pending = None if waves is None else iter(waves)
     for d in c.directives:
         if d.kind == "op":
             op = newton_dc(c, u, tol)
             if not quiet:
                 _print_op(c, u, op)
         elif d.kind == "tran":
-            wave = run_transient(c, d.args[0], d.args[1], d.args[2], tol)
+            if pending is None:
+                wave = run_transient(c, d.args[0], d.args[1], d.args[2], tol)
+            else:
+                wave = next(pending)
+            if isinstance(wave, Exception):
+                raise wave
             if out_path is not None:
                 write_csv(wave, out_path, probes)
         elif d.kind == "dc":
@@ -163,14 +183,10 @@ def cmd_op(args) -> int:
     return EXIT_OK
 
 
-def _sweep_point(payload):
-    text, overrides, tol_fields, name, value = payload
-    ast = parse_netlist(text)
-    ov = dict(overrides)
-    ov[name] = value
-    c = expand_hierarchy(ast, ov)
-    tol = Tolerances(**tol_fields)
-    results = _execute_directives(c, tol, None, None, quiet=True)
+def _sweep_point(c, tol, waves):
+    """The row of measurements of one sweep point, from its circuit and
+    the results of its .tran directives."""
+    results = _execute_directives(c, tol, None, None, quiet=True, waves=waves)
     return [(m.name, m.value) for m in results]
 
 
@@ -191,24 +207,17 @@ def cmd_sweep(args) -> int:
         raise NetlistError(f"sweep parameter {name!r} is not a .param of the netlist")
     overrides = _overrides(args.param)
     tol = _tolerances(args)
-    tol_fields = vars(tol)
-    payloads = [(text, overrides, tol_fields, name, v) for v in values]
-    jobs = max(1, args.jobs)
+    circuits = [expand_hierarchy(ast, {**overrides, name: v}) for v in values]
+    runs = [
+        run_transient_stacked(circuits, d.args[0], d.args[1], d.args[2], tol)
+        for d in ast.directives if d.kind == "tran"
+    ]
     points = []
-    if jobs == 1:
-        runs = (map(_sweep_point, payloads), None)
-    else:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        runs = (pool.map(_sweep_point, payloads), pool)
-    try:
-        for result in runs[0]:
-            points.append(result)
-    except (ConvergenceError, SingularMatrixError) as exc:
-        failed = values[len(points)]
-        raise ConvergenceError(f"sweep aborted at {name}={format_sci(failed)}: {exc}") from exc
-    finally:
-        if runs[1] is not None:
-            runs[1].shutdown(cancel_futures=True)
+    for k, (v, c) in enumerate(zip(values, circuits)):
+        try:
+            points.append(_sweep_point(c, tol, [run[k] for run in runs]))
+        except (ConvergenceError, SingularMatrixError) as exc:
+            raise ConvergenceError(f"sweep aborted at {name}={format_sci(v)}: {exc}") from exc
     header = ["param_value"] + [n for n, _ in points[0]]
     out_path = args.out or str(Path(args.netlist).with_suffix(".sweep.csv").name)
     with open(out_path, "w", newline="") as fh:
@@ -305,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--sweep", required=True, metavar="NAME=V1,V2,...",
                          help="parameter values, ordered as the summary rows")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="concurrent runs")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility; sweep points run stacked in one process")
     p_sweep.add_argument("--out", help="summary CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 

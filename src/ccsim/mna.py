@@ -13,7 +13,9 @@ from Z to ground) comes out non-inverting with gain R2 / (R1 + R_X).
 
 :func:`compile` stamps a topology once into a :class:`StampPlan`;
 :func:`assemble` turns the plan into one Newton iterate, with all MOSFETs
-linearized by one vectorized :func:`mosfet_eval` call.
+linearized by one vectorized :func:`mosfet_eval` call.  :func:`stack`
+joins the plans of K variants of one topology, so that one
+:func:`assemble` call builds all K systems.
 
 Matrices are dense; the circuits this simulator targets stay well under a
 couple hundred unknowns.  A system under assembly is exclusively owned by
@@ -140,7 +142,36 @@ def companion_values(farads, method: str, dt: float, v_prev, i_prev):
     raise ValueError(f"unknown integration method {method!r}")
 
 
-_GROUND = np.zeros(1)  # appended to x as unknown n
+@dataclass
+class SourceTable:
+    """The independent sources of a plan: entry j adds
+    ``sign[j] * value(specs[spec[j]], t)`` at buffer position ``at[j]``.
+    Each distinct spec is listed, and so evaluated, once."""
+
+    at: np.ndarray
+    sign: np.ndarray
+    spec: np.ndarray
+    specs: list[SourceSpec]
+
+    @classmethod
+    def of(cls, entries: list[tuple[int, float, SourceSpec]]) -> "SourceTable":
+        # keyed by repr, which tells -0.0 from 0.0 where == does not
+        index = {}
+        for _, _, spec in entries:
+            index.setdefault(repr(spec), (len(index), spec))
+        return cls(
+            np.array([at for at, _, _ in entries], dtype=np.intp),
+            np.array([sign for _, sign, _ in entries], dtype=float),
+            np.array([index[repr(spec)][0] for _, _, spec in entries], dtype=np.intp),
+            [spec for _, spec in index.values()],
+        )
+
+    def entries(self) -> list[tuple[int, float, SourceSpec]]:
+        return [(int(a), float(s), self.specs[j]) for a, s, j in zip(self.at, self.sign, self.spec)]
+
+    def values(self, t: float) -> np.ndarray:
+        """Each entry's signed value at time ``t``."""
+        return self.sign * np.array([source_value(s, t) for s in self.specs])[self.spec]
 
 
 @dataclass
@@ -149,25 +180,32 @@ class StampPlan:
 
     A system is one flat buffer: the (n+1)x(n+1) matrix row by row, then
     n+1 right-hand-side entries.  Row and column n (index -1 too) stand
-    for ground, so no stamp needs a ground test.  ``cap_at`` and
-    ``mos_at`` are the buffer positions the capacitors and MOSFETs stamp.
+    for ground, so no stamp needs a ground test.  ``cap_at``, ``mos_at``
+    and the source table hold positions in the flattened buffer.
+
+    A plan made by :func:`stack` holds K variants of one topology: its
+    static buffer gains a leading K axis, its capacitor and MOSFET values
+    a trailing one (so per-device arrays stack the way the solution's
+    transpose does), and its positions index the flattened stack.
     """
 
     static: np.ndarray  # R, V and conveyor entries plus the gmin floor
-    sources: list[tuple[int, float, SourceSpec]]  # b[row] += sign * value(t)
+    sources: SourceTable
     cap_ab: np.ndarray  # (2, capacitors) terminal rows
     farads: np.ndarray
     cap_at: np.ndarray
     mos_dgs: np.ndarray  # (3, MOSFETs) terminal rows
     mos: MosfetBank
     mos_at: np.ndarray
+    # the ground voltage, appended to x.T as unknown n
+    ground: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
     @property
     def linear(self) -> bool:
         return self.mos_dgs.shape[1] == 0
 
     def cap_voltages(self, x: np.ndarray) -> np.ndarray:
-        va, vb = np.concatenate((x, _GROUND))[self.cap_ab]
+        va, vb = np.concatenate((x.T, self.ground))[self.cap_ab]
         return va - vb
 
 
@@ -175,19 +213,20 @@ def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> St
     """Stamp the fixed part of ``c`` once: the static matrix, the source
     table and the capacitor and MOSFET index arrays of a :class:`StampPlan`."""
     m = u.size + 1
-    static = np.zeros(m * m + m)
-    matrix = static[: m * m].reshape(m, m)
-    sources, caps, mos = [], [], []
+    rhs = m * m
+    static = np.zeros(rhs + m)
+    matrix = static[:rhs].reshape(m, m)
+    sources, caps, mos = [], [], []  # sources as (position, sign, spec)
     for e in c.elements:
         if isinstance(e, Capacitor):
             caps.append(e)
         elif isinstance(e, Mosfet):
             mos.append(e)
         else:
-            entries, rhs = _linear_stamp(e, c, u)
+            entries, rows = _linear_stamp(e, c, u)
             for i, j, v in entries:
                 matrix[i, j] += v
-            sources += [(r, sign, e.spec) for r, sign in rhs]
+            sources += [(rhs + r % m, sign, e.spec) for r, sign in rows]
     static[: u.n_nodes * (m + 1) : m + 1] += gmin_floor  # the node-voltage diagonal
 
     def rows(elements, *terminals):
@@ -196,15 +235,53 @@ def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> St
 
     a, b = cap_ab = rows(caps, "a", "b")
     d, g, s = mos_dgs = rows(mos, "d", "g", "s")
-    rhs = m * m
     return StampPlan(
-        static, sources, cap_ab, np.array([e.farads for e in caps]),
+        static, SourceTable.of(sources), cap_ab, np.array([e.farads for e in caps]),
         # +geq, +geq and +ieq, then the same entries negated
         np.concatenate([a * m + a, b * m + b, rhs + a, a * m + b, b * m + a, rhs + b]),
         mos_dgs, MosfetBank.of([e.params for e in mos]),
         # row d: +gm, +gds, -(gm+gds) and -ieq; row s: the same negated
         np.concatenate([d * m + g, d * m + d, d * m + s, rhs + d, s * m + g, s * m + d, s * m + s, rhs + s]),
     )
+
+
+def stack(plans: list[StampPlan]) -> StampPlan:
+    """One plan for K variants of one topology (the same circuit with
+    other element values), each variant's buffer a row of the stack.
+
+    Raises ValueError when the plans' index arrays differ.
+    """
+    first = plans[0]
+    size = first.static.size
+    for p in plans[1:]:
+        same = [np.array_equal(getattr(p, name), getattr(first, name))
+                for name in ("cap_ab", "cap_at", "mos_dgs", "mos_at")]
+        same += [np.array_equal(p.sources.at, first.sources.at),
+                 np.array_equal(p.sources.sign, first.sources.sign)]
+        if not all(same):
+            raise ValueError("stacked plans must share one topology")
+    offset = np.arange(len(plans)) * size
+
+    def values(arrays):
+        return np.stack(arrays, axis=-1)
+
+    bank = (values([getattr(p.mos, f) for p in plans]) for f in ("sign", "vth", "beta", "lam"))
+    return StampPlan(
+        np.stack([p.static for p in plans]),
+        SourceTable.of([(k * size + at, sign, spec)
+                        for k, p in enumerate(plans) for at, sign, spec in p.sources.entries()]),
+        first.cap_ab, values([p.farads for p in plans]), first.cap_at[:, None] + offset,
+        first.mos_dgs, MosfetBank(*bank), first.mos_at[:, None] + offset,
+        np.zeros((1, len(plans))),
+    )
+
+
+def stamp_sources(p: StampPlan, t: float) -> np.ndarray:
+    """A copy of the plan's static buffer with every source valued at
+    time ``t`` added, in source-table order."""
+    buf = p.static.copy()
+    np.add.at(buf.reshape(-1), p.sources.at, p.sources.values(t))
+    return buf
 
 
 def assemble(
@@ -216,6 +293,7 @@ def assemble(
     gmin_extra: float = 0.0,
     gmin_floor: float = GMIN_FLOOR,
     plan: StampPlan | None = None,
+    base: np.ndarray | None = None,
 ) -> MnaSystem:
     """Build the full system at time ``t`` linearized around ``x_est``.
 
@@ -223,26 +301,35 @@ def assemble(
     arrays over the plan's capacitors; without it capacitors are open
     circuits (the DC operating-point convention).  ``gmin_extra`` adds a
     homotopy conductance on top of the permanent floor.  ``plan`` is
-    ``compile(c, u, gmin_floor)``, passed by repeated callers.
+    ``compile(c, u, gmin_floor)``, passed by repeated callers, and
+    ``base`` is ``stamp_sources(plan, t)``, passed by callers that
+    assemble at one ``t`` repeatedly.
+
+    With a stacked plan (see :func:`stack`) ``x_est`` has one row per
+    variant, the companion arrays one column per variant, and the
+    returned ``a`` and ``b`` a leading K axis.
     """
     p = plan if plan is not None else compile(c, u, gmin_floor)
     n, m = u.size, u.size + 1
-    buf = p.static.copy()
-    a, b = buf[: m * m].reshape(m, m), buf[m * m :]
-    for row, sign, spec in p.sources:
-        b[row] += sign * source_value(spec, t)
-    if companions is not None and len(p.farads):
+    buf = stamp_sources(p, t) if base is None else base.copy()
+    flat = buf.reshape(-1)
+    if companions is not None and p.farads.size:
         geq, ieq = companions
         pos = np.concatenate([geq, geq, ieq])
-        np.add.at(buf, p.cap_at, np.concatenate([pos, -pos]))
+        np.add.at(flat, p.cap_at, np.concatenate([pos, -pos]))
     if not p.linear:
         # id + gm*(vgs - vgs0) + gds*(vds - vds0): gm and gds go into the
         # matrix, the constant ieq = id - gm*vgs0 - gds*vds0 into b
-        v = np.zeros(m) if x_est is None else np.concatenate((x_est, _GROUND))
+        if x_est is None:
+            v = np.zeros((m,) + p.ground.shape[1:])
+        else:
+            v = np.concatenate((x_est.T, p.ground))
         vd, vg, vs = v[p.mos_dgs]
         vgs, vds = vg - vs, vd - vs
         i_d, gm, gds = mosfet_eval(vgs, vds, p.mos)
         row_d = np.concatenate([gm, gds, -(gm + gds), -(i_d - gm * vgs - gds * vds)])
-        np.add.at(buf, p.mos_at, np.concatenate([row_d, -row_d]))
-    buf[: u.n_nodes * (m + 1) : m + 1] += gmin_extra  # the node-voltage diagonal
-    return MnaSystem(a[:n, :n], b[:n])
+        np.add.at(flat, p.mos_at, np.concatenate([row_d, -row_d]))
+    if gmin_extra:
+        buf[..., : u.n_nodes * (m + 1) : m + 1] += gmin_extra  # the node-voltage diagonal
+    a = buf[..., : m * m].reshape(buf.shape[:-1] + (m, m))
+    return MnaSystem(a[..., :n, :n], buf[..., m * m : m * m + n])

@@ -15,6 +15,8 @@ Every step reuses one compiled stamp plan (see :mod:`ccsim.mna`).
 Memoryless linear circuits (no MOSFETs, no capacitors) are solved by
 superposition: one solve for the response to each unit source, each
 response then scaled by that source's samples at every step.
+:func:`run_transient_stacked` steps K variants of one circuit together,
+one stacked Newton per step.
 """
 
 from __future__ import annotations
@@ -26,8 +28,16 @@ import numpy as np
 
 from . import mna
 from .devices import Dc, source_samples
-from .netlist import Conveyor, FlatCircuit, ISource, VSource
-from .solver import ConvergenceError, Tolerances, newton_dc, solve_linear
+from .netlist import Capacitor, Conveyor, FlatCircuit, ISource, Mosfet, VSource
+from .solver import (
+    ConvergenceError,
+    SingularMatrixError,
+    Tolerances,
+    gmin_stepped_dc,
+    newton_dc,
+    newton_stack,
+    solve_linear,
+)
 
 CSV_BLOCK = 4096  # rows formatted per write
 
@@ -79,6 +89,15 @@ def _clip_rows(c: FlatCircuit, u: mna.UnknownMap):
     return out
 
 
+def _check_step(dt: float, tstop: float, method: str):
+    if dt <= 0.0:
+        raise ValueError("transient requires dt > 0")
+    if tstop < dt:
+        raise ValueError("transient requires tstop >= dt")
+    if method not in ("be", "trap"):
+        raise ValueError(f"unknown integration method {method!r}")
+
+
 def run_transient(
     c: FlatCircuit,
     dt: float,
@@ -87,12 +106,7 @@ def run_transient(
     tol: Tolerances | None = None,
 ) -> Waveform:
     """Simulate from t = 0 to tstop with a constant step dt."""
-    if dt <= 0.0:
-        raise ValueError("transient requires dt > 0")
-    if tstop < dt:
-        raise ValueError("transient requires tstop >= dt")
-    if method not in ("be", "trap"):
-        raise ValueError(f"unknown integration method {method!r}")
+    _check_step(dt, tstop, method)
     tol = tol or Tolerances()
     u = mna.index_unknowns(c)
     plan = mna.compile(c, u, tol.gmin_floor)
@@ -110,28 +124,25 @@ def run_transient(
         _run_stepped(c, u, plan, times, method, tol, clips, data)
     for r, lo, hi in clips:
         np.clip(data[r], lo, hi, out=data[r])
+    return _waveform(c, u, times, data, dt, method)
 
+
+def _waveform(c, u, times, data, dt, method):
     columns = {name: data[i] for i, name in enumerate(u.names)}
-    return Waveform(
-        times,
-        columns,
-        dt,
-        method,
-        circuit_hash(c),
-        _vsource_nodes(c),
-    )
+    return Waveform(times, columns, dt, method, circuit_hash(c), _vsource_nodes(c))
 
 
 def _run_batched(c, u, plan, times):
     """All steps of a memoryless linear circuit, by superposition over
     the rows of the plan's source table."""
     sys = mna.assemble(c, u, 0.0, plan=plan)
-    unit = np.zeros((u.size + 1, len(plan.sources)))
-    for j, (row, sign, _) in enumerate(plan.sources):
-        unit[row, j] = sign
-    response = solve_linear(sys.a, unit[: u.size], u.names)
-    samples = np.array([source_samples(spec, times) for _, _, spec in plan.sources])
-    return response @ samples.reshape(len(plan.sources), len(times))
+    src = plan.sources
+    unit = np.zeros((plan.static.size, len(src.at)))
+    unit[src.at, np.arange(len(src.at))] = src.sign
+    rhs = (u.size + 1) ** 2
+    response = solve_linear(sys.a, unit[rhs : rhs + u.size], u.names)
+    samples = np.array([source_samples(spec, times) for spec in src.specs])
+    return response @ samples.reshape(len(src.specs), len(times))[src.spec]
 
 
 def _run_stepped(c, u, plan, times, method, tol, clips, data):
@@ -154,13 +165,100 @@ def _run_stepped(c, u, plan, times, method, tol, clips, data):
         try:
             x = clamp(newton_dc(c, u, tol, t=t, x0=x, companions=(geq, ieq), plan=plan).x)
         except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"transient Newton failure at t={t:.9e} s (step {k}): {exc}",
-                exc.residual,
-            ) from None
+            raise _step_failure(exc, t, k) from None
         v_prev = plan.cap_voltages(x)
         i_prev = geq * v_prev - ieq
         data[:, k] = x
+
+
+def run_transient_stacked(
+    circuits: list[FlatCircuit],
+    dt: float,
+    tstop: float,
+    method: str = "trap",
+    tol: Tolerances | None = None,
+) -> list[Waveform | ConvergenceError | SingularMatrixError]:
+    """:func:`run_transient` of K variants of one circuit (the same
+    netlist flattened with other ``.param`` values), stepped together.
+
+    Each variant's operating point is its own :func:`newton_dc` call.
+    Each step then runs one :func:`newton_stack` over every variant
+    still running; a variant whose plain Newton fails retries alone
+    through :func:`gmin_stepped_dc` from the same start, as
+    :func:`newton_dc` would.  Every waveform equals its own
+    :func:`run_transient` to round-off.  A variant that fails holds its
+    error, the one :func:`run_transient` would raise, in place of its
+    waveform, and the others run on.  Memoryless variants are solved one
+    by one by superposition.
+    """
+    _check_step(dt, tstop, method)
+    tol = tol or Tolerances()
+    if not any(isinstance(e, (Mosfet, Capacitor)) for e in circuits[0].elements):
+        return [_or_error(run_transient, c, dt, tstop, method, tol) for c in circuits]
+    u = mna.index_unknowns(circuits[0])
+    plans = [mna.compile(c, u, tol.gmin_floor) for c in circuits]
+    plan = mna.stack(plans)
+    n_steps = int(round(tstop / dt))
+    times = np.arange(n_steps + 1) * dt
+    clips = [_clip_rows(c, u) for c in circuits]
+    rows = [r for r, _, _ in clips[0]]
+    lo = np.array([[v for _, v, _ in cl] for cl in clips]).reshape(len(circuits), -1)
+    hi = np.array([[v for _, _, v in cl] for cl in clips]).reshape(len(circuits), -1)
+
+    data = np.zeros((len(circuits), u.size, n_steps + 1))
+    errors = [None] * len(circuits)
+    for k, c in enumerate(circuits):
+        try:
+            data[k, :, 0] = newton_dc(c, u, tol, t=0.0, plan=plans[k]).x
+        except (ConvergenceError, SingularMatrixError) as exc:
+            errors[k] = exc
+
+    def clamp(x):
+        for j, r in enumerate(rows):
+            x[:, r] = np.minimum(np.maximum(x[:, r], lo[:, j]), hi[:, j])
+        return x
+
+    live = np.array([e is None for e in errors])
+    x = clamp(data[:, :, 0].copy())
+    v_prev = plan.cap_voltages(x)
+    i_prev = np.zeros_like(v_prev)
+    for k in range(1, len(times)):
+        if not live.any():
+            break
+        t = times[k]
+        meth = "be" if method == "be" or k == 1 else "trap"
+        geq, ieq = mna.companion_values(plan.farads, meth, dt, v_prev, i_prev)
+        x_new, failed = newton_stack(circuits[0], u, tol, t, x, (geq, ieq), plan, live)
+        for j in np.flatnonzero(failed):
+            try:
+                x_new[j] = gmin_stepped_dc(
+                    circuits[j], u, tol, t, x[j], (geq[:, j], ieq[:, j]), plan=plans[j]
+                ).x
+            except (ConvergenceError, SingularMatrixError) as exc:
+                errors[j] = _step_failure(exc, t, k)
+                live[j] = False
+        x = clamp(x_new)
+        v_prev = plan.cap_voltages(x)
+        i_prev = geq * v_prev - ieq
+        data[:, :, k] = x
+    for j, r in enumerate(rows):
+        np.clip(data[:, r], lo[:, j, None], hi[:, j, None], out=data[:, r])
+    return [e or _waveform(c, u, times, d, dt, method) for c, d, e in zip(circuits, data, errors)]
+
+
+def _or_error(run, *args):
+    try:
+        return run(*args)
+    except (ConvergenceError, SingularMatrixError) as exc:
+        return exc
+
+
+def _step_failure(exc, t, k):
+    if not isinstance(exc, ConvergenceError):
+        return exc
+    return ConvergenceError(
+        f"transient Newton failure at t={t:.9e} s (step {k}): {exc}", exc.residual
+    )
 
 
 def run_dc_sweep(

@@ -146,6 +146,38 @@ def test_sweep_failure_names_value(tmp_path):
     assert "r1=2.00000000e+03" in r.stderr
 
 
+def test_sweep_failure_names_failed_point(tmp_path):
+    p = tmp_path / "tl.cir"
+    assert ccsim("examples", "--emit", "proposed_amp_translinear", "--out", str(p)).returncode == 0
+    # ibval=100 A fails DC even with gmin stepping; the points around it converge
+    out = tmp_path / "sweep.csv"
+    r = ccsim("sweep", str(p), "--sweep", "ibval=5e-05,100,2.5e-05", "--out", str(out))
+    assert r.returncode == 3
+    assert "ibval=1.00000000e+02" in r.stderr
+    assert not out.exists()
+
+
+def test_sweep_rows_equal_single_runs(tmp_path):
+    p = tmp_path / "tl.cir"
+    assert ccsim("examples", "--emit", "proposed_amp_translinear", "--out", str(p)).returncode == 0
+    values = ["1.5e-05", "5e-05", "1.8e-04"]
+    out = tmp_path / "sweep.csv"
+    r = ccsim("sweep", str(p), "--sweep", "ibval=" + ",".join(values), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    lines = out.read_text().splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == 1 + len(values)
+    for v, line in zip(values, lines[1:]):
+        wave = tmp_path / f"run_{v}.csv"
+        r = ccsim("run", str(p), "--param", f"ibval={v}", "--out", str(wave))
+        assert r.returncode == 0, r.stderr
+        measures = wave.with_suffix(".measures.csv").read_text().splitlines()[1:]
+        rows = [row.split(",") for row in measures]
+        assert dict(zip(header, line.split(","))) == {
+            "param_value": f"{float(v):.8e}", **{row[0]: row[2] for row in rows}
+        }
+
+
 def test_zero_resistance_rejected(tmp_path):
     p = tmp_path / "r0.cir"
     p.write_text("t\nv1 a 0 DC 1\nr1 a 0 0\n.op\n.end\n")

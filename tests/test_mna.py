@@ -234,3 +234,44 @@ def test_gmin_floor_applied_to_every_node():
     d = with_floor.a - without.a
     assert np.allclose(np.diag(d)[: u.n_nodes], 1e-9)
     assert np.count_nonzero(d) == u.n_nodes
+
+
+def test_stack_assembles_each_variant_as_alone():
+    from ccsim.library import emit_example
+    from ccsim.netlist import expand_hierarchy, parse_netlist
+
+    ast = parse_netlist(emit_example("proposed_amp_translinear"))
+    circuits = [expand_hierarchy(ast, {"ibval": v}) for v in (20e-6, 80e-6)]
+    u = index_unknowns(circuits[0])
+    plans = [mna.compile(c, u) for c in circuits]
+    x = np.random.default_rng(5).normal(size=(2, u.size))
+    both = assemble(circuits[0], u, 3e-4, x, gmin_extra=1e-6, plan=mna.stack(plans))
+    for k, c in enumerate(circuits):
+        alone = assemble(c, u, 3e-4, x[k], gmin_extra=1e-6, plan=plans[k])
+        assert np.array_equal(both.a[k], alone.a) and np.array_equal(both.b[k], alone.b)
+
+
+def test_stack_refuses_another_topology():
+    a = parse_and_flatten("t\nv1 a 0 DC 1\nr1 a b 1k\nr2 b 0 1k\nc1 b 0 1n\n.end\n")
+    b = parse_and_flatten("t\nv1 a 0 DC 1\nr1 a b 1k\nr2 b 0 1k\nc1 a 0 1n\n.end\n")
+    plans = [mna.compile(c, index_unknowns(c)) for c in (a, b)]
+    with pytest.raises(ValueError, match="topology"):
+        mna.stack(plans)
+
+
+def test_stamp_sources_adds_in_table_order():
+    from ccsim.devices import source_value
+
+    # three sources into node a, one of them twice over, and -0.0 kept apart from 0.0
+    c = parse_and_flatten(
+        "t\nv1 a 0 SIN(0.1 0.3 1k)\ni1 a b SIN(1e-3 3e-3 2k)\ni2 a 0 DC 0\ni3 a 0 DC -0\n"
+        "i4 0 a PULSE(0 7e-4 1e-4 1e-5 1e-5 2e-4 5e-4)\nr1 a b 1k\nr2 b 0 3k\n.end\n"
+    )
+    u = index_unknowns(c)
+    plan = mna.compile(c, u)
+    assert len(plan.sources.specs) == 5
+    for t in (0.0, 1.23e-4, 3.7e-4):
+        loop = plan.static.copy()
+        for at, sign, spec in plan.sources.entries():
+            loop[at] += sign * source_value(spec, t)
+        assert np.array_equal(mna.stamp_sources(plan, t), loop)

@@ -206,3 +206,18 @@ def test_near_singular_finite_answer_still_raises():
     assert np.all(np.isfinite(np.linalg.solve(a, b)))
     with pytest.raises(SingularMatrixError, match=r"v\(q\)"):
         solve_linear(a, b, row_names=["v(p)", "v(q)"])
+
+
+def test_stacked_solve_matches_each_slice(rng):
+    a = rng.normal(size=(5, 4, 4)) + 4 * np.eye(4)
+    b = rng.normal(size=(5, 4))
+    x = solve_linear(a, b)
+    for k in range(5):
+        assert np.array_equal(x[k], solve_linear(a[k], b[k]))
+    # a refused slice is solved again on its own: the near-singular pair
+    # raises, as it does alone; an exactly singular one too
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    for bad in (near, np.array([[1.0, 2.0], [1.0, 2.0]])):
+        stack = np.stack([np.eye(2), bad, 2 * np.eye(2)])
+        with pytest.raises(SingularMatrixError, match=r"v\(q\)"):
+            solve_linear(stack, np.array([[1.0, 0.0]] * 3), row_names=["v(p)", "v(q)"])

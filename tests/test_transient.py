@@ -1,13 +1,22 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccsim.library import emit_example
 from ccsim.mna import index_unknowns
-from ccsim.netlist import parse_and_flatten
-from ccsim.solver import newton_dc
-from ccsim.transient import format_sci, read_csv, run_transient, write_csv
+from ccsim.netlist import expand_hierarchy, parse_and_flatten, parse_netlist
+from ccsim.solver import ConvergenceError, SingularMatrixError, Tolerances, newton_dc
+from ccsim.transient import (
+    Waveform,
+    format_sci,
+    read_csv,
+    run_transient,
+    run_transient_stacked,
+    write_csv,
+)
 
 from conftest import behavioral_amp, node_kcl_residuals, run_amp
 
@@ -218,3 +227,97 @@ def test_kcl_holds_at_every_sample(data, with_cap, method):
     floor = 1e-12 * np.max(list(scale.values()), axis=0)
     for node in net:
         assert np.all(np.abs(net[node]) <= 1e-9 * scale[node] + floor), node
+
+
+def assert_stack_matches_runs(circuits, dt, tstop, method):
+    """Each stacked waveform equals its own run to 1e-12 of each column's peak."""
+    stacked = run_transient_stacked(circuits, dt, tstop, method)
+    assert len(stacked) == len(circuits)
+    for c, w in zip(circuits, stacked):
+        ref = run_transient(c, dt, tstop, method)
+        assert isinstance(w, Waveform)
+        assert np.array_equal(w.times, ref.times) and w.method == ref.method
+        assert w.columns.keys() == ref.columns.keys()
+        for name, col in ref.columns.items():
+            assert np.abs(w.column(name) - col).max() <= 1e-12 * np.abs(col).max(), name
+
+
+def _variants(text, name, values):
+    ast = parse_netlist(text)
+    return [expand_hierarchy(ast, {name: v}) for v in values]
+
+
+@given(data=st.data(), method=st.sampled_from(["be", "trap"]))
+@settings(max_examples=25, deadline=None)
+def test_stacked_rc_runs_match_single_runs(data, method):
+    # the KCL oracle's netlists with the capacitance made a swept .param
+    lines = data.draw(memoryless_or_rc_netlists(True)).splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith("c1 "))
+    lines[k] = " ".join(lines[k].split()[:3] + ["cval"])
+    text = "\n".join(lines[:1] + [".param cval=1n"] + lines[1:])
+    farads = data.draw(st.lists(st.floats(1e-9, 1e-6), min_size=1, max_size=4))
+    dt = data.draw(st.floats(1e-7, 1e-5))
+    assert_stack_matches_runs(_variants(text, "cval", farads), dt, 40 * dt, method)
+
+
+CLAMPED = """clamped amplifier, the clamp level swept
+.param vlim=1
+vin in 0 SIN(0 0.05 1k)
+u1 in x out ccii+ rx=0 vmin=-2 vmax=vlim
+r1 x 0 1k
+r2 out 0 100k
+c1 out 0 1n
+.end
+"""
+
+
+@pytest.mark.parametrize("method", ["be", "trap"])
+def test_stacked_clamp_limits_follow_each_point(method):
+    circuits = _variants(CLAMPED, "vlim", [0.5, 1.0, 3.0, 10.0])
+    assert_stack_matches_runs(circuits, 10e-6, 2e-3, method)
+    tops = [w.column("v(out)").max() for w in run_transient_stacked(circuits, 10e-6, 2e-3, method)]
+    assert tops[:3] == pytest.approx([0.5, 1.0, 3.0], abs=1e-15) and tops[3] < 10.0
+
+
+TRANSLINEAR = emit_example("proposed_amp_translinear")
+# a 2 V input step at 0.1 ms, which Newton crosses in 8 iterations only
+# with gmin rescues, and at ibval=100 uA not at all
+STEPPED_INPUT = re.sub(
+    r"vin in 0 SIN\(.*\)", "vin in 0 PULSE(0 2 1e-4 1e-6 1e-6 2e-4 1)", TRANSLINEAR
+)
+
+
+def test_stacked_translinear_amp_matches_single_runs():
+    circuits = _variants(TRANSLINEAR, "ibval", [15e-6, 50e-6, 180e-6])
+    assert_stack_matches_runs(circuits, 1e-5, 4e-4, "trap")
+
+
+# node b's conductance is 2**-9 S; a capacitance of -2**-29 F cancels it
+# exactly on the first, backward-Euler step of 2**-20 s
+SINGULAR_STEP = """singular first step at cval=-2**-29
+.param cval=1n
+v1 a 0 SIN(0 1 1k)
+r1 a b 1024
+r2 b 0 1024
+c1 b 0 cval
+.end
+"""
+
+
+@pytest.mark.parametrize("text,name,values,dt,tol,error", [
+    # 100 A fails DC even with gmin stepping
+    (TRANSLINEAR, "ibval", [50e-6, 100.0, 25e-6], 1e-5, Tolerances(), ConvergenceError),
+    (STEPPED_INPUT, "ibval", [25e-6, 100e-6, 200e-6], 1e-5, Tolerances(maxiter=8),
+     ConvergenceError),
+    (SINGULAR_STEP, "cval", [1e-9, -(2.0**-29), 2e-9], 2.0**-20, Tolerances(gmin_floor=0.0),
+     SingularMatrixError),
+], ids=["dc", "step", "singular"])
+def test_stacked_failure_stays_with_its_point(text, name, values, dt, tol, error):
+    circuits = _variants(text, name, values)
+    out = run_transient_stacked(circuits, dt, 30 * dt, "trap", tol)
+    with pytest.raises(error) as single:
+        run_transient(circuits[1], dt, 30 * dt, "trap", tol)
+    assert type(out[1]) is error and str(out[1]) == str(single.value)
+    for c, w in zip(circuits[::2], out[::2]):
+        ref = run_transient(c, dt, 30 * dt, "trap", tol)
+        assert all(np.array_equal(w.column(n), ref.column(n)) for n in ref.columns)
