@@ -17,6 +17,13 @@ devices between Y and X, biased through simple current mirrors, with the
 X-branch currents mirrored to Z.  A lighter class-A follower cell stands
 in for the plain (uncontrolled) conveyor; it spends fewer bias branches,
 so its supply draw is measurably lower at the same rails and bias.
+
+The power comparison runs its four amplifiers, and the X-resistance
+extraction its two probe currents, as one union circuit (see
+:func:`ccsim.netlist.union`), one solve serving every member.  The gain
+grid runs point by point: its 75 small memoryless circuits are faster
+one by one than as one union, whose dense solve grows as the cube of its
+size.
 """
 
 from __future__ import annotations
@@ -25,9 +32,9 @@ from dataclasses import dataclass, field
 
 from . import mna
 from .devices import Sin, SourceSpec, conveyor_rx
-from .netlist import expand_hierarchy, parse_and_flatten, parse_netlist
-from .solver import Tolerances, newton_dc
-from .transient import Waveform, run_transient
+from .netlist import expand_hierarchy, member_name, parse_and_flatten, parse_netlist, union
+from .solver import ConvergenceError, SingularMatrixError, Tolerances, newton_dc
+from .transient import run_transient, run_transient_union
 from .measure import average_power, gain, peak_power
 
 
@@ -330,7 +337,9 @@ def measure_rx_emergent(
     Builds the characterization bench, injects test currents of both
     signs (magnitude ib * delta_frac) into X around the operating point
     and returns the centered difference dV_X / dI.  Rails default to
-    1.5 V so the cell stays in saturation over a 4x bias sweep.
+    1.5 V so the cell stays in saturation over a 4x bias sweep.  The two
+    operating points are one :func:`newton_dc` on the union of the two
+    benches, or, if that fails, one each.
     """
     text = emit_example(
         "cccii_char",
@@ -338,13 +347,26 @@ def measure_rx_emergent(
     )
     ast = parse_netlist(text)
     delta = ib * delta_frac
-    vx = []
-    for sign in (1.0, -1.0):
-        c = expand_hierarchy(ast, {"iprobe": sign * delta})
-        u = mna.index_unknowns(c)
-        op = newton_dc(c, u, tol)
-        vx.append(op.x[u.node_row(c.nodes["x"])])
+    pair = [expand_hierarchy(ast, {"iprobe": sign * delta}) for sign in (1.0, -1.0)]
+    vx = _dc_voltages(pair, "x", tol)
     return (vx[0] - vx[1]) / (2.0 * delta)
+
+
+def _dc_voltages(circuits, node: str, tol: Tolerances | None) -> list[float]:
+    """The operating-point voltage of ``node`` in each circuit, solved as
+    one union circuit without the gmin ladder; if that fails, circuit by
+    circuit, so a failing circuit raises its own error."""
+    whole = union(circuits)
+    u = mna.index_unknowns(whole)
+    try:
+        x = newton_dc(whole, u, tol, rescue=False).x
+    except (ConvergenceError, SingularMatrixError):
+        out = []
+        for c in circuits:
+            u = mna.index_unknowns(c)
+            out.append(newton_dc(c, u, tol).x[u.node_row(c.nodes[node])])
+        return out
+    return [x[u.node_row(whole.nodes[member_name(k, node)])] for k in range(len(circuits))]
 
 
 def expected_rx(ib: float) -> float:
@@ -372,24 +394,26 @@ def power_comparison(
 ) -> dict[str, tuple[float, float]]:
     """Average and peak supply power of the four transistor-level
     amplifiers at identical rails and bias.  Both amplifier resistors are
-    equal so every circuit sees the same loading."""
-    out = {}
-    for label, topo, family in POWER_SUITE:
-        cfg = AmplifierConfig(
-            r1=r,
-            r2=r,
-            conveyor=TranslinearConveyor(ib=ib, family=family, rails=rails),
-        )
-        wave = _run_example(topo, cfg, tol)
-        supplies = ("vdd", "vss")
-        out[label] = (average_power(wave, supplies), peak_power(wave, supplies))
-    return out
+    equal so every circuit sees the same loading.
 
-
-def _run_example(name: str, cfg: AmplifierConfig, tol: Tolerances | None = None) -> Waveform:
-    c = parse_and_flatten(emit_example(name, cfg))
-    tran = next(d for d in c.directives if d.kind == "tran")
-    return run_transient(c, tran.args[0], tran.args[1], tran.args[2], tol)
+    The four transients run as one union circuit through
+    :func:`run_transient_union`; each amplifier's power is measured on
+    its own split waveform.
+    """
+    circuits = [
+        parse_and_flatten(emit_example(topo, AmplifierConfig(
+            r1=r, r2=r, conveyor=TranslinearConveyor(ib=ib, family=family, rails=rails),
+        )))
+        for _, topo, family in POWER_SUITE
+    ]
+    # one input, so every amplifier carries the same .tran
+    tran = next(d for d in circuits[0].directives if d.kind == "tran")
+    waves = run_transient_union(circuits, *tran.args, tol)
+    supplies = ("vdd", "vss")
+    return {
+        label: (average_power(wave, supplies), peak_power(wave, supplies))
+        for (label, _, _), wave in zip(POWER_SUITE, waves)
+    }
 
 
 def simulated_gain(

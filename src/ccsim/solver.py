@@ -244,12 +244,14 @@ def newton_dc(
     companions=None,
     gmin_start: float = 1e-3,
     plan: mna.StampPlan | None = None,
+    rescue: bool = True,
 ) -> OperatingPoint:
     """Find the DC solution at time ``t`` (sources evaluated there).
 
     Plain damped Newton first, restarting with :func:`gmin_stepped_dc`
-    when it fails.  ``companions`` and ``plan`` are as in
-    :func:`mna.assemble`; the plan is compiled here when not given.
+    when it fails; with ``rescue=False`` the failure is raised instead.
+    ``companions`` and ``plan`` are as in :func:`mna.assemble`; the plan
+    is compiled here when not given.
     """
     tol = tol or Tolerances()
     plan = plan or mna.compile(c, u, tol.gmin_floor)
@@ -260,7 +262,8 @@ def newton_dc(
         )
         return OperatingPoint(x, resid, its, tol.gmin_floor)
     except (ConvergenceError, SingularMatrixError):
-        pass
+        if not rescue:
+            raise
     return gmin_stepped_dc(c, u, tol, t, x0, companions, gmin_start, plan)
 
 

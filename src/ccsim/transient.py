@@ -16,7 +16,8 @@ Memoryless linear circuits (no MOSFETs, no capacitors) are solved by
 superposition: one solve for the response to each unit source, each
 response then scaled by that source's samples at every step.
 :func:`run_transient_stacked` steps K variants of one circuit together,
-one stacked Newton per step.
+one stacked Newton per step, and :func:`run_transient_union` runs a few
+different circuits as one union circuit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,16 @@ import numpy as np
 
 from . import mna
 from .devices import Dc, source_samples
-from .netlist import Capacitor, Conveyor, FlatCircuit, ISource, Mosfet, VSource
+from .netlist import (
+    Capacitor,
+    Conveyor,
+    FlatCircuit,
+    ISource,
+    Mosfet,
+    VSource,
+    member_name,
+    union,
+)
 from .solver import (
     ConvergenceError,
     SingularMatrixError,
@@ -104,8 +114,13 @@ def run_transient(
     tstop: float,
     method: str = "trap",
     tol: Tolerances | None = None,
+    rescue: bool = True,
 ) -> Waveform:
-    """Simulate from t = 0 to tstop with a constant step dt."""
+    """Simulate from t = 0 to tstop with a constant step dt.
+
+    With ``rescue=False`` a Newton failure raises at once, without the
+    gmin ladder of :func:`newton_dc`.
+    """
     _check_step(dt, tstop, method)
     tol = tol or Tolerances()
     u = mna.index_unknowns(c)
@@ -114,14 +129,14 @@ def run_transient(
     times = np.arange(n_steps + 1) * dt
     clips = _clip_rows(c, u)
 
-    op = newton_dc(c, u, tol, t=0.0, plan=plan)
+    op = newton_dc(c, u, tol, t=0.0, plan=plan, rescue=rescue)
     if plan.linear and not len(plan.farads):
         data = _run_batched(c, u, plan, times)
         data[:, 0] = op.x
     else:
         data = np.empty((u.size, n_steps + 1))
         data[:, 0] = op.x
-        _run_stepped(c, u, plan, times, method, tol, clips, data)
+        _run_stepped(c, u, plan, times, method, tol, clips, data, rescue)
     for r, lo, hi in clips:
         np.clip(data[r], lo, hi, out=data[r])
     return _waveform(c, u, times, data, dt, method)
@@ -145,7 +160,7 @@ def _run_batched(c, u, plan, times):
     return response @ samples.reshape(len(src.specs), len(times))[src.spec]
 
 
-def _run_stepped(c, u, plan, times, method, tol, clips, data):
+def _run_stepped(c, u, plan, times, method, tol, clips, data, rescue):
     def clamp(x):
         for r, lo, hi in clips:
             x[r] = min(max(x[r], lo), hi)
@@ -163,7 +178,9 @@ def _run_stepped(c, u, plan, times, method, tol, clips, data):
         meth = "be" if method == "be" or k == 1 else "trap"
         geq, ieq = mna.companion_values(plan.farads, meth, dt, v_prev, i_prev)
         try:
-            x = clamp(newton_dc(c, u, tol, t=t, x0=x, companions=(geq, ieq), plan=plan).x)
+            x = clamp(newton_dc(
+                c, u, tol, t=t, x0=x, companions=(geq, ieq), plan=plan, rescue=rescue
+            ).x)
         except ConvergenceError as exc:
             raise _step_failure(exc, t, k) from None
         v_prev = plan.cap_voltages(x)
@@ -244,6 +261,38 @@ def run_transient_stacked(
     for j, r in enumerate(rows):
         np.clip(data[:, r], lo[:, j, None], hi[:, j, None], out=data[:, r])
     return [e or _waveform(c, u, times, d, dt, method) for c, d, e in zip(circuits, data, errors)]
+
+
+def run_transient_union(
+    circuits: list[FlatCircuit],
+    dt: float,
+    tstop: float,
+    method: str = "trap",
+    tol: Tolerances | None = None,
+) -> list[Waveform]:
+    """:func:`run_transient` of each of a few small circuits, run as one
+    :func:`~ccsim.netlist.union` circuit and split by
+    :func:`member_waveform`.  Each waveform equals its own run to
+    round-off.
+
+    The union runs without the gmin ladder, whose extra conductances
+    would load every member.  If it fails, each circuit runs alone, so a
+    failing circuit raises its own error, with its own unknown names.
+    """
+    try:
+        wave = run_transient(union(circuits), dt, tstop, method, tol, rescue=False)
+    except (ConvergenceError, SingularMatrixError):
+        return [run_transient(c, dt, tstop, method, tol) for c in circuits]
+    return [member_waveform(wave, c, k) for k, c in enumerate(circuits)]
+
+
+def member_waveform(wave: Waveform, c: FlatCircuit, k: int) -> Waveform:
+    """Member ``k``'s record in ``wave``, a run of a union whose member
+    ``k`` is ``c``: the columns and voltage sources of a run of ``c``
+    alone, under its own names."""
+    names = mna.index_unknowns(c).names  # "v(node)" and "i(element)"
+    columns = {n: wave.columns[f"{n[:2]}{member_name(k, n[2:-1])})"] for n in names}
+    return Waveform(wave.times, columns, wave.dt, wave.method, circuit_hash(c), _vsource_nodes(c))
 
 
 def _or_error(run, *args):

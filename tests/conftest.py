@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ccsim import mna
 from ccsim.devices import source_samples
@@ -173,3 +174,35 @@ def node_kcl_residuals(c, wave):
         else:
             raise AssertionError(f"KCL oracle has no law for {type(e).__name__}")
     return net, scale
+
+
+@st.composite
+def memoryless_or_rc_netlists(draw, with_cap):
+    """Random unclamped R/V/I/conveyor netlists, optionally with one
+    capacitor.  Every node reaches ground through resistors and the
+    conveyor's X terminal is not the voltage-driven node, so each draw
+    is solvable."""
+    ohms = st.floats(100.0, 1e5)
+    millis = st.integers(-1000, 1000).map(lambda k: k / 1000)  # no subnormal drives
+    n = draw(st.integers(3, 5))
+    nodes = [f"n{k}" for k in range(1, n + 1)]
+    off, amp = draw(millis) / 2, abs(draw(millis))
+    lines = ["kcl oracle", f"v1 n1 0 SIN({off!r} {amp!r} 1000.0)"]
+    for k in range(2, n + 1):
+        to = draw(st.sampled_from(["0"] + nodes[: k - 1]))
+        lines.append(f"r{k} n{k} {to} {draw(ohms)!r}")
+    pairs = st.lists(st.sampled_from(["0"] + nodes), min_size=2, max_size=2, unique=True)
+    for j in range(draw(st.integers(0, 3))):
+        a, b = draw(pairs)
+        lines.append(f"rx{j} {a} {b} {draw(ohms)!r}")
+    if draw(st.booleans()):
+        a, b = draw(pairs)
+        lines.append(f"i1 {a} {b} DC {draw(millis) * 1e-3!r}")
+    x = draw(st.sampled_from(nodes[1:]))
+    y, z = draw(st.permutations([m for m in nodes if m != x]))[:2]
+    kind = draw(st.sampled_from(["cccii+", "cccii-", "ccii+", "ccii-"]))
+    lines.append(f"u1 {y} {x} {z} {kind} rx={draw(st.floats(0.0, 2000.0))!r}")
+    if with_cap:
+        a, b = draw(pairs)
+        lines.append(f"c1 {a} {b} {draw(st.floats(1e-9, 1e-6))!r}")
+    return "\n".join(lines + [".end", ""])
