@@ -21,9 +21,9 @@ so its supply draw is measurably lower at the same rails and bias.
 The power comparison runs its four amplifiers, and the X-resistance
 extraction its two probe currents, as one union circuit (see
 :func:`ccsim.netlist.union`), one solve serving every member.  The gain
-grid runs point by point: its 75 small memoryless circuits are faster
-one by one than as one union, whose dense solve grows as the cube of its
-size.
+grid runs point by point: its 75 circuits are more than the few small
+members a union is meant for, since a union's dense solve grows as the
+cube of its size.
 """
 
 from __future__ import annotations

@@ -820,8 +820,9 @@ def union(circuits: list[FlatCircuit]) -> FlatCircuit:
     The union carries no directives and no parameters.
 
     One solve then serves every member.  It is meant for a few small
-    members: a dense solve costs (K*n)^3 for K members of n unknowns, so
-    many members, or large ones, run faster one by one.  The Newton
+    members: one solve saves the fixed cost of K small ones, but a dense
+    solve costs (K*n)^3 for K members of n unknowns, so the saving
+    shrinks as the members grow in number or size.  The Newton
     convergence test and the solve's acceptance check see the union as
     one system: a converged member iterates on with the others, and a
     member whose own matrix would be refused as near-singular may pass

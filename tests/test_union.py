@@ -17,7 +17,6 @@ from ccsim.library import (
     power_comparison,
 )
 from ccsim.measure import average_power, peak_power
-from ccsim.mna import index_unknowns
 from ccsim.netlist import expand_hierarchy, member_name, parse_and_flatten, parse_netlist, union
 from ccsim.solver import ConvergenceError, SingularMatrixError, Tolerances, newton_dc
 from ccsim.transient import member_waveform, run_transient, run_transient_union
@@ -55,7 +54,7 @@ def assert_member_matches_run(w, c, dt, tstop, method, tol=None, rel=1e-12):
 
 def condition(c, dt):
     """Condition number of ``c``'s matrix on a backward-Euler step of ``dt``."""
-    u = index_unknowns(c)
+    u = mna.index_unknowns(c)
     plan = mna.compile(c, u)
     geq = plan.farads / dt
     return np.linalg.cond(mna.assemble(c, u, 0.0, companions=(geq, 0.0 * geq), plan=plan).a)
@@ -197,7 +196,7 @@ def test_rx_matches_separate_operating_points(ib):
     vx = []
     for sign in (1.0, -1.0):
         c = expand_hierarchy(ast, {"iprobe": sign * delta})
-        u = index_unknowns(c)
+        u = mna.index_unknowns(c)
         vx.append(newton_dc(c, u).x[u.node_row(c.nodes["x"])])
     ref = (vx[0] - vx[1]) / (2.0 * delta)
     assert measure_rx_emergent(ib) == pytest.approx(ref, rel=1e-9, abs=0.0)
