@@ -18,10 +18,16 @@ response then scaled by that source's samples at every step.
 :func:`run_transient_stacked` steps K variants of one circuit together,
 one stacked Newton per step, and :func:`run_transient_union` runs a few
 different circuits as one union circuit.
+
+CSV export writes each cell as the text of :func:`format_sci`, byte for
+byte.  A vectorized kernel formats a block of rows at a time in numpy;
+the few cells it cannot settle exactly (near a rounding tie, non-finite,
+subnormal or beyond 1e+-280) go through :func:`format_sci` itself.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 
@@ -359,31 +365,126 @@ def run_dc_sweep(
 # --------------------------------------------------------------------------
 
 def format_sci(v: float) -> str:
-    """Scientific notation with 9 significant digits, locale-independent."""
+    """Scientific notation with 9 significant digits, locale-independent.
+
+    This is the definition of a CSV cell: :func:`write_csv` writes these
+    exact bytes, most cells through a vectorized kernel and the rest
+    through this function."""
     return f"{v:.8e}"
+
+
+# A cell is a fixed 17-byte slot: sign, 9 digits with the point after the
+# first, "e", exponent sign, 3 exponent digits, separator.  Zero bytes pad
+# a positive sign and a 2-digit exponent and are dropped before writing;
+# every format_sci text (at most 16 bytes, "-4.94065646e-324") fits a slot.
+_SLOT = 17
+# The kernel takes 1e-280 < |v| < 1e280, so 10**(8-e) is a normal float
+# and the exponent has 2 or 3 digits.
+_GATE = 1e280
+_EXP_MIN = -300
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For each k in [_EXP_MIN, -_EXP_MIN]: 10**k, correctly rounded
+    (Python's decimal parse), and the exponent text, one row per slot
+    byte 12-15.  Built on first use, off the import path."""
+    k = np.arange(_EXP_MIN, 1 - _EXP_MIN)
+    pow10 = np.array([float(f"1e{j}") for j in k.tolist()])
+    text = np.array([
+        np.where(k < 0, ord("-"), ord("+")),
+        np.where(abs(k) >= 100, abs(k) // 100 + ord("0"), 0),
+        abs(k) // 10 % 10 + ord("0"),
+        abs(k) % 10 + ord("0"),
+    ], np.uint8)
+    return pow10, text
+
+
+# Cells whose s lies within this of a .5 tie go to format_sci.  s is
+# |v| * fl(10**(8-e)) rounded once more, so its relative error is at most
+# 2u + u**2 < 2.3e-16 (u = 2**-53); with s < 1e9 + 1 that is an absolute
+# error under 2.3e-7.  Outside the margin the exact s rounds to the same
+# integer as the computed one.  The decade edges need no margin: where
+# the exact s is just below 1e8 and the computed one is not, or the
+# other way round, both frames print "1.00000000e..." after the carry.
+_TIE_MARGIN = 1e-6
+
+
+def _csv_block(block: np.ndarray) -> bytes:
+    """Rows of ``block`` as CSV lines whose cells are :func:`format_sci`
+    text, byte for byte, formatted as whole arrays.
+
+    Each finite cell in the gate gets e = floor(log10|v|) and the 9-digit
+    mantissa m = rint(|v| * 10**(8-e)), with e moved by one where the
+    product falls outside [1e8, 1e9) and a carry to 1e9 taken as 1e8 with
+    e + 1.  Zeros are m = 0, e = 0 with the sign bit's sign.  Cells near a
+    rounding tie, NaN, infinities, subnormals and |v| outside the gate are
+    formatted by :func:`format_sci` itself.
+    """
+    pow10, exp_text = _format_tables()
+    v = block.ravel()
+    a = np.abs(v)
+    zero = a == 0.0
+    gated = (a > 1.0 / _GATE) & (a < _GATE)  # False for NaN
+    a[~gated] = 1.0  # no log10 of 0, inf or NaN; e comes out 0 there
+    e = np.floor(np.log10(a)).astype(np.intp)
+    s = a * pow10[8 - _EXP_MIN - e]
+    e += s >= 1e9
+    e -= s < 1e8
+    s = a * pow10[8 - _EXP_MIN - e]
+    m = np.rint(s)
+    # the range test trusts log10 to land within one decade, no further
+    fast = gated & (np.abs(s - m) < 0.5 - _TIE_MARGIN) & (m >= 1e8) & (m <= 1e9)
+    carry = m == 1e9
+    m[carry] = 1e8
+    e += carry
+    m[zero] = 0.0
+
+    buf = np.zeros((len(v), _SLOT), np.uint8)
+    buf[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+    digits = m.astype(np.uint32)
+    for col in range(10, 2, -1):
+        q = digits // 10
+        buf[:, col] = digits - 10 * q + ord("0")
+        digits = q
+    buf[:, 1] = digits + ord("0")
+    buf[:, 2] = ord(".")
+    buf[:, 11] = ord("e")
+    e -= _EXP_MIN
+    for col, row in enumerate(exp_text, 12):
+        buf[:, col] = row[e]
+    cells = buf.reshape(block.shape + (_SLOT,))
+    cells[:, :, _SLOT - 1] = ord(",")
+    cells[:, -1, _SLOT - 1] = ord("\n")
+    for i in np.flatnonzero(~fast & ~zero):
+        text = format_sci(float(v[i])).encode()
+        buf[i, : _SLOT - 1] = np.frombuffer(text.ljust(_SLOT - 1, b"\0"), np.uint8)
+    return buf.tobytes().translate(None, b"\0")
 
 
 def write_csv(wave: Waveform, path, probes: list[str] | None = None):
     """Waveform CSV: header row, first column time, LF line endings; cells
-    are :func:`format_sci` text, formatted a block of rows at a time."""
+    are :func:`format_sci` text, byte for byte, formatted a block of rows
+    at a time by a vectorized kernel, so memory stays flat."""
     names = probes if probes is not None else list(wave.columns)
     cols = [wave.times] + [wave.column(n) for n in names]
-    row_fmt = ",".join(["%.8e"] * len(cols)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join([wave.time_label] + names) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join([wave.time_label] + names) + "\n").encode())
         for k in range(0, len(wave.times), CSV_BLOCK):
-            block = np.column_stack([col[k : k + CSV_BLOCK] for col in cols])
-            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_csv_block(np.column_stack([col[k : k + CSV_BLOCK] for col in cols])))
 
 
 def read_csv(path) -> Waveform:
-    """Rebuild a waveform from a CSV written by :func:`write_csv`."""
+    """Rebuild a waveform from a CSV written by :func:`write_csv`; each
+    cell parses to ``float`` of its text, bit for bit."""
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if len(header) < 2 or not rows:
-        raise ValueError(f"{path}: not a waveform CSV")
-    arr = np.array([[float(v) for v in row] for row in rows])
+        start = fh.tell()
+        # checked before loadtxt, which only warns on a file with no rows
+        if len(header) < 2 or not any(line.strip() for line in iter(fh.readline, "")):
+            raise ValueError(f"{path}: not a waveform CSV")
+        fh.seek(start)
+        arr = np.loadtxt(fh, delimiter=",", ndmin=2)
     times = arr[:, 0]
     dt = float(times[1] - times[0]) if len(times) > 1 else 0.0
     columns = {name: arr[:, i + 1] for i, name in enumerate(header[1:])}

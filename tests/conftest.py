@@ -179,9 +179,13 @@ def node_kcl_residuals(c, wave):
 @st.composite
 def memoryless_or_rc_netlists(draw, with_cap):
     """Random unclamped R/V/I/conveyor netlists, optionally with one
-    capacitor.  Every node reaches ground through resistors and the
-    conveyor's X terminal is not the voltage-driven node, so each draw
-    is solvable."""
+    capacitor.  Each node has a resistor to ground or to an earlier node
+    and the conveyor's X terminal is not the voltage-driven node, but the
+    conveyor can cancel a node's KCL terms (say ``r3 n3 n2`` with
+    ``u1 n1 n2 n3 ccii- rx=0``, whose Z current cancels r3's at n3),
+    leaving only the gmin floor to set it: such draws have MNA condition
+    numbers above 1e8, and their solutions are only as exact as that
+    conditioning allows."""
     ohms = st.floats(100.0, 1e5)
     millis = st.integers(-1000, 1000).map(lambda k: k / 1000)  # no subnormal drives
     n = draw(st.integers(3, 5))
