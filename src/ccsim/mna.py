@@ -24,6 +24,7 @@ one simulation run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,10 +85,6 @@ class MnaSystem:
     a: np.ndarray
     b: np.ndarray
 
-    @classmethod
-    def zeros(cls, n: int) -> "MnaSystem":
-        return cls(np.zeros((n, n)), np.zeros(n))
-
 
 def _linear_stamp(e: Element, c: FlatCircuit, u: UnknownMap):
     """Matrix entries (row, col, value) and right-hand-side rows (row,
@@ -114,19 +111,7 @@ def _linear_stamp(e: Element, c: FlatCircuit, u: UnknownMap):
         y, x, z, br = row(e.y), row(e.x), row(e.z), u.branch_row(e.name)
         pol = float(e.params.polarity)
         return [(x, br, 1.0), (z, br, pol), (br, x, 1.0), (br, y, -1.0), (br, br, -e.params.rx)], []
-    raise TypeError(f"stamp_linear cannot handle {type(e).__name__}")
-
-
-def stamp_linear(e: Element, c: FlatCircuit, u: UnknownMap, sys: MnaSystem, t: float):
-    """Stamp a resistor, source or conveyor into ``sys``, sources valued
-    at time ``t``; entries in a ground row or column are dropped."""
-    entries, rhs = _linear_stamp(e, c, u)
-    for i, j, v in entries:
-        if i >= 0 and j >= 0:
-            sys.a[i, j] += v
-    for r, sign in rhs:
-        if r >= 0:
-            sys.b[r] += sign * source_value(e.spec, t)
+    raise TypeError(f"no linear stamp for {type(e).__name__}")
 
 
 def companion_values(farads, method: str, dt: float, v_prev, i_prev):
@@ -182,11 +167,17 @@ class StampPlan:
     n+1 right-hand-side entries.  Row and column n (index -1 too) stand
     for ground, so no stamp needs a ground test.  ``cap_at``, ``mos_at``
     and the source table hold positions in the flattened buffer.
+    ``cap_ab`` and ``mos_dgs`` index the solution with a zero (ground)
+    appended, so ground is unknown n there too.
 
     A plan made by :func:`stack` holds K variants of one topology: its
-    static buffer gains a leading K axis, its capacitor and MOSFET values
-    a trailing one (so per-device arrays stack the way the solution's
-    transpose does), and its positions index the flattened stack.
+    static buffer gains a leading K axis and its capacitor values and
+    terminal rows a trailing one.  Its MOSFET values and terminal rows
+    are flat, each device's K entries in a row, and its positions index
+    the flattened stack, each entry's K positions in a row.  Terminal
+    rows index the flattened (K, n) solution with one zero appended:
+    variant k's unknown i is k*n + i and ground is K*n.  So a stack of
+    one is the plan's own arrays, viewed with a K axis where it has one.
     """
 
     static: np.ndarray  # R, V and conveyor entries plus the gmin floor
@@ -197,16 +188,22 @@ class StampPlan:
     mos_dgs: np.ndarray  # (3, MOSFETs) terminal rows
     mos: MosfetBank
     mos_at: np.ndarray
-    # the ground voltage, appended to x.T as unknown n
-    ground: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
     @property
     def linear(self) -> bool:
         return self.mos_dgs.shape[1] == 0
 
     def cap_voltages(self, x: np.ndarray) -> np.ndarray:
-        va, vb = np.concatenate((x.T, self.ground))[self.cap_ab]
+        va, vb = _with_ground(x)[self.cap_ab]
         return va - vb
+
+
+_GROUND = np.zeros(1)
+
+
+def _with_ground(x: np.ndarray) -> np.ndarray:
+    """The solution, or a stack of them, flattened, with ground appended."""
+    return np.concatenate((x.reshape(-1), _GROUND))
 
 
 def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> StampPlan:
@@ -252,6 +249,9 @@ def stack(plans: list[StampPlan]) -> StampPlan:
     Raises ValueError when the plans' index arrays differ.
     """
     first = plans[0]
+    if len(plans) == 1:  # the plan's own arrays, viewed as a stack
+        return StampPlan(first.static[None], first.sources, first.cap_ab[..., None],
+                         first.farads[:, None], first.cap_at, first.mos_dgs, first.mos, first.mos_at)
     size = first.static.size
     for p in plans[1:]:
         same = [np.array_equal(getattr(p, name), getattr(first, name))
@@ -261,18 +261,21 @@ def stack(plans: list[StampPlan]) -> StampPlan:
         if not all(same):
             raise ValueError("stacked plans must share one topology")
     offset = np.arange(len(plans)) * size
+    n_var, n = len(plans), math.isqrt(size) - 1  # a buffer holds (n+1)**2 + n+1 entries
 
     def values(arrays):
-        return np.stack(arrays, axis=-1)
+        return np.array(arrays).T
 
-    bank = (values([getattr(p.mos, f) for p in plans]) for f in ("sign", "vth", "beta", "lam"))
+    def rows(r):
+        return np.where(r[..., None] == n, n_var * n, r[..., None] + np.arange(n_var) * n)
+
+    bank = (values([getattr(p.mos, f) for p in plans]).reshape(-1) for f in ("sign", "vth", "beta", "lam"))
+    sources = SourceTable.of([(k * size + at, sign, spec)
+                              for k, p in enumerate(plans) for at, sign, spec in p.sources.entries()])
     return StampPlan(
-        np.stack([p.static for p in plans]),
-        SourceTable.of([(k * size + at, sign, spec)
-                        for k, p in enumerate(plans) for at, sign, spec in p.sources.entries()]),
-        first.cap_ab, values([p.farads for p in plans]), first.cap_at[:, None] + offset,
-        first.mos_dgs, MosfetBank(*bank), first.mos_at[:, None] + offset,
-        np.zeros((1, len(plans))),
+        np.array([p.static for p in plans]), sources,
+        rows(first.cap_ab), values([p.farads for p in plans]), (first.cap_at[:, None] + offset).ravel(),
+        rows(first.mos_dgs).reshape(3, -1), MosfetBank(*bank), (first.mos_at[:, None] + offset).ravel(),
     )
 
 
@@ -316,16 +319,15 @@ def assemble(
     if companions is not None and p.farads.size:
         geq, ieq = companions
         pos = np.concatenate([geq, geq, ieq])
-        np.add.at(flat, p.cap_at, np.concatenate([pos, -pos]))
+        np.add.at(flat, p.cap_at, np.concatenate([pos, -pos], axis=None))
     if not p.linear:
         # id + gm*(vgs - vgs0) + gds*(vds - vds0): gm and gds go into the
         # matrix, the constant ieq = id - gm*vgs0 - gds*vds0 into b
         if x_est is None:
-            v = np.zeros((m,) + p.ground.shape[1:])
+            vgs = vds = np.zeros(p.mos_dgs.shape[1])
         else:
-            v = np.concatenate((x_est.T, p.ground))
-        vd, vg, vs = v[p.mos_dgs]
-        vgs, vds = vg - vs, vd - vs
+            vd, vg, vs = _with_ground(x_est)[p.mos_dgs]
+            vgs, vds = vg - vs, vd - vs
         i_d, gm, gds = mosfet_eval(vgs, vds, p.mos)
         row_d = np.concatenate([gm, gds, -(gm + gds), -(i_d - gm * vgs - gds * vds)])
         np.add.at(flat, p.mos_at, np.concatenate([row_d, -row_d]))

@@ -616,10 +616,6 @@ class FlatCircuit:
     def n_nodes(self) -> int:
         return len(self.node_names) - 1  # excluding ground
 
-    def canonical_text(self) -> str:
-        lines = [f"{type(e).__name__} {e}" for e in self.elements]
-        return "\n".join(sorted(lines))
-
 
 def _resolve(v, params: dict[str, float], where: str, line: int):
     if isinstance(v, str):

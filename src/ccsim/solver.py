@@ -12,9 +12,12 @@ deliberately floating nodes (for example an unused conveyor Z terminal)
 stay solvable without special cases.  The sources are stamped once per
 Newton call, not once per iteration.
 
-:func:`newton_stack` runs the plain Newton over K variants of one
-circuit at once (see :func:`mna.stack`): one assembly and one stacked
-LAPACK solve per iteration for all variants still iterating.
+There is one Newton loop, :func:`newton_stack`.  It runs the plain
+Newton over K variants of one circuit at once (see :func:`mna.stack`):
+one assembly and one stacked LAPACK solve per iteration for all variants
+still iterating.  A single circuit is a stack of one, so
+:func:`newton_dc` and each rung of :func:`gmin_stepped_dc` are that
+loop with K = 1.
 """
 
 from __future__ import annotations
@@ -119,7 +122,10 @@ def solve_linear(a: np.ndarray, b: np.ndarray, row_names: list[str] | None = Non
     its own, as above.  The error of the first slice that fails is raised.
     """
     if np.ndim(a) == 3:
-        return _solve_stack(a, b, row_names)
+        x, errors = _solve_stack(np.asarray(a), np.asarray(b), row_names)
+        if errors:
+            raise errors[min(errors)]
+        return x
     try:
         x = np.linalg.solve(a, b)
         scale = np.abs(b).max(initial=0.0)
@@ -137,7 +143,15 @@ def solve_linear(a: np.ndarray, b: np.ndarray, row_names: list[str] | None = Non
 
 
 def _solve_stack(a, b, row_names):
-    a, b = np.asarray(a), np.asarray(b)
+    """:func:`solve_linear` of each slice of a stack.  Returns the
+    solutions and a dict from slice to the :class:`SingularMatrixError`
+    of each slice that could not be solved; those rows are zero."""
+    if len(a) == 1:
+        # the checks on one matrix cost less than their stacked form
+        try:
+            return solve_linear(a[0], b[0], row_names)[None], {}
+        except SingularMatrixError as exc:
+            return np.zeros(b.shape), {0: exc}
     try:
         x = np.linalg.solve(a, b[..., None])[..., 0]
         scale = np.abs(b).max(axis=-1, initial=0.0)
@@ -146,9 +160,14 @@ def _solve_stack(a, b, row_names):
     except np.linalg.LinAlgError:
         # one singular slice fails the whole call
         x, ok = np.empty(b.shape), np.zeros(len(b), dtype=bool)
-    for k in np.flatnonzero(~ok):
-        x[k] = solve_linear(a[k], b[k], row_names)
-    return x
+    errors = {}
+    if not ok.all():
+        for k in np.flatnonzero(~ok):
+            try:
+                x[k] = solve_linear(a[k], b[k], row_names)
+            except SingularMatrixError as exc:
+                x[k], errors[k] = 0.0, exc
+    return x, errors
 
 
 def node_residual_norm(sys: mna.MnaSystem, x: np.ndarray, n_nodes: int):
@@ -161,43 +180,14 @@ def node_residual_norm(sys: mna.MnaSystem, x: np.ndarray, n_nodes: int):
     return float(abs(r[:n_nodes]).max()) if n_nodes else 0.0
 
 
-def _newton_attempt(
-    c: FlatCircuit,
-    u: mna.UnknownMap,
-    tol: Tolerances,
-    t: float,
-    x0: np.ndarray,
-    companions,
-    gmin_extra: float,
-    plan: mna.StampPlan,
-    base: np.ndarray,
-):
-    """One damped Newton run.  Returns (x, residual, iterations) or raises."""
-    if plan.linear:
-        sys = mna.assemble(c, u, t, None, companions, gmin_extra, plan=plan, base=base)
-        x = solve_linear(sys.a, sys.b, u.names)
-        return x, node_residual_norm(sys, x, u.n_nodes), 1
-    x = x0.copy()
-    nv = u.n_nodes
-    dx_ok = False
-    last_resid = np.inf
-    for it in range(1, tol.maxiter + 1):
-        sys = mna.assemble(c, u, t, x, companions, gmin_extra, plan=plan, base=base)
-        last_resid = node_residual_norm(sys, x, u.n_nodes)
-        if dx_ok and last_resid < tol.abstol:
-            return x, last_resid, it - 1
-        x_new = solve_linear(sys.a, sys.b, u.names)
-        dx = x_new - x
-        dv = dx[:nv]
-        # clip to +-damping in place (np.clip's wrapper costs more than the work)
-        np.minimum(np.maximum(dv, -tol.damping, out=dv), tol.damping, out=dv)
-        x = x + dx
-        dx_ok = bool((abs(dv) <= tol.reltol * abs(x[:nv]) + tol.vntol).all())
-    raise ConvergenceError(
-        f"Newton did not converge in {tol.maxiter} iterations "
-        f"(last KCL residual {last_resid:.3e} A)",
-        residual=last_resid,
-    )
+_ONE = np.ones(1, dtype=bool)  # the live mask of a stack of one
+
+
+def _stack_of_one(plan: mna.StampPlan, x0: np.ndarray, companions):
+    """A single circuit's plan, start and companions as a stack of one."""
+    if companions is not None:
+        companions = tuple(np.reshape(v, (-1, 1)) for v in companions)
+    return mna.stack([plan]), x0[None], companions
 
 
 def gmin_stepped_dc(
@@ -213,26 +203,27 @@ def gmin_stepped_dc(
     """Homotopy fallback: extra conductances from every node to ground,
     stepped down by decades from ``gmin_start`` to 1e-12 S, reusing each
     rung's solution as the next initial guess, then a final solve with
-    only the permanent floor."""
-    plan = plan or mna.compile(c, u, tol.gmin_floor)
-    base = mna.stamp_sources(plan, t)
-    x = np.zeros(u.size) if x0 is None else x0.copy()
+    only the permanent floor.  Each rung is :func:`newton_stack` over a
+    stack of one."""
+    x0 = np.zeros(u.size) if x0 is None else x0
+    plan, x, companions = _stack_of_one(
+        plan or mna.compile(c, u, tol.gmin_floor), x0, companions
+    )
     total_iters = 0
     g = gmin_start
     while g >= 1e-12 * 0.999:
-        try:
-            x, _, its = _newton_attempt(c, u, tol, t, x, companions, g, plan, base)
-            total_iters += its
-        except (ConvergenceError, SingularMatrixError):
-            pass  # a failed rung keeps the previous rung's solution
+        x_g, _, its, errors = newton_stack(c, u, tol, t, x, companions, plan, _ONE, g)
+        if not errors:  # a failed rung keeps the previous rung's solution
+            x, total_iters = x_g, total_iters + int(its[0])
         g /= 10.0
-    try:
-        x, resid, its = _newton_attempt(c, u, tol, t, x, companions, 0.0, plan, base)
-        return OperatingPoint(x, resid, total_iters + its, tol.gmin_floor)
-    except ConvergenceError as exc:
+    x, resid, its, errors = newton_stack(c, u, tol, t, x, companions, plan, _ONE)
+    if not errors:
+        return OperatingPoint(x[0], float(resid[0]), total_iters + int(its[0]), tol.gmin_floor)
+    if isinstance(errors[0], ConvergenceError):
         raise ConvergenceError(
-            f"no DC convergence even with gmin stepping: {exc}", exc.residual
-        ) from None
+            f"no DC convergence even with gmin stepping: {errors[0]}", errors[0].residual
+        )
+    raise errors[0]
 
 
 def newton_dc(
@@ -248,22 +239,21 @@ def newton_dc(
 ) -> OperatingPoint:
     """Find the DC solution at time ``t`` (sources evaluated there).
 
-    Plain damped Newton first, restarting with :func:`gmin_stepped_dc`
-    when it fails; with ``rescue=False`` the failure is raised instead.
-    ``companions`` and ``plan`` are as in :func:`mna.assemble`; the plan
-    is compiled here when not given.
+    Plain damped Newton first (:func:`newton_stack` over a stack of
+    one), restarting with :func:`gmin_stepped_dc` when it fails; with
+    ``rescue=False`` the failure is raised instead.  ``companions`` and
+    ``plan`` are as in :func:`mna.assemble`; the plan is compiled here
+    when not given.  ``iterations`` counts the linear solves.
     """
     tol = tol or Tolerances()
     plan = plan or mna.compile(c, u, tol.gmin_floor)
     x0 = np.zeros(u.size) if x0 is None else x0
-    try:
-        x, resid, its = _newton_attempt(
-            c, u, tol, t, x0, companions, 0.0, plan, mna.stamp_sources(plan, t)
-        )
-        return OperatingPoint(x, resid, its, tol.gmin_floor)
-    except (ConvergenceError, SingularMatrixError):
-        if not rescue:
-            raise
+    one, x, comp = _stack_of_one(plan, x0, companions)
+    x, resid, its, errors = newton_stack(c, u, tol, t, x, comp, one, _ONE)
+    if not errors:
+        return OperatingPoint(x[0], float(resid[0]), int(its[0]), tol.gmin_floor)
+    if not rescue:
+        raise errors[0]
     return gmin_stepped_dc(c, u, tol, t, x0, companions, gmin_start, plan)
 
 
@@ -276,62 +266,78 @@ def newton_stack(
     companions,
     plan: mna.StampPlan,
     live: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`newton_dc`'s plain damped Newton on a stacked plan (see
-    :func:`mna.stack`), over the variants marked in ``live``.
+    gmin_extra: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
+    """The plain damped Newton, on a stacked plan (see :func:`mna.stack`)
+    over the variants marked in ``live``; a single circuit is a stack of
+    one.  ``gmin_extra`` is as in :func:`mna.assemble`.
 
     ``x0`` holds one start row per variant.  A variant stops iterating
     once it has converged, so each row comes out as its own run would.
-    Returns ``(x, failed)``: the solutions, and the live variants that
-    did not converge in ``tol.maxiter`` iterations or whose matrix no
-    solve accepted.  Failed and non-live rows keep their ``x0`` row.
+    Returns ``(x, residual, iterations, errors)``: the solutions, each
+    converged variant's KCL residual and number of linear solves, and a
+    dict from each live variant that failed to its error.  A variant
+    fails with its :class:`SingularMatrixError` when no solve accepts its
+    matrix, and with a :class:`ConvergenceError` carrying the KCL
+    residual of its last assembled iterate when it has not converged in
+    ``tol.maxiter`` solves.  Non-live rows keep their ``x0`` row; the
+    rows of failed variants hold no solution.
     """
     x = x0.copy()
-    failed = np.zeros(len(x0), dtype=bool)
+    n_var = len(x0)
     todo = live.copy()
-    dx_ok = np.zeros(len(x0), dtype=bool)
+    idx = todo.nonzero()[0]
+    dx_ok = np.zeros(n_var, dtype=bool)
+    resid = np.zeros(n_var)
+    its = np.zeros(n_var, dtype=np.intp)
+    errors = {}
     base = mna.stamp_sources(plan, t)
     nv = u.n_nodes
-    for _ in range(1 if plan.linear else tol.maxiter):
-        sys = mna.assemble(c, u, t, None if plan.linear else x, companions, plan=plan, base=base)
-        if dx_ok.any():
-            todo &= ~(dx_ok & (node_residual_norm(sys, x, nv) < tol.abstol))
-        idx = np.flatnonzero(todo)
-        if not len(idx):
+    linear = plan.linear
+    last = tol.maxiter - 1  # its residual is the one a non-converged variant reports
+    # np.count_nonzero and .nonzero() cost less than .any() and np.flatnonzero
+    for it in range(1 if linear else tol.maxiter):
+        sys = mna.assemble(c, u, t, None if linear else x, companions, gmin_extra, plan=plan, base=base)
+        if it == last or np.count_nonzero(dx_ok):
+            resid = node_residual_norm(sys, x, nv)
+            done = dx_ok & (resid < tol.abstol)
+            n_done = np.count_nonzero(done)
+            if n_done:
+                its[done] = it
+                if n_done == len(idx):  # every variant still iterating
+                    break
+                todo ^= done
+                idx = todo.nonzero()[0]
+                dx_ok &= todo
+        full = len(idx) == n_var
+        x_new, bad = _solve_stack(sys.a if full else sys.a[idx], sys.b if full else sys.b[idx], u.names)
+        if linear:
+            x[idx], its[idx] = x_new, 1
+            resid = node_residual_norm(sys, x, nv)
+        else:
+            xi = x if full else x[idx]
+            dx = x_new - xi
+            dv = dx[:, :nv]
+            # clip to +-damping in place (np.clip's wrapper costs more than the work)
+            np.minimum(np.maximum(dv, -tol.damping, out=dv), tol.damping, out=dv)
+            xi = xi + dx
+            ok = (abs(dv) <= tol.reltol * abs(xi[:, :nv]) + tol.vntol).all(axis=-1)
+            if full:
+                x, dx_ok = xi, ok
+            else:
+                x[idx], dx_ok[idx] = xi, ok
+        if bad:
+            rows = idx[list(bad)]
+            errors.update(zip(rows.tolist(), bad.values()))
+            todo[rows] = dx_ok[rows] = False
+            idx = todo.nonzero()[0]
+        if linear or not len(idx):
             break
-        a, b = (sys.a, sys.b) if len(idx) == len(x) else (sys.a[idx], sys.b[idx])
-        x_new, bad = _solve_slices(a, b, u.names)
-        if bad.any():
-            failed[idx[bad]] = True
-            todo[idx[bad]] = False
-            idx, x_new = idx[~bad], x_new[~bad]
-        if plan.linear:
-            x[idx] = x_new
-            break
-        xi = x[idx]
-        dx = x_new - xi
-        dv = dx[:, :nv]
-        np.minimum(np.maximum(dv, -tol.damping, out=dv), tol.damping, out=dv)
-        xi += dx
-        x[idx] = xi
-        dx_ok[idx] = (abs(dv) <= tol.reltol * abs(xi[:, :nv]) + tol.vntol).all(axis=-1)
     else:
-        failed |= todo
-    x[failed] = x0[failed]
-    return x, failed
-
-
-def _solve_slices(a, b, row_names):
-    """``solve_linear`` over a stack, and which slices it could not solve."""
-    bad = np.zeros(len(b), dtype=bool)
-    try:
-        return solve_linear(a, b, row_names), bad
-    except SingularMatrixError:
-        pass
-    x = np.empty(b.shape)
-    for k in range(len(b)):
-        try:
-            x[k] = solve_linear(a[k], b[k], row_names)
-        except SingularMatrixError:
-            bad[k] = True
-    return x, bad
+        for k in idx.tolist():
+            errors[k] = ConvergenceError(
+                f"Newton did not converge in {tol.maxiter} iterations "
+                f"(last KCL residual {resid[k]:.3e} A)",
+                residual=float(resid[k]),
+            )
+    return x, resid, its, errors

@@ -14,10 +14,12 @@ global error, so the method keeps its second-order convergence.
 Every step reuses one compiled stamp plan (see :mod:`ccsim.mna`).
 Memoryless linear circuits (no MOSFETs, no capacitors) are solved by
 superposition: one solve for the response to each unit source, each
-response then scaled by that source's samples at every step.
-:func:`run_transient_stacked` steps K variants of one circuit together,
-one stacked Newton per step, and :func:`run_transient_union` runs a few
-different circuits as one union circuit.
+response then scaled by that source's samples at every step.  Every
+other circuit goes through the one stepped loop, which steps K variants
+of one circuit together, one stacked Newton (:func:`newton_stack`) per
+step.  :func:`run_transient_stacked` runs it over K variants, and
+:func:`run_transient` over a stack of one.  :func:`run_transient_union`
+runs a few different circuits as one union circuit.
 
 CSV export writes each cell as the text of :func:`format_sci`, byte for
 byte.  A vectorized kernel formats a block of rows at a time in numpy;
@@ -28,7 +30,6 @@ subnormal or beyond 1e+-280) go through :func:`format_sci` itself.
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,7 +73,6 @@ class Waveform:
     columns: dict[str, np.ndarray]
     dt: float
     method: str
-    circuit_hash: str
     vsource_nodes: dict[str, tuple[str, str]] = field(default_factory=dict)
     time_label: str = "time"
 
@@ -82,10 +82,6 @@ class Waveform:
         if name not in self.columns:
             raise KeyError(f"no recorded column {name!r}")
         return self.columns[name]
-
-
-def circuit_hash(c: FlatCircuit) -> str:
-    return hashlib.sha256(c.canonical_text().encode()).hexdigest()[:16]
 
 
 def _vsource_nodes(c: FlatCircuit) -> dict[str, tuple[str, str]]:
@@ -124,33 +120,36 @@ def run_transient(
 ) -> Waveform:
     """Simulate from t = 0 to tstop with a constant step dt.
 
-    With ``rescue=False`` a Newton failure raises at once, without the
-    gmin ladder of :func:`newton_dc`.
+    A memoryless linear circuit is solved by superposition; any other
+    runs the stepped loop of :func:`run_transient_stacked` as a stack of
+    one.  With ``rescue=False`` a Newton failure raises at once, without
+    the gmin ladder of :func:`newton_dc`.
     """
     _check_step(dt, tstop, method)
     tol = tol or Tolerances()
     u = mna.index_unknowns(c)
     plan = mna.compile(c, u, tol.gmin_floor)
-    n_steps = int(round(tstop / dt))
-    times = np.arange(n_steps + 1) * dt
-    clips = _clip_rows(c, u)
-
+    if not plan.linear or len(plan.farads):
+        (wave,) = _run_stack([c], u, [plan], dt, tstop, method, tol, rescue)
+        if isinstance(wave, Waveform):
+            return wave
+        raise wave
+    times = _times(dt, tstop)
     op = newton_dc(c, u, tol, t=0.0, plan=plan, rescue=rescue)
-    if plan.linear and not len(plan.farads):
-        data = _run_batched(c, u, plan, times)
-        data[:, 0] = op.x
-    else:
-        data = np.empty((u.size, n_steps + 1))
-        data[:, 0] = op.x
-        _run_stepped(c, u, plan, times, method, tol, clips, data, rescue)
-    for r, lo, hi in clips:
+    data = _run_batched(c, u, plan, times)
+    data[:, 0] = op.x
+    for r, lo, hi in _clip_rows(c, u):
         np.clip(data[r], lo, hi, out=data[r])
     return _waveform(c, u, times, data, dt, method)
 
 
+def _times(dt, tstop):
+    return np.arange(int(round(tstop / dt)) + 1) * dt
+
+
 def _waveform(c, u, times, data, dt, method):
     columns = {name: data[i] for i, name in enumerate(u.names)}
-    return Waveform(times, columns, dt, method, circuit_hash(c), _vsource_nodes(c))
+    return Waveform(times, columns, dt, method, _vsource_nodes(c))
 
 
 def _run_batched(c, u, plan, times):
@@ -164,34 +163,6 @@ def _run_batched(c, u, plan, times):
     response = solve_linear(sys.a, unit[rhs : rhs + u.size], u.names)
     samples = np.array([source_samples(spec, times) for spec in src.specs])
     return response @ samples.reshape(len(src.specs), len(times))[src.spec]
-
-
-def _run_stepped(c, u, plan, times, method, tol, clips, data, rescue):
-    def clamp(x):
-        for r, lo, hi in clips:
-            x[r] = min(max(x[r], lo), hi)
-        return x
-
-    x = clamp(data[:, 0].copy())
-    # capacitor history: voltage from the operating point, current zero
-    # (a capacitor is an open circuit at DC)
-    v_prev = plan.cap_voltages(x)
-    i_prev = np.zeros_like(v_prev)
-    dt = times[1] - times[0]
-
-    for k in range(1, len(times)):
-        t = times[k]
-        meth = "be" if method == "be" or k == 1 else "trap"
-        geq, ieq = mna.companion_values(plan.farads, meth, dt, v_prev, i_prev)
-        try:
-            x = clamp(newton_dc(
-                c, u, tol, t=t, x0=x, companions=(geq, ieq), plan=plan, rescue=rescue
-            ).x)
-        except ConvergenceError as exc:
-            raise _step_failure(exc, t, k) from None
-        v_prev = plan.cap_voltages(x)
-        i_prev = geq * v_prev - ieq
-        data[:, k] = x
 
 
 def run_transient_stacked(
@@ -208,11 +179,12 @@ def run_transient_stacked(
     Each step then runs one :func:`newton_stack` over every variant
     still running; a variant whose plain Newton fails retries alone
     through :func:`gmin_stepped_dc` from the same start, as
-    :func:`newton_dc` would.  Every waveform equals its own
-    :func:`run_transient` to round-off.  A variant that fails holds its
-    error, the one :func:`run_transient` would raise, in place of its
-    waveform, and the others run on.  Memoryless variants are solved one
-    by one by superposition.
+    :func:`newton_dc` would.  This stepped loop is the only one:
+    :func:`run_transient` runs it over a stack of one, so every waveform
+    equals its own :func:`run_transient` to the last bit.  A variant
+    that fails holds its error, the one :func:`run_transient` would
+    raise, in place of its waveform, and the others run on.  Memoryless
+    variants are solved one by one by superposition.
     """
     _check_step(dt, tstop, method)
     tol = tol or Tolerances()
@@ -220,19 +192,26 @@ def run_transient_stacked(
         return [_or_error(run_transient, c, dt, tstop, method, tol) for c in circuits]
     u = mna.index_unknowns(circuits[0])
     plans = [mna.compile(c, u, tol.gmin_floor) for c in circuits]
+    return _run_stack(circuits, u, plans, dt, tstop, method, tol, rescue=True)
+
+
+def _run_stack(circuits, u, plans, dt, tstop, method, tol, rescue):
+    """The stepped loop over K variants of one circuit with index map
+    ``u`` and compiled plans ``plans``.  Returns each variant's waveform,
+    or the error its run raised; ``rescue`` is as in
+    :func:`run_transient`."""
     plan = mna.stack(plans)
-    n_steps = int(round(tstop / dt))
-    times = np.arange(n_steps + 1) * dt
+    times = _times(dt, tstop)
     clips = [_clip_rows(c, u) for c in circuits]
     rows = [r for r, _, _ in clips[0]]
     lo = np.array([[v for _, v, _ in cl] for cl in clips]).reshape(len(circuits), -1)
     hi = np.array([[v for _, _, v in cl] for cl in clips]).reshape(len(circuits), -1)
 
-    data = np.zeros((len(circuits), u.size, n_steps + 1))
+    data = np.zeros((len(circuits), u.size, len(times)))
     errors = [None] * len(circuits)
     for k, c in enumerate(circuits):
         try:
-            data[k, :, 0] = newton_dc(c, u, tol, t=0.0, plan=plans[k]).x
+            data[k, :, 0] = newton_dc(c, u, tol, t=0.0, plan=plans[k], rescue=rescue).x
         except (ConvergenceError, SingularMatrixError) as exc:
             errors[k] = exc
 
@@ -242,24 +221,31 @@ def run_transient_stacked(
         return x
 
     live = np.array([e is None for e in errors])
+    if not live.any():
+        return errors
     x = clamp(data[:, :, 0].copy())
+    # capacitor history: voltage from the operating point, current zero
+    # (a capacitor is an open circuit at DC)
     v_prev = plan.cap_voltages(x)
     i_prev = np.zeros_like(v_prev)
     for k in range(1, len(times)):
-        if not live.any():
-            break
         t = times[k]
         meth = "be" if method == "be" or k == 1 else "trap"
         geq, ieq = mna.companion_values(plan.farads, meth, dt, v_prev, i_prev)
-        x_new, failed = newton_stack(circuits[0], u, tol, t, x, (geq, ieq), plan, live)
-        for j in np.flatnonzero(failed):
-            try:
-                x_new[j] = gmin_stepped_dc(
-                    circuits[j], u, tol, t, x[j], (geq[:, j], ieq[:, j]), plan=plans[j]
-                ).x
-            except (ConvergenceError, SingularMatrixError) as exc:
-                errors[j] = _step_failure(exc, t, k)
-                live[j] = False
+        x_new, _, _, failed = newton_stack(circuits[0], u, tol, t, x, (geq, ieq), plan, live)
+        for j, exc in failed.items():
+            if rescue:
+                try:
+                    x_new[j] = gmin_stepped_dc(
+                        circuits[j], u, tol, t, x[j], (geq[:, j], ieq[:, j]), plan=plans[j]
+                    ).x
+                    continue
+                except (ConvergenceError, SingularMatrixError) as err:
+                    exc = err
+            errors[j] = _step_failure(exc, t, k)
+            live[j] = False
+        if failed and not live.any():
+            break
         x = clamp(x_new)
         v_prev = plan.cap_voltages(x)
         i_prev = geq * v_prev - ieq
@@ -298,7 +284,7 @@ def member_waveform(wave: Waveform, c: FlatCircuit, k: int) -> Waveform:
     alone, under its own names."""
     names = mna.index_unknowns(c).names  # "v(node)" and "i(element)"
     columns = {n: wave.columns[f"{n[:2]}{member_name(k, n[2:-1])})"] for n in names}
-    return Waveform(wave.times, columns, wave.dt, wave.method, circuit_hash(c), _vsource_nodes(c))
+    return Waveform(wave.times, columns, wave.dt, wave.method, _vsource_nodes(c))
 
 
 def _or_error(run, *args):
@@ -354,7 +340,6 @@ def run_dc_sweep(
         columns,
         float(step),
         "dc",
-        circuit_hash(c),
         _vsource_nodes(c),
         time_label=name,
     )
@@ -488,4 +473,4 @@ def read_csv(path) -> Waveform:
     times = arr[:, 0]
     dt = float(times[1] - times[0]) if len(times) > 1 else 0.0
     columns = {name: arr[:, i + 1] for i, name in enumerate(header[1:])}
-    return Waveform(times, columns, dt, "", "", {}, time_label=header[0])
+    return Waveform(times, columns, dt, "", {}, time_label=header[0])

@@ -144,7 +144,7 @@ def test_read_csv_parses_each_cell_bit_for_bit(tmp_path):
     a = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
     specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -np.finfo(float).max]
     a[: len(specials)] = specials
-    wave = Waveform(np.arange(n) * 1e-6, {"v(a)": a, "i(b)": rng.normal(size=n)}, 1e-6, "be", "", {})
+    wave = Waveform(np.arange(n) * 1e-6, {"v(a)": a, "i(b)": rng.normal(size=n)}, 1e-6, "be", {})
     path = tmp_path / "w.csv"
     write_csv(wave, path)
     back = read_csv(path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ccsim import mna
-from ccsim.mna import MnaSystem, assemble, companion_values, index_unknowns, stamp_linear
+from ccsim.mna import assemble, companion_values, index_unknowns
 from ccsim.netlist import (
     Capacitor,
     Conveyor,
@@ -46,12 +46,11 @@ def test_index_unknowns_counts():
 def test_resistor_stamp_pattern():
     c = circuit_of([Resistor("r1", "a", "b", 1e3), Resistor("rg", "b", "0", 1.0)])
     u = index_unknowns(c)
-    sys = MnaSystem.zeros(u.size)
-    stamp_linear(c.elements[0], c, u, sys, 0.0)
+    sys = assemble(c, u, 0.0, gmin_floor=0.0)
     a_row, b_row = u.node_row(c.nodes["a"]), u.node_row(c.nodes["b"])
     g = 1e-3
     assert sys.a[a_row, a_row] == pytest.approx(g)
-    assert sys.a[b_row, b_row] == pytest.approx(g)
+    assert sys.a[b_row, b_row] == pytest.approx(g + 1.0)  # rg to ground adds only here
     assert sys.a[a_row, b_row] == pytest.approx(-g)
     assert sys.a[b_row, a_row] == pytest.approx(-g)
 
@@ -119,10 +118,9 @@ def test_floating_subnetwork_rows_sum_to_zero():
         ]
     )
     u = index_unknowns(c)
-    sys = MnaSystem.zeros(u.size)
-    for e in c.elements[:3]:
-        stamp_linear(e, c, u, sys, 0.0)
-    row_sums = sys.a.sum(axis=1)
+    sys = assemble(c, u, 0.0, gmin_floor=0.0)
+    rows = [u.node_row(c.nodes[n]) for n in "abc"]
+    row_sums = sys.a[rows].sum(axis=1)
     assert np.allclose(row_sums, 0.0, atol=1e-18)
 
 
@@ -215,7 +213,6 @@ def test_port_equations_hold_at_dc():
             {name: np.array([op.x[i]]) for i, name in enumerate(u.names)},
             1.0,
             "dc",
-            "",
             {e.name: (e.p, e.n) for e in c.elements if isinstance(e, VSource)},
         )
         # the point check wants sources evaluated at the solve time

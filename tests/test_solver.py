@@ -176,6 +176,58 @@ def test_nonconvergence_reported():
         newton_dc(c, u, Tolerances(maxiter=1))
 
 
+def _translinear(name):
+    from ccsim.library import AmplifierConfig, TranslinearConveyor, emit_example
+
+    cell = TranslinearConveyor(ib=50e-6, family="cccii", rails=1.5)
+    return parse_and_flatten(emit_example(name, AmplifierConfig(conveyor=cell)))
+
+
+@pytest.mark.parametrize("circuit, iterations", [
+    (lambda: parse_and_flatten(
+        "t\n.model nm nmos vth=0.4 beta=2e-4\nV1 t 0 DC 1\nR1 t d 10k\nM1 d d 0 0 nm\n.end\n"
+    ), 6),
+    (lambda: _translinear("proposed_amp_translinear"), 11),
+    (lambda: _translinear("cccii_char"), 11),
+], ids=["diode", "proposed_amp_translinear", "cccii_char"])
+def test_newton_iteration_count_is_pinned(circuit, iterations):
+    # the number of linear solves the plain damped Newton takes from zero
+    c = circuit()
+    op = newton_dc(c, index_unknowns(c))
+    assert type(op.iterations) is int
+    assert op.iterations == iterations
+
+
+@pytest.mark.parametrize("rescue, prefix", [
+    (True, "no DC convergence even with gmin stepping: "), (False, ""),
+])
+def test_nonconvergence_message_and_residual(rescue, prefix):
+    # at x = 0 the diode carries no current, so the KCL residual of the
+    # last assembled iterate (the start) is exactly zero
+    c = parse_and_flatten(
+        "t\n.model nm nmos vth=0.4 beta=2e-4\nV1 d 0 DC 0.9\nM1 d d 0 0 nm\n.end\n"
+    )
+    with pytest.raises(ConvergenceError) as info:
+        newton_dc(c, index_unknowns(c), Tolerances(maxiter=1), rescue=rescue)
+    assert str(info.value) == (
+        prefix + "Newton did not converge in 1 iterations (last KCL residual 0.000e+00 A)"
+    )
+    assert info.value.residual == 0.0
+
+
+def test_nonconvergence_reports_the_last_iterate_residual():
+    # the first solve gives v(d) = 0.9 V and i(v1) = -0.9 V * 1e-12 S
+    # (the gmin floor); the step is damped to v(d) = 0.5 V, where the
+    # square law carries (2e-4/2) * (0.5 - 0.4)**2 = 1e-6 A, and the
+    # floor 0.5e-12 A: that iterate is the last one assembled
+    c = parse_and_flatten(
+        "t\n.model nm nmos vth=0.4 beta=2e-4\nV1 d 0 DC 0.9\nM1 d d 0 0 nm\n.end\n"
+    )
+    with pytest.raises(ConvergenceError, match=r"last KCL residual 1\.000e-06 A") as info:
+        newton_dc(c, index_unknowns(c), Tolerances(maxiter=2), rescue=False)
+    assert info.value.residual == pytest.approx(1e-4 * 0.1**2 - 0.9e-12 + 0.5e-12, rel=1e-9)
+
+
 # ----------------------------------------------------------------------
 # the singular diagnostic names the unknown, whichever solver ran
 # ----------------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_csv_matches_per_cell_format(tmp_path):
     a = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
     b = np.resize(specials, n)
     a[-len(specials):] = specials
-    w = Waveform(times, {"v(a)": a, "i(b)": b}, 1e-6, "trap", "", {})
+    w = Waveform(times, {"v(a)": a, "i(b)": b}, 1e-6, "trap", {})
     path = tmp_path / "special.csv"
     write_csv(w, path)
     expect = "time,v(a),i(b)\n" + "".join(
@@ -272,6 +272,17 @@ c1 b 0 cval
 """
 
 
+# with no gmin floor the drain is held only by the channel, so it floats
+# once the gate turns off at toff
+GATE_OFF = """drain left floating when the gate turns off
+.param toff=1
+.model nm nmos vth=0.4 beta=2e-4
+vg g 0 PULSE(1 0 toff 1e-6 1e-6 1 2)
+m1 d g 0 0 nm
+.end
+"""
+
+
 @pytest.mark.parametrize("text,name,values,dt,tol,error", [
     # 100 A fails DC even with gmin stepping
     (TRANSLINEAR, "ibval", [50e-6, 100.0, 25e-6], 1e-5, Tolerances(), ConvergenceError),
@@ -279,7 +290,8 @@ c1 b 0 cval
      ConvergenceError),
     (SINGULAR_STEP, "cval", [1e-9, -(2.0**-29), 2e-9], 2.0**-20, Tolerances(gmin_floor=0.0),
      SingularMatrixError),
-], ids=["dc", "step", "singular"])
+    (GATE_OFF, "toff", [1.0, 5e-5, 1.0], 1e-5, Tolerances(gmin_floor=0.0), SingularMatrixError),
+], ids=["dc", "step", "singular", "singular_newton"])
 def test_stacked_failure_stays_with_its_point(text, name, values, dt, tol, error):
     circuits = _variants(text, name, values)
     out = run_transient_stacked(circuits, dt, 30 * dt, "trap", tol)
