@@ -160,10 +160,8 @@ def _load_circuit(args):
 def cmd_run(args) -> int:
     c = _load_circuit(args)
     if args.method:
-        from dataclasses import replace
-
         c.directives = tuple(
-            replace(d, args=(d.args[0], d.args[1], args.method)) if d.kind == "tran" else d
+            d._replace(args=(d.args[0], d.args[1], args.method)) if d.kind == "tran" else d
             for d in c.directives
         )
     tol = _tolerances(args)

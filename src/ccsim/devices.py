@@ -16,15 +16,81 @@ All functions are pure and safe to call from any thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class MosfetParams:
+class _RecordType(type):
+    """Makes a record class's annotated fields its slots, its defaults ``_defaults``."""
+
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        defaults = {f: ns.pop(f) for f in fields if f in ns}
+        cls = super().__new__(mcls, name, bases, {**ns, "__slots__": fields})
+        cls._fields, cls._defaults = fields, defaults
+        cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
+        cls._key = attrgetter(*[f for f in fields if f != "line"]) if fields else None
+        return cls
+
+
+class Record(metaclass=_RecordType):
+    """Immutable value record; fields are the subclass's annotations, in
+    constructor order, a default as the annotation's value.  Instances run
+    ``__post_init__``, refuse assignment, compare and hash by class and every
+    field but ``line`` (a source position), and repr as ``Name(field=value, ...)``.
+    Built without ``dataclasses``, whose class creation was most of ccsim's
+    import time."""
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for set_field, v in zip(setters, args):
+            set_field(self, v)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """Every field's value: from ``args``, else ``kwargs``, else the default."""
+        fields, values = cls._fields, dict(cls._defaults)
+        values.update(zip(fields, args), **kwargs)
+        if (len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):])
+                or len(values) < len(fields)):
+            raise TypeError(f"{cls.__name__}() takes ({', '.join(fields)})")
+        return [values[f] for f in fields]
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self._fields])
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` applied, checked as a new record is."""
+        return type(self)(**{f: getattr(self, f) for f in self._fields} | changes)
+
+
+class MosfetParams(Record):
     """Square-law MOSFET parameters.
 
     ``beta`` is the transconductance factor mu*Cox*W/L in A/V^2, stored
@@ -51,8 +117,7 @@ class MosfetParams:
         return 1.0 if self.polarity == "nmos" else -1.0
 
 
-@dataclass(frozen=True)
-class MosfetBank:
+class MosfetBank(Record):
     """Parameters of several MOSFETs, one array entry per device, for a
     single vectorized :func:`mosfet_eval` call.  ``sign`` is +1 for NMOS
     and -1 for PMOS."""
@@ -70,8 +135,7 @@ class MosfetBank:
         return cls(col("sign"), col("vth"), col("beta"), col("lam"))
 
 
-@dataclass(frozen=True)
-class ConveyorParams:
+class ConveyorParams(Record):
     """Behavioral second-generation current conveyor parameters.
 
     ``polarity`` is the sign relating the Z-terminal current to the
@@ -97,13 +161,11 @@ class ConveyorParams:
             raise ValueError("conveyor beta_n must be positive")
 
 
-@dataclass(frozen=True)
-class Dc:
+class Dc(Record):
     value: float
 
 
-@dataclass(frozen=True)
-class Sin:
+class Sin(Record):
     offset: float
     amplitude: float
     freq: float
@@ -113,8 +175,7 @@ class Sin:
             raise ValueError("SIN source frequency must be positive")
 
 
-@dataclass(frozen=True)
-class Pulse:
+class Pulse(Record):
     v1: float
     v2: float
     delay: float

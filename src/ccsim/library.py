@@ -28,18 +28,15 @@ cube of its size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import mna
-from .devices import Sin, SourceSpec, conveyor_rx
+from .devices import Dc, Pulse, Record, Sin, SourceSpec, conveyor_rx
 from .netlist import expand_hierarchy, member_name, parse_and_flatten, parse_netlist, union
 from .solver import ConvergenceError, SingularMatrixError, Tolerances, newton_dc
 from .transient import run_transient, run_transient_union
 from .measure import average_power, gain, peak_power
 
 
-@dataclass(frozen=True)
-class BehavioralConveyor:
+class BehavioralConveyor(Record):
     """Ideal conveyor element parameters: explicit rx, or (ib, beta_n) for
     the bias-controlled variant.  An explicit rx wins when both are set."""
 
@@ -51,8 +48,7 @@ class BehavioralConveyor:
     vmax: float | None = None
 
 
-@dataclass(frozen=True)
-class TranslinearConveyor:
+class TranslinearConveyor(Record):
     """Transistor-level cell selection: bias current, conveyor family and
     symmetric rail magnitude."""
 
@@ -61,14 +57,11 @@ class TranslinearConveyor:
     rails: float = 1.0
 
 
-@dataclass(frozen=True)
-class AmplifierConfig:
+class AmplifierConfig(Record):
     r1: float = 1e3
     r2: float = 100e3
-    conveyor: BehavioralConveyor | TranslinearConveyor = field(
-        default_factory=BehavioralConveyor
-    )
-    input: SourceSpec = field(default_factory=lambda: Sin(0.0, 0.05, 1e3))
+    conveyor: BehavioralConveyor | TranslinearConveyor = BehavioralConveyor()
+    input: SourceSpec = Sin(0.0, 0.05, 1e3)
     topology: str = ""  # informative; the emit name picks the topology
 
     def __post_init__(self):
@@ -180,8 +173,6 @@ def _behavioral_u(name: str, nodes: str, conv: BehavioralConveyor, ctype: str) -
 
 
 def _source_text(s: SourceSpec) -> str:
-    from .devices import Dc, Pulse
-
     if isinstance(s, Dc):
         return f"DC {_fmt(s.value)}"
     if isinstance(s, Sin):

@@ -9,10 +9,9 @@ power is v * (-i), so a circuit that dissipates shows a positive number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
+from .devices import Record
 from .transient import Waveform
 
 
@@ -20,16 +19,14 @@ class MeasureError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(Record):
     lo: float
     hi: float
     nbins: int
     counts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(Record):
     name: str
     kind: str  # rms pp gain avgpow peakpow hist
     value: float | Histogram

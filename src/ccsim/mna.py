@@ -25,7 +25,6 @@ one simulation run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .netlist import (
 GMIN_FLOOR = 1e-12  # permanent node-to-ground conductance; keeps floating nodes solvable
 
 
-@dataclass
 class UnknownMap:
     """Rows of the MNA system: node voltages then branch currents.
 
@@ -52,9 +50,11 @@ class UnknownMap:
     therefore the assembled matrix) does not depend on element order.
     """
 
-    n_nodes: int
-    branch_rows: dict[str, int]
-    names: list[str] = field(default_factory=list)
+    __slots__ = ("n_nodes", "branch_rows", "names")
+
+    def __init__(self, n_nodes: int, branch_rows: dict[str, int], names: list[str] | None = None):
+        self.n_nodes, self.branch_rows = n_nodes, branch_rows
+        self.names = [] if names is None else names
 
     @property
     def size(self) -> int:
@@ -80,10 +80,11 @@ def index_unknowns(c: FlatCircuit) -> UnknownMap:
     return UnknownMap(n, rows, names)
 
 
-@dataclass
 class MnaSystem:
-    a: np.ndarray
-    b: np.ndarray
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.a, self.b = a, b
 
 
 def _linear_stamp(e: Element, c: FlatCircuit, u: UnknownMap):
@@ -127,16 +128,15 @@ def companion_values(farads, method: str, dt: float, v_prev, i_prev):
     raise ValueError(f"unknown integration method {method!r}")
 
 
-@dataclass
 class SourceTable:
     """The independent sources of a plan: entry j adds
     ``sign[j] * value(specs[spec[j]], t)`` at buffer position ``at[j]``.
     Each distinct spec is listed, and so evaluated, once."""
 
-    at: np.ndarray
-    sign: np.ndarray
-    spec: np.ndarray
-    specs: list[SourceSpec]
+    __slots__ = ("at", "sign", "spec", "specs")
+
+    def __init__(self, at: np.ndarray, sign: np.ndarray, spec: np.ndarray, specs: list[SourceSpec]):
+        self.at, self.sign, self.spec, self.specs = at, sign, spec, specs
 
     @classmethod
     def of(cls, entries: list[tuple[int, float, SourceSpec]]) -> "SourceTable":
@@ -159,7 +159,6 @@ class SourceTable:
         return self.sign * np.array([source_value(s, t) for s in self.specs])[self.spec]
 
 
-@dataclass
 class StampPlan:
     """A topology stamped once.
 
@@ -188,6 +187,11 @@ class StampPlan:
     mos_dgs: np.ndarray  # (3, MOSFETs) terminal rows
     mos: MosfetBank
     mos_at: np.ndarray
+    __slots__ = ("static", "sources", "cap_ab", "farads", "cap_at", "mos_dgs", "mos", "mos_at")
+
+    def __init__(self, static, sources, cap_ab, farads, cap_at, mos_dgs, mos, mos_at):
+        self.static, self.sources, self.cap_ab, self.farads = static, sources, cap_ab, farads
+        self.cap_at, self.mos_dgs, self.mos, self.mos_at = cap_at, mos_dgs, mos, mos_at
 
     @property
     def linear(self) -> bool:

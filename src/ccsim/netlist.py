@@ -32,7 +32,6 @@ Exponent notation cannot be combined with a suffix ("1e3k" is an error).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 from .devices import (
@@ -40,6 +39,7 @@ from .devices import (
     Dc,
     MosfetParams,
     Pulse,
+    Record,
     Sin,
     SourceSpec,
     conveyor_rx,
@@ -107,13 +107,12 @@ def _value_or_symbol(token: str, line: int | None = None) -> float | str:
 # AST
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ElementSpec:
+class ElementSpec(Record):
     kind: str  # one of r c v i m u x
     name: str  # full lowercased element name, letter included
     nodes: tuple[str, ...]
     params: tuple  # sorted (key, value) pairs; values float | str | tuple
-    line: int = field(default=0, compare=False)
+    line: int = 0  # source position; takes no part in ==
 
     def param(self, key, default=None):
         for k, v in self.params:
@@ -122,8 +121,7 @@ class ElementSpec:
         return default
 
 
-@dataclass(frozen=True)
-class ModelCard:
+class ModelCard(Record):
     name: str
     polarity: str  # nmos | pmos
     vth: float | str
@@ -132,26 +130,23 @@ class ModelCard:
     w: float | str | None
     l: float | str | None
     lam: float | str
-    line: int = field(default=0, compare=False)
+    line: int = 0  # source position; takes no part in ==
 
 
-@dataclass(frozen=True)
-class SubcktDef:
+class SubcktDef(Record):
     name: str
     ports: tuple[str, ...]
     elements: tuple[ElementSpec, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0  # source position; takes no part in ==
 
 
-@dataclass(frozen=True)
-class Directive:
+class Directive(Record):
     kind: str  # op dc tran measure param end
     args: tuple = ()
-    line: int = field(default=0, compare=False)
+    line: int = 0  # source position; takes no part in ==
 
 
-@dataclass(frozen=True)
-class NetlistAst:
+class NetlistAst(Record):
     title: str
     elements: tuple[ElementSpec, ...]
     subckt_defs: tuple[SubcktDef, ...]
@@ -546,40 +541,35 @@ def print_netlist(ast: NetlistAst) -> str:
 # Flattening
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Resistor:
+class Resistor(Record):
     name: str
     a: str
     b: str
     ohms: float
 
 
-@dataclass(frozen=True)
-class Capacitor:
+class Capacitor(Record):
     name: str
     a: str
     b: str
     farads: float
 
 
-@dataclass(frozen=True)
-class VSource:
+class VSource(Record):
     name: str
     p: str
     n: str
     spec: SourceSpec
 
 
-@dataclass(frozen=True)
-class ISource:
+class ISource(Record):
     name: str
     p: str
     n: str
     spec: SourceSpec
 
 
-@dataclass(frozen=True)
-class Mosfet:
+class Mosfet(Record):
     name: str
     d: str
     g: str
@@ -588,8 +578,7 @@ class Mosfet:
     params: MosfetParams
 
 
-@dataclass(frozen=True)
-class Conveyor:
+class Conveyor(Record):
     name: str
     y: str
     x: str
@@ -602,15 +591,17 @@ class Conveyor:
 Element = Resistor | Capacitor | VSource | ISource | Mosfet | Conveyor
 
 
-@dataclass
 class FlatCircuit:
-    """Fully resolved circuit: dense node indices, typed elements, directives."""
+    """Fully resolved circuit: dense node indices (``nodes`` maps a node name
+    to its index, ground "0" to 0, and ``node_names`` is its inverse), typed
+    elements, directives."""
 
-    nodes: dict[str, int]  # node name -> dense index, ground "0" -> 0
-    node_names: list[str]  # inverse of nodes
-    elements: list[Element]
-    directives: tuple[Directive, ...]
-    params: dict[str, float]
+    __slots__ = ("nodes", "node_names", "elements", "directives", "params")
+
+    def __init__(self, nodes: dict[str, int], node_names: list[str], elements: list[Element],
+                 directives: tuple[Directive, ...], params: dict[str, float]):
+        self.nodes, self.node_names, self.elements = nodes, node_names, elements
+        self.directives, self.params = directives, params
 
     @property
     def n_nodes(self) -> int:
@@ -832,5 +823,5 @@ def union(circuits: list[FlatCircuit]) -> FlatCircuit:
             nodes[member_name(k, n)] = len(nodes)
         for e in c.elements:
             renamed = {f: member_name(k, getattr(e, f)) for f in _NODE_FIELDS[type(e)]}
-            elements.append(replace(e, name=member_name(k, e.name), **renamed))
+            elements.append(e._replace(name=member_name(k, e.name), **renamed))
     return FlatCircuit(nodes, list(nodes), elements, (), {})

@@ -22,8 +22,6 @@ loop with K = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import mna
@@ -50,22 +48,22 @@ class ConvergenceError(Exception):
         super().__init__(message)
 
 
-@dataclass
 class Tolerances:
-    reltol: float = 1e-6
-    vntol: float = 1e-9
-    abstol: float = 1e-12
-    maxiter: int = 100
-    damping: float = 0.5  # max per-iteration voltage change, volts
-    gmin_floor: float = mna.GMIN_FLOOR
+    __slots__ = ("reltol", "vntol", "abstol", "maxiter", "damping", "gmin_floor")
+
+    def __init__(self, reltol=1e-6, vntol=1e-9, abstol=1e-12, maxiter=100,
+                 damping=0.5,  # max per-iteration voltage change, volts
+                 gmin_floor=mna.GMIN_FLOOR):
+        self.reltol, self.vntol, self.abstol = reltol, vntol, abstol
+        self.maxiter, self.damping, self.gmin_floor = maxiter, damping, gmin_floor
 
 
-@dataclass
 class OperatingPoint:
-    x: np.ndarray
-    residual_norm: float
-    iterations: int
-    gmin_final: float
+    __slots__ = ("x", "residual_norm", "iterations", "gmin_final")
+
+    def __init__(self, x: np.ndarray, residual_norm: float, iterations: int, gmin_final: float):
+        self.x, self.residual_norm = x, residual_norm
+        self.iterations, self.gmin_final = iterations, gmin_final
 
 
 def lu_factor(a: np.ndarray):

@@ -30,7 +30,6 @@ subnormal or beyond 1e+-280) go through :func:`format_sci` itself.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,7 +58,6 @@ from .solver import (
 CSV_BLOCK = 4096  # rows formatted per write
 
 
-@dataclass
 class Waveform:
     """Time-indexed record of every circuit unknown.
 
@@ -69,12 +67,13 @@ class Waveform:
     the record alone.
     """
 
-    times: np.ndarray
-    columns: dict[str, np.ndarray]
-    dt: float
-    method: str
-    vsource_nodes: dict[str, tuple[str, str]] = field(default_factory=dict)
-    time_label: str = "time"
+    __slots__ = ("times", "columns", "dt", "method", "vsource_nodes", "time_label")
+
+    def __init__(self, times: np.ndarray, columns: dict[str, np.ndarray], dt: float, method: str,
+                 vsource_nodes: dict[str, tuple[str, str]] | None = None, time_label: str = "time"):
+        self.times, self.columns, self.dt, self.method = times, columns, dt, method
+        self.vsource_nodes = {} if vsource_nodes is None else vsource_nodes
+        self.time_label = time_label
 
     def column(self, name: str) -> np.ndarray:
         if name == "v(0)":
@@ -329,7 +328,7 @@ def run_dc_sweep(
     x = None
     for k, v in enumerate(values):
         elems = list(c.elements)
-        elems[idx] = replace(elems[idx], spec=Dc(float(v)))
+        elems[idx] = elems[idx]._replace(spec=Dc(float(v)))
         ck = FlatCircuit(c.nodes, c.node_names, elems, c.directives, c.params)
         op = newton_dc(ck, u, tol, t=0.0, x0=x)
         x = op.x
