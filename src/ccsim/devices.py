@@ -24,7 +24,7 @@ TWO_PI = 2.0 * math.pi
 
 
 class _RecordType(type):
-    """Makes a record class's annotated fields its slots, its defaults ``_defaults``."""
+    """Makes a record class's annotated fields slots; their defaults go to ``_defaults``."""
 
     def __new__(mcls, name, bases, ns):
         fields = tuple(ns.get("__annotations__", ()))

@@ -1,7 +1,9 @@
 """Record semantics: construction, equality, hashing, repr and
 immutability of ccsim's value records, and the cost of importing them."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +105,12 @@ def test_frozen_records_refuse_assignment(record):
         setattr(record, next(iter(type(record).__annotations__)), 0)
     with pytest.raises(AttributeError):
         record.not_a_field = 0
+
+
+@pytest.mark.parametrize("record", FROZEN, ids=lambda r: type(r).__name__)
+def test_frozen_records_copy_and_pickle(record):
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and repr(twin) == repr(record)
 
 
 @pytest.mark.parametrize("make, message", [
