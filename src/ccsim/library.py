@@ -18,21 +18,17 @@ X-branch currents mirrored to Z.  A lighter class-A follower cell stands
 in for the plain (uncontrolled) conveyor; it spends fewer bias branches,
 so its supply draw is measurably lower at the same rails and bias.
 
-The power comparison runs its four amplifiers, and the X-resistance
-extraction its two probe currents, as one union circuit (see
-:func:`ccsim.netlist.union`), one solve serving every member.  The gain
-grid runs point by point: its 75 circuits are more than the few small
-members a union is meant for, since a union's dense solve grows as the
-cube of its size.
+The power comparison steps its four amplifiers together as one stack
+(see :func:`ccsim.transient.run_transient_stacked`).
 """
 
 from __future__ import annotations
 
 from . import mna
 from .devices import Dc, Pulse, Record, Sin, SourceSpec, conveyor_rx
-from .netlist import expand_hierarchy, member_name, parse_and_flatten, parse_netlist, union
-from .solver import ConvergenceError, SingularMatrixError, Tolerances, newton_dc
-from .transient import run_transient, run_transient_union
+from .netlist import expand_hierarchy, parse_and_flatten, parse_netlist
+from .solver import Tolerances, newton_dc
+from .transient import Waveform, run_transient, run_transient_stacked
 from .measure import average_power, gain, peak_power
 
 
@@ -328,9 +324,7 @@ def measure_rx_emergent(
     Builds the characterization bench, injects test currents of both
     signs (magnitude ib * delta_frac) into X around the operating point
     and returns the centered difference dV_X / dI.  Rails default to
-    1.5 V so the cell stays in saturation over a 4x bias sweep.  The two
-    operating points are one :func:`newton_dc` on the union of the two
-    benches, or, if that fails, one each.
+    1.5 V so the cell stays in saturation over a 4x bias sweep.
     """
     text = emit_example(
         "cccii_char",
@@ -338,26 +332,12 @@ def measure_rx_emergent(
     )
     ast = parse_netlist(text)
     delta = ib * delta_frac
-    pair = [expand_hierarchy(ast, {"iprobe": sign * delta}) for sign in (1.0, -1.0)]
-    vx = _dc_voltages(pair, "x", tol)
+    vx = []
+    for sign in (1.0, -1.0):
+        c = expand_hierarchy(ast, {"iprobe": sign * delta})
+        u = mna.index_unknowns(c)
+        vx.append(newton_dc(c, u, tol).x[u.node_row(c.nodes["x"])])
     return (vx[0] - vx[1]) / (2.0 * delta)
-
-
-def _dc_voltages(circuits, node: str, tol: Tolerances | None) -> list[float]:
-    """The operating-point voltage of ``node`` in each circuit, solved as
-    one union circuit without the gmin ladder; if that fails, circuit by
-    circuit, so a failing circuit raises its own error."""
-    whole = union(circuits)
-    u = mna.index_unknowns(whole)
-    try:
-        x = newton_dc(whole, u, tol, rescue=False).x
-    except (ConvergenceError, SingularMatrixError):
-        out = []
-        for c in circuits:
-            u = mna.index_unknowns(c)
-            out.append(newton_dc(c, u, tol).x[u.node_row(c.nodes[node])])
-        return out
-    return [x[u.node_row(whole.nodes[member_name(k, node)])] for k in range(len(circuits))]
 
 
 def expected_rx(ib: float) -> float:
@@ -387,9 +367,9 @@ def power_comparison(
     amplifiers at identical rails and bias.  Both amplifier resistors are
     equal so every circuit sees the same loading.
 
-    The four transients run as one union circuit through
-    :func:`run_transient_union`; each amplifier's power is measured on
-    its own split waveform.
+    The four transients are stepped together by
+    :func:`run_transient_stacked`; the first amplifier that fails raises
+    its error.
     """
     circuits = [
         parse_and_flatten(emit_example(topo, AmplifierConfig(
@@ -399,7 +379,10 @@ def power_comparison(
     ]
     # one input, so every amplifier carries the same .tran
     tran = next(d for d in circuits[0].directives if d.kind == "tran")
-    waves = run_transient_union(circuits, *tran.args, tol)
+    waves = run_transient_stacked(circuits, *tran.args, tol)
+    for wave in waves:
+        if not isinstance(wave, Waveform):
+            raise wave
     supplies = ("vdd", "vss")
     return {
         label: (average_power(wave, supplies), peak_power(wave, supplies))

@@ -14,7 +14,7 @@ from Z to ground) comes out non-inverting with gain R2 / (R1 + R_X).
 :func:`compile` stamps a topology once into a :class:`StampPlan`;
 :func:`assemble` turns the plan into one Newton iterate, with all MOSFETs
 linearized by one vectorized :func:`mosfet_eval` call.  :func:`stack`
-joins the plans of K variants of one topology, so that one
+joins the plans of K circuits, padded to one size, so that one
 :func:`assemble` call builds all K systems.
 
 Matrices are dense; the circuits this simulator targets stay well under a
@@ -23,8 +23,6 @@ one simulation run.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -169,13 +167,13 @@ class StampPlan:
     ``cap_ab`` and ``mos_dgs`` index the solution with a zero (ground)
     appended, so ground is unknown n there too.
 
-    A plan made by :func:`stack` holds K variants of one topology: its
+    A plan made by :func:`stack` holds K circuits of one size: its
     static buffer gains a leading K axis and its capacitor values and
     terminal rows a trailing one.  Its MOSFET values and terminal rows
     are flat, each device's K entries in a row, and its positions index
     the flattened stack, each entry's K positions in a row.  Terminal
     rows index the flattened (K, n) solution with one zero appended:
-    variant k's unknown i is k*n + i and ground is K*n.  So a stack of
+    circuit k's unknown i is k*n + i and ground is K*n.  So a stack of
     one is the plan's own arrays, viewed with a K axis where it has one.
     """
 
@@ -246,41 +244,100 @@ def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> St
     )
 
 
-def stack(plans: list[StampPlan]) -> StampPlan:
-    """One plan for K variants of one topology (the same circuit with
-    other element values), each variant's buffer a row of the stack.
+def padded_rows(u: UnknownMap, n_nodes: int) -> np.ndarray:
+    """The rows of ``u``'s unknowns in a stack padded to ``n_nodes`` node
+    rows (see :func:`stack`): its node rows, then its branch rows."""
+    return np.concatenate([np.arange(u.n_nodes), np.arange(n_nodes, n_nodes + u.size - u.n_nodes)])
 
-    Raises ValueError when the plans' index arrays differ.
+
+def _pad(p: StampPlan, u: UnknownMap, n_nodes: int, n: int, n_mos: int, n_cap: int) -> StampPlan:
+    """``p``, compiled for ``u``, grown to ``n`` unknowns of which
+    ``n_nodes`` are nodes, ``n_mos`` MOSFETs and ``n_cap`` capacitors;
+    ``p`` itself when it has them all.
+
+    A pad unknown has a unit diagonal and a zero right-hand side, so it
+    solves to 0.  Pad MOSFETs (beta 0) and capacitors (0 F) have every
+    terminal and every position on the spare ground row."""
+    if (u.n_nodes, u.size, p.mos_dgs.shape[1], p.farads.size) == (n_nodes, n, n_mos, n_cap):
+        return p
+    m, big = u.size + 1, n + 1
+    col = np.append(padded_rows(u, n_nodes), n)  # old row or column -> new; ground to ground
+    row = np.append(col, big)  # a buffer is m+1 rows of m: the last one is the right-hand side
+    static = np.zeros((big + 1, big))
+    static[np.ix_(row, col)] = p.static.reshape(m + 1, m)
+    pad = np.setdiff1d(np.arange(n), col)
+    static[pad, pad] = 1.0
+
+    def moved(a):
+        return row[a // m] * big + col[a % m]
+
+    def at(a, groups, count):  # positions in ``groups`` runs, each grown to ``count``
+        runs = moved(a).reshape(groups, -1)
+        return np.pad(runs, ((0, 0), (0, count - runs.shape[1])), constant_values=n * (big + 1)).ravel()
+
+    def terminals(r, count):
+        return np.pad(col[r], ((0, 0), (0, count - r.shape[1])), constant_values=n)
+
+    def grown(values, count, fill=0.0):
+        return np.append(values, np.full(count - len(values), fill))
+
+    src = p.sources
+    return StampPlan(
+        static.ravel(), SourceTable(moved(src.at), src.sign, src.spec, src.specs),
+        terminals(p.cap_ab, n_cap), grown(p.farads, n_cap), at(p.cap_at, 6, n_cap),
+        terminals(p.mos_dgs, n_mos),
+        MosfetBank(grown(p.mos.sign, n_mos, 1.0), grown(p.mos.vth, n_mos), grown(p.mos.beta, n_mos),
+                   grown(p.mos.lam, n_mos)),
+        at(p.mos_at, 8, n_mos),
+    )
+
+
+def stack(plans: list[StampPlan], maps: list[UnknownMap]) -> tuple[StampPlan, UnknownMap]:
+    """One plan for K circuits, plan k compiled for map k, each circuit's
+    buffer a row of the stack, and the unknown map of the stack.
+
+    Circuits of different sizes are padded (see :func:`_pad`) to the
+    largest node, branch, MOSFET and capacitor counts, node rows before
+    branch rows: circuit k's unknowns sit at ``padded_rows(maps[k],
+    n_nodes)`` of the stack's rows, and its node rows stay below the
+    stack's ``n_nodes``.  A plan already at those counts is used as it
+    is, so a stack of variants of one circuit (the same netlist with
+    other element values) keeps each plan's arrays.  When the maps
+    differ, the stack's map names its rows by position (``#i``).
     """
+    n_nodes = max(u.n_nodes for u in maps)
+    n = n_nodes + max(u.size - u.n_nodes for u in maps)
+    n_mos = max(p.mos_dgs.shape[1] for p in plans)
+    n_cap = max(p.farads.size for p in plans)
+    plans = [_pad(p, u, n_nodes, n, n_mos, n_cap) for p, u in zip(plans, maps)]
+    u = maps[0]
+    if any(v.names != u.names for v in maps):
+        u = UnknownMap(n_nodes, {f"#{i}": i for i in range(n_nodes, n)}, [f"#{i}" for i in range(n)])
     first = plans[0]
     if len(plans) == 1:  # the plan's own arrays, viewed as a stack
-        return StampPlan(first.static[None], first.sources, first.cap_ab[..., None],
-                         first.farads[:, None], first.cap_at, first.mos_dgs, first.mos, first.mos_at)
-    size = first.static.size
-    for p in plans[1:]:
-        same = [np.array_equal(getattr(p, name), getattr(first, name))
-                for name in ("cap_ab", "cap_at", "mos_dgs", "mos_at")]
-        same += [np.array_equal(p.sources.at, first.sources.at),
-                 np.array_equal(p.sources.sign, first.sources.sign)]
-        if not all(same):
-            raise ValueError("stacked plans must share one topology")
-    offset = np.arange(len(plans)) * size
-    n_var, n = len(plans), math.isqrt(size) - 1  # a buffer holds (n+1)**2 + n+1 entries
+        return StampPlan(first.static[None], first.sources, first.cap_ab[..., None], first.farads[:, None],
+                         first.cap_at, first.mos_dgs, first.mos, first.mos_at), u
+    n_var, size = len(plans), first.static.size
+    offset = np.arange(n_var) * size
 
     def values(arrays):
         return np.array(arrays).T
 
-    def rows(r):
-        return np.where(r[..., None] == n, n_var * n, r[..., None] + np.arange(n_var) * n)
+    def rows(name):
+        r = np.stack([getattr(p, name) for p in plans], axis=-1)
+        return np.where(r == n, n_var * n, r + np.arange(n_var) * n)
+
+    def positions(name):
+        return (values([getattr(p, name) for p in plans]) + offset).ravel()
 
     bank = (values([getattr(p.mos, f) for p in plans]).reshape(-1) for f in ("sign", "vth", "beta", "lam"))
     sources = SourceTable.of([(k * size + at, sign, spec)
                               for k, p in enumerate(plans) for at, sign, spec in p.sources.entries()])
     return StampPlan(
         np.array([p.static for p in plans]), sources,
-        rows(first.cap_ab), values([p.farads for p in plans]), (first.cap_at[:, None] + offset).ravel(),
-        rows(first.mos_dgs).reshape(3, -1), MosfetBank(*bank), (first.mos_at[:, None] + offset).ravel(),
-    )
+        rows("cap_ab"), values([p.farads for p in plans]), positions("cap_at"),
+        rows("mos_dgs").reshape(3, -1), MosfetBank(*bank), positions("mos_at"),
+    ), u
 
 
 def stamp_sources(p: StampPlan, t: float) -> np.ndarray:
@@ -312,8 +369,8 @@ def assemble(
     ``base`` is ``stamp_sources(plan, t)``, passed by callers that
     assemble at one ``t`` repeatedly.
 
-    With a stacked plan (see :func:`stack`) ``x_est`` has one row per
-    variant, the companion arrays one column per variant, and the
+    With a stacked plan (see :func:`stack`) ``u`` is the stack's map,
+    ``x_est`` has one row per circuit, the companion arrays one column per circuit, and the
     returned ``a`` and ``b`` a leading K axis.
     """
     p = plan if plan is not None else compile(c, u, gmin_floor)

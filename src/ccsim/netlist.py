@@ -764,16 +764,15 @@ def expand_hierarchy(ast: NetlistAst, overrides: dict[str, float] | None = None)
     return FlatCircuit(nodes, node_names, flat, ast.directives, params)
 
 
-# The node fields of each element type, in terminal order.
-_NODE_FIELDS = {
-    Resistor: ("a", "b"),
-    Capacitor: ("a", "b"),
-    VSource: ("p", "n"),
-    ISource: ("p", "n"),
-    Mosfet: ("d", "g", "s", "b"),
-    Conveyor: ("y", "x", "z"),
+# The node names of each element type, in terminal order.
+_NODE_GETTERS = {
+    Resistor: attrgetter("a", "b"),
+    Capacitor: attrgetter("a", "b"),
+    VSource: attrgetter("p", "n"),
+    ISource: attrgetter("p", "n"),
+    Mosfet: attrgetter("d", "g", "s", "b"),
+    Conveyor: attrgetter("y", "x", "z"),
 }
-_NODE_GETTERS = {t: attrgetter(*fields) for t, fields in _NODE_FIELDS.items()}
 
 
 def _element_nodes(e: Element) -> tuple[str, ...]:
@@ -782,46 +781,3 @@ def _element_nodes(e: Element) -> tuple[str, ...]:
 
 def parse_and_flatten(text: str, overrides: dict[str, float] | None = None) -> FlatCircuit:
     return expand_hierarchy(parse_netlist(text), overrides)
-
-
-# --------------------------------------------------------------------------
-# Union of circuits
-# --------------------------------------------------------------------------
-
-def member_name(k: int, name: str) -> str:
-    """Name in a :func:`union` of node or element ``name`` of member ``k``.
-
-    Ground stays ``0``; every other name gets the prefix ``k<k>_``.  No
-    prefix is a prefix of another (``k1_`` is not one of ``k10_``), so
-    two members' names never meet.
-    """
-    return name if name == "0" else f"k{k}_{name}"
-
-
-def union(circuits: list[FlatCircuit]) -> FlatCircuit:
-    """One circuit made of K flattened members that share only ground.
-
-    Member k's nodes and elements are renamed by :func:`member_name`;
-    element values, clamp limits and source specs are copied unchanged,
-    and the union's nodes are member 0's, then member 1's, and so on.
-    The union carries no directives and no parameters.
-
-    One solve then serves every member.  It is meant for a few small
-    members: one solve saves the fixed cost of K small ones, but a dense
-    solve costs (K*n)^3 for K members of n unknowns, so the saving
-    shrinks as the members grow in number or size.  The Newton
-    convergence test and the solve's acceptance check see the union as
-    one system: a converged member iterates on with the others, and a
-    member whose own matrix would be refused as near-singular may pass
-    when another member's larger right-hand side sets the scale.  Take a
-    member's record back out with :func:`ccsim.transient.member_waveform`.
-    """
-    nodes: dict[str, int] = {"0": 0}
-    elements: list[Element] = []
-    for k, c in enumerate(circuits):
-        for n in c.node_names[1:]:
-            nodes[member_name(k, n)] = len(nodes)
-        for e in c.elements:
-            renamed = {f: member_name(k, getattr(e, f)) for f in _NODE_FIELDS[type(e)]}
-            elements.append(e._replace(name=member_name(k, e.name), **renamed))
-    return FlatCircuit(nodes, list(nodes), elements, (), {})

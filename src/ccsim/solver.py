@@ -13,11 +13,11 @@ stay solvable without special cases.  The sources are stamped once per
 Newton call, not once per iteration.
 
 There is one Newton loop, :func:`newton_stack`.  It runs the plain
-Newton over K variants of one circuit at once (see :func:`mna.stack`):
-one assembly and one stacked LAPACK solve per iteration for all variants
-still iterating.  A single circuit is a stack of one, so
-:func:`newton_dc` and each rung of :func:`gmin_stepped_dc` are that
-loop with K = 1.
+Newton over K circuits at once, padded to one size (see
+:func:`mna.stack`): one assembly and one stacked LAPACK solve per
+iteration for all circuits still iterating.  A single circuit is a
+stack of one, so :func:`newton_dc` and each rung of
+:func:`gmin_stepped_dc` are that loop with K = 1.
 """
 
 from __future__ import annotations
@@ -181,11 +181,11 @@ def node_residual_norm(sys: mna.MnaSystem, x: np.ndarray, n_nodes: int):
 _ONE = np.ones(1, dtype=bool)  # the live mask of a stack of one
 
 
-def _stack_of_one(plan: mna.StampPlan, x0: np.ndarray, companions):
+def _stack_of_one(plan: mna.StampPlan, u: mna.UnknownMap, x0: np.ndarray, companions):
     """A single circuit's plan, start and companions as a stack of one."""
     if companions is not None:
         companions = tuple(np.reshape(v, (-1, 1)) for v in companions)
-    return mna.stack([plan]), x0[None], companions
+    return mna.stack([plan], [u])[0], x0[None], companions
 
 
 def gmin_stepped_dc(
@@ -205,7 +205,7 @@ def gmin_stepped_dc(
     stack of one."""
     x0 = np.zeros(u.size) if x0 is None else x0
     plan, x, companions = _stack_of_one(
-        plan or mna.compile(c, u, tol.gmin_floor), x0, companions
+        plan or mna.compile(c, u, tol.gmin_floor), u, x0, companions
     )
     total_iters = 0
     g = gmin_start
@@ -233,25 +233,22 @@ def newton_dc(
     companions=None,
     gmin_start: float = 1e-3,
     plan: mna.StampPlan | None = None,
-    rescue: bool = True,
 ) -> OperatingPoint:
     """Find the DC solution at time ``t`` (sources evaluated there).
 
     Plain damped Newton first (:func:`newton_stack` over a stack of
-    one), restarting with :func:`gmin_stepped_dc` when it fails; with
-    ``rescue=False`` the failure is raised instead.  ``companions`` and
-    ``plan`` are as in :func:`mna.assemble`; the plan is compiled here
-    when not given.  ``iterations`` counts the linear solves.
+    one), restarting with :func:`gmin_stepped_dc` when it fails.
+    ``companions`` and ``plan`` are as in :func:`mna.assemble`; the plan
+    is compiled here when not given.  ``iterations`` counts the linear
+    solves.
     """
     tol = tol or Tolerances()
     plan = plan or mna.compile(c, u, tol.gmin_floor)
     x0 = np.zeros(u.size) if x0 is None else x0
-    one, x, comp = _stack_of_one(plan, x0, companions)
+    one, x, comp = _stack_of_one(plan, u, x0, companions)
     x, resid, its, errors = newton_stack(c, u, tol, t, x, comp, one, _ONE)
     if not errors:
         return OperatingPoint(x[0], float(resid[0]), int(its[0]), tol.gmin_floor)
-    if not rescue:
-        raise errors[0]
     return gmin_stepped_dc(c, u, tol, t, x0, companions, gmin_start, plan)
 
 
@@ -266,20 +263,22 @@ def newton_stack(
     live: np.ndarray,
     gmin_extra: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
-    """The plain damped Newton, on a stacked plan (see :func:`mna.stack`)
-    over the variants marked in ``live``; a single circuit is a stack of
-    one.  ``gmin_extra`` is as in :func:`mna.assemble`.
+    """The plain damped Newton, on a stacked plan and its map ``u`` (see
+    :func:`mna.stack`) over the circuits marked in ``live``; a single
+    circuit is a stack of one.  ``gmin_extra`` is as in
+    :func:`mna.assemble`.
 
-    ``x0`` holds one start row per variant.  A variant stops iterating
-    once it has converged, so each row comes out as its own run would.
-    Returns ``(x, residual, iterations, errors)``: the solutions, each
-    converged variant's KCL residual and number of linear solves, and a
-    dict from each live variant that failed to its error.  A variant
-    fails with its :class:`SingularMatrixError` when no solve accepts its
-    matrix, and with a :class:`ConvergenceError` carrying the KCL
-    residual of its last assembled iterate when it has not converged in
-    ``tol.maxiter`` solves.  Non-live rows keep their ``x0`` row; the
-    rows of failed variants hold no solution.
+    ``x0`` holds one start row per circuit.  A circuit stops iterating
+    once it has converged, so each row comes out as its own run would:
+    to the last bit when the stack did not pad it, to round-off when it
+    did.  Returns ``(x, residual, iterations, errors)``: the solutions,
+    each converged circuit's KCL residual and number of linear solves,
+    and a dict from each live circuit that failed to its error.  A
+    circuit fails with its :class:`SingularMatrixError` when no solve
+    accepts its matrix, and with a :class:`ConvergenceError` carrying
+    the KCL residual of its last assembled iterate when it has not
+    converged in ``tol.maxiter`` solves.  Non-live rows keep their
+    ``x0`` row; the rows of failed circuits hold no solution.
     """
     x = x0.copy()
     n_var = len(x0)
@@ -292,7 +291,7 @@ def newton_stack(
     base = mna.stamp_sources(plan, t)
     nv = u.n_nodes
     linear = plan.linear
-    last = tol.maxiter - 1  # its residual is the one a non-converged variant reports
+    last = tol.maxiter - 1  # its residual is the one a non-converged circuit reports
     # np.count_nonzero and .nonzero() cost less than .any() and np.flatnonzero
     for it in range(1 if linear else tol.maxiter):
         sys = mna.assemble(c, u, t, None if linear else x, companions, gmin_extra, plan=plan, base=base)
@@ -302,7 +301,7 @@ def newton_stack(
             n_done = np.count_nonzero(done)
             if n_done:
                 its[done] = it
-                if n_done == len(idx):  # every variant still iterating
+                if n_done == len(idx):  # every circuit still iterating
                     break
                 todo ^= done
                 idx = todo.nonzero()[0]

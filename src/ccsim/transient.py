@@ -15,11 +15,10 @@ Every step reuses one compiled stamp plan (see :mod:`ccsim.mna`).
 Memoryless linear circuits (no MOSFETs, no capacitors) are solved by
 superposition: one solve for the response to each unit source, each
 response then scaled by that source's samples at every step.  Every
-other circuit goes through the one stepped loop, which steps K variants
-of one circuit together, one stacked Newton (:func:`newton_stack`) per
-step.  :func:`run_transient_stacked` runs it over K variants, and
-:func:`run_transient` over a stack of one.  :func:`run_transient_union`
-runs a few different circuits as one union circuit.
+other circuit goes through the one stepped loop, which steps K circuits
+together as one stack (see :func:`mna.stack`), one stacked Newton
+(:func:`newton_stack`) per step.  :func:`run_transient_stacked` runs it
+over K circuits, and :func:`run_transient` over a stack of one.
 
 CSV export writes each cell as the text of :func:`format_sci`, byte for
 byte.  A vectorized kernel formats a block of rows at a time in numpy;
@@ -30,21 +29,13 @@ subnormal or beyond 1e+-280) go through :func:`format_sci` itself.
 from __future__ import annotations
 
 import functools
+from itertools import compress
 
 import numpy as np
 
 from . import mna
 from .devices import Dc, source_samples
-from .netlist import (
-    Capacitor,
-    Conveyor,
-    FlatCircuit,
-    ISource,
-    Mosfet,
-    VSource,
-    member_name,
-    union,
-)
+from .netlist import Conveyor, FlatCircuit, ISource, VSource
 from .solver import (
     ConvergenceError,
     SingularMatrixError,
@@ -115,26 +106,55 @@ def run_transient(
     tstop: float,
     method: str = "trap",
     tol: Tolerances | None = None,
-    rescue: bool = True,
 ) -> Waveform:
-    """Simulate from t = 0 to tstop with a constant step dt.
+    """Simulate from t = 0 to tstop with a constant step dt: the one
+    circuit of a :func:`run_transient_stacked` call."""
+    (wave,) = run_transient_stacked([c], dt, tstop, method, tol)
+    if isinstance(wave, Waveform):
+        return wave
+    raise wave
 
-    A memoryless linear circuit is solved by superposition; any other
-    runs the stepped loop of :func:`run_transient_stacked` as a stack of
-    one.  With ``rescue=False`` a Newton failure raises at once, without
-    the gmin ladder of :func:`newton_dc`.
+
+def run_transient_stacked(
+    circuits: list[FlatCircuit],
+    dt: float,
+    tstop: float,
+    method: str = "trap",
+    tol: Tolerances | None = None,
+) -> list[Waveform | ConvergenceError | SingularMatrixError]:
+    """:func:`run_transient` of each of K circuits, the stepped ones
+    stepped together.
+
+    A memoryless linear circuit (no MOSFETs, no capacitors) is solved
+    alone by superposition.  The others go through the one stepped loop
+    as one stack, padded to one size when their topologies differ (see
+    :func:`mna.stack`).  Each circuit's operating point is its own
+    :func:`newton_dc` call.  Each step then runs one :func:`newton_stack`
+    over every circuit still running; a circuit whose plain Newton fails
+    retries alone through :func:`gmin_stepped_dc` on its own plan from
+    the same start, as :func:`newton_dc` would.  So every waveform equals
+    its own run: to the last bit when the stack did not pad the circuit
+    (variants of one netlist, or the largest circuit), to round-off when
+    it did.  A circuit that fails holds its error, the one
+    :func:`run_transient` would raise with its own unknown names, in
+    place of its waveform, and the others run on.
     """
     _check_step(dt, tstop, method)
     tol = tol or Tolerances()
-    u = mna.index_unknowns(c)
-    plan = mna.compile(c, u, tol.gmin_floor)
-    if not plan.linear or len(plan.farads):
-        (wave,) = _run_stack([c], u, [plan], dt, tstop, method, tol, rescue)
-        if isinstance(wave, Waveform):
-            return wave
-        raise wave
+    maps = [mna.index_unknowns(c) for c in circuits]
+    plans = [mna.compile(c, u, tol.gmin_floor) for c, u in zip(circuits, maps)]
+    stepped = [not p.linear or p.farads.size > 0 for p in plans]
+    runs = iter(_run_stack(*(list(compress(seq, stepped)) for seq in (circuits, maps, plans)),
+                           dt, tstop, method, tol) if any(stepped) else ())
+    return [next(runs) if s else _or_error(_run_memoryless, c, u, p, dt, tstop, method, tol)
+            for s, c, u, p in zip(stepped, circuits, maps, plans)]
+
+
+def _run_memoryless(c, u, plan, dt, tstop, method, tol):
+    """The run of a memoryless linear circuit with index map ``u`` and
+    compiled plan ``plan``, by superposition (see :func:`_run_batched`)."""
     times = _times(dt, tstop)
-    op = newton_dc(c, u, tol, t=0.0, plan=plan, rescue=rescue)
+    op = newton_dc(c, u, tol, t=0.0, plan=plan)
     data = _run_batched(c, u, plan, times)
     data[:, 0] = op.x
     for r, lo, hi in _clip_rows(c, u):
@@ -146,8 +166,10 @@ def _times(dt, tstop):
     return np.arange(int(round(tstop / dt)) + 1) * dt
 
 
-def _waveform(c, u, times, data, dt, method):
-    columns = {name: data[i] for i, name in enumerate(u.names)}
+def _waveform(c, u, times, data, dt, method, rows=None):
+    """The record of ``c`` whose unknown i is row ``rows[i]`` of ``data``."""
+    rows = range(u.size) if rows is None else rows
+    columns = {name: data[r] for r, name in zip(rows, u.names)}
     return Waveform(times, columns, dt, method, _vsource_nodes(c))
 
 
@@ -164,65 +186,38 @@ def _run_batched(c, u, plan, times):
     return response @ samples.reshape(len(src.specs), len(times))[src.spec]
 
 
-def run_transient_stacked(
-    circuits: list[FlatCircuit],
-    dt: float,
-    tstop: float,
-    method: str = "trap",
-    tol: Tolerances | None = None,
-) -> list[Waveform | ConvergenceError | SingularMatrixError]:
-    """:func:`run_transient` of K variants of one circuit (the same
-    netlist flattened with other ``.param`` values), stepped together.
-
-    Each variant's operating point is its own :func:`newton_dc` call.
-    Each step then runs one :func:`newton_stack` over every variant
-    still running; a variant whose plain Newton fails retries alone
-    through :func:`gmin_stepped_dc` from the same start, as
-    :func:`newton_dc` would.  This stepped loop is the only one:
-    :func:`run_transient` runs it over a stack of one, so every waveform
-    equals its own :func:`run_transient` to the last bit.  A variant
-    that fails holds its error, the one :func:`run_transient` would
-    raise, in place of its waveform, and the others run on.  Memoryless
-    variants are solved one by one by superposition.
-    """
-    _check_step(dt, tstop, method)
-    tol = tol or Tolerances()
-    if not any(isinstance(e, (Mosfet, Capacitor)) for e in circuits[0].elements):
-        return [_or_error(run_transient, c, dt, tstop, method, tol) for c in circuits]
-    u = mna.index_unknowns(circuits[0])
-    plans = [mna.compile(c, u, tol.gmin_floor) for c in circuits]
-    return _run_stack(circuits, u, plans, dt, tstop, method, tol, rescue=True)
-
-
-def _run_stack(circuits, u, plans, dt, tstop, method, tol, rescue):
-    """The stepped loop over K variants of one circuit with index map
-    ``u`` and compiled plans ``plans``.  Returns each variant's waveform,
-    or the error its run raised; ``rescue`` is as in
-    :func:`run_transient`."""
-    plan = mna.stack(plans)
+def _run_stack(circuits, maps, plans, dt, tstop, method, tol):
+    """The stepped loop over K circuits with index maps ``maps`` and
+    compiled plans ``plans``, as one stack (see :func:`mna.stack`).
+    Returns each circuit's waveform, or the error its run raised."""
+    plan, u = mna.stack(plans, maps)
+    rows = [mna.padded_rows(m, u.n_nodes) for m in maps]
     times = _times(dt, tstop)
-    clips = [_clip_rows(c, u) for c in circuits]
-    rows = [r for r, _, _ in clips[0]]
-    lo = np.array([[v for _, v, _ in cl] for cl in clips]).reshape(len(circuits), -1)
-    hi = np.array([[v for _, _, v in cl] for cl in clips]).reshape(len(circuits), -1)
-
-    data = np.zeros((len(circuits), u.size, len(times)))
-    errors = [None] * len(circuits)
-    for k, c in enumerate(circuits):
-        try:
-            data[k, :, 0] = newton_dc(c, u, tol, t=0.0, plan=plans[k], rescue=rescue).x
-        except (ConvergenceError, SingularMatrixError) as exc:
-            errors[k] = exc
+    n_var = len(circuits)
+    # each clamped Z as one (circuit, row) index into the stack of
+    # solutions; a Z row is a node row, which padding does not move
+    clips = np.array([(k, r, lo, hi) for k, (c, m) in enumerate(zip(circuits, maps))
+                      for r, lo, hi in _clip_rows(c, m)]).reshape(-1, 4)
+    at = (clips[:, 0].astype(np.intp), clips[:, 1].astype(np.intp))
+    lo, hi = clips[:, 2], clips[:, 3]
 
     def clamp(x):
-        for j, r in enumerate(rows):
-            x[:, r] = np.minimum(np.maximum(x[:, r], lo[:, j]), hi[:, j])
+        if len(clips):
+            x[at] = np.minimum(np.maximum(x[at], lo), hi)
         return x
+
+    data = np.zeros((n_var, u.size, len(times)))
+    errors = [None] * n_var
+    for k, c in enumerate(circuits):
+        try:
+            data[k, rows[k], 0] = newton_dc(c, maps[k], tol, t=0.0, plan=plans[k]).x
+        except (ConvergenceError, SingularMatrixError) as exc:
+            errors[k] = exc
 
     live = np.array([e is None for e in errors])
     if not live.any():
         return errors
-    x = clamp(data[:, :, 0].copy())
+    x = data[:, :, 0] = clamp(data[:, :, 0].copy())
     # capacitor history: voltage from the operating point, current zero
     # (a capacitor is an open circuit at DC)
     v_prev = plan.cap_voltages(x)
@@ -232,58 +227,24 @@ def _run_stack(circuits, u, plans, dt, tstop, method, tol, rescue):
         meth = "be" if method == "be" or k == 1 else "trap"
         geq, ieq = mna.companion_values(plan.farads, meth, dt, v_prev, i_prev)
         x_new, _, _, failed = newton_stack(circuits[0], u, tol, t, x, (geq, ieq), plan, live)
-        for j, exc in failed.items():
-            if rescue:
-                try:
-                    x_new[j] = gmin_stepped_dc(
-                        circuits[j], u, tol, t, x[j], (geq[:, j], ieq[:, j]), plan=plans[j]
-                    ).x
-                    continue
-                except (ConvergenceError, SingularMatrixError) as err:
-                    exc = err
-            errors[j] = _step_failure(exc, t, k)
-            live[j] = False
+        for j in failed:
+            own = plans[j].farads.size  # the stack's capacitors of circuit j are its own, then pads
+            try:
+                x_new[j, rows[j]] = gmin_stepped_dc(
+                    circuits[j], maps[j], tol, t, x[j, rows[j]], (geq[:own, j], ieq[:own, j]),
+                    plan=plans[j],
+                ).x
+            except (ConvergenceError, SingularMatrixError) as exc:
+                errors[j] = _step_failure(exc, t, k)
+                live[j] = False
         if failed and not live.any():
             break
         x = clamp(x_new)
         v_prev = plan.cap_voltages(x)
         i_prev = geq * v_prev - ieq
         data[:, :, k] = x
-    for j, r in enumerate(rows):
-        np.clip(data[:, r], lo[:, j, None], hi[:, j, None], out=data[:, r])
-    return [e or _waveform(c, u, times, d, dt, method) for c, d, e in zip(circuits, data, errors)]
-
-
-def run_transient_union(
-    circuits: list[FlatCircuit],
-    dt: float,
-    tstop: float,
-    method: str = "trap",
-    tol: Tolerances | None = None,
-) -> list[Waveform]:
-    """:func:`run_transient` of each of a few small circuits, run as one
-    :func:`~ccsim.netlist.union` circuit and split by
-    :func:`member_waveform`.  Each waveform equals its own run to
-    round-off.
-
-    The union runs without the gmin ladder, whose extra conductances
-    would load every member.  If it fails, each circuit runs alone, so a
-    failing circuit raises its own error, with its own unknown names.
-    """
-    try:
-        wave = run_transient(union(circuits), dt, tstop, method, tol, rescue=False)
-    except (ConvergenceError, SingularMatrixError):
-        return [run_transient(c, dt, tstop, method, tol) for c in circuits]
-    return [member_waveform(wave, c, k) for k, c in enumerate(circuits)]
-
-
-def member_waveform(wave: Waveform, c: FlatCircuit, k: int) -> Waveform:
-    """Member ``k``'s record in ``wave``, a run of a union whose member
-    ``k`` is ``c``: the columns and voltage sources of a run of ``c``
-    alone, under its own names."""
-    names = mna.index_unknowns(c).names  # "v(node)" and "i(element)"
-    columns = {n: wave.columns[f"{n[:2]}{member_name(k, n[2:-1])})"] for n in names}
-    return Waveform(wave.times, columns, wave.dt, wave.method, _vsource_nodes(c))
+    return [e or _waveform(c, m, times, d, dt, method, r)
+            for c, m, d, r, e in zip(circuits, maps, data, rows, errors)]
 
 
 def _or_error(run, *args):

@@ -233,27 +233,49 @@ def test_gmin_floor_applied_to_every_node():
     assert np.count_nonzero(d) == u.n_nodes
 
 
+RAGGED_RC = """rc with a conveyor
+v1 a 0 SIN(0 1 1k)
+r1 a b 1k
+c1 b 0 1n
+c2 b d 2n
+u1 b x d ccii- rx=10
+r2 x 0 2k
+r3 d 0 1k
+.end
+"""
+
+
 def test_stack_assembles_each_variant_as_alone():
-    from ccsim.library import emit_example
+    from ccsim.library import AmplifierConfig, TranslinearConveyor, emit_example
     from ccsim.netlist import expand_hierarchy, parse_netlist
 
     ast = parse_netlist(emit_example("proposed_amp_translinear"))
-    circuits = [expand_hierarchy(ast, {"ibval": v}) for v in (20e-6, 80e-6)]
-    u = index_unknowns(circuits[0])
-    plans = [mna.compile(c, u) for c in circuits]
-    x = np.random.default_rng(5).normal(size=(2, u.size))
-    both = assemble(circuits[0], u, 3e-4, x, gmin_extra=1e-6, plan=mna.stack(plans))
-    for k, c in enumerate(circuits):
-        alone = assemble(c, u, 3e-4, x[k], gmin_extra=1e-6, plan=plans[k])
-        assert np.array_equal(both.a[k], alone.a) and np.array_equal(both.b[k], alone.b)
-
-
-def test_stack_refuses_another_topology():
-    a = parse_and_flatten("t\nv1 a 0 DC 1\nr1 a b 1k\nr2 b 0 1k\nc1 b 0 1n\n.end\n")
-    b = parse_and_flatten("t\nv1 a 0 DC 1\nr1 a b 1k\nr2 b 0 1k\nc1 a 0 1n\n.end\n")
-    plans = [mna.compile(c, index_unknowns(c)) for c in (a, b)]
-    with pytest.raises(ValueError, match="topology"):
-        mna.stack(plans)
+    variants = [expand_hierarchy(ast, {"ibval": v}) for v in (20e-6, 80e-6)]
+    ferri = emit_example("ferri_2cc", AmplifierConfig(conveyor=TranslinearConveyor()))
+    # two topologies: the RC circuit has fewer unknowns and MOSFETs, the
+    # amplifier fewer capacitors, so both are padded
+    ragged = [parse_and_flatten(RAGGED_RC), parse_and_flatten(ferri)]
+    rng = np.random.default_rng(5)
+    for circuits in (variants, ragged):
+        maps = [index_unknowns(c) for c in circuits]
+        plans = [mna.compile(c, u) for c, u in zip(circuits, maps)]
+        plan, u = mna.stack(plans, maps)
+        assert (u is maps[0]) == (circuits is variants)  # a ragged stack names rows by position
+        x = rng.normal(size=(2, u.size))
+        geq, ieq = rng.normal(size=(2, plan.farads.shape[0], 2))
+        both = assemble(circuits[0], u, 3e-4, x, (geq, ieq), gmin_extra=1e-6, plan=plan)
+        for k, (c, m) in enumerate(zip(circuits, maps)):
+            rows = mna.padded_rows(m, u.n_nodes)
+            own = plans[k].farads.size
+            alone = assemble(c, m, 3e-4, x[k, rows], (geq[:own, k], ieq[:own, k]),
+                             gmin_extra=1e-6, plan=plans[k])
+            pad = np.setdiff1d(np.arange(u.size), rows)
+            a = np.zeros((u.size, u.size))
+            a[np.ix_(rows, rows)] = alone.a
+            a[pad, pad] = 1.0 + 1e-6 * (pad < u.n_nodes)  # gmin_extra loads every node row
+            b = np.zeros(u.size)
+            b[rows] = alone.b
+            assert np.array_equal(both.a[k], a) and np.array_equal(both.b[k], b)
 
 
 def test_stamp_sources_adds_in_table_order():

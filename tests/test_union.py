@@ -1,5 +1,6 @@
-"""Union circuits: K flattened members sharing ground, run as one circuit
-and split back into each member's own record."""
+"""Unions of circuits: K flattened circuits of different topologies,
+stepped together as one stack padded to one size (``mna.stack``), each
+returning its own record under its own names."""
 
 import re
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccsim import library, mna
+from ccsim import mna, transient
 from ccsim.library import (
     POWER_SUITE,
     AmplifierConfig,
@@ -17,11 +18,11 @@ from ccsim.library import (
     power_comparison,
 )
 from ccsim.measure import average_power, peak_power
-from ccsim.netlist import expand_hierarchy, member_name, parse_and_flatten, parse_netlist, union
+from ccsim.netlist import Mosfet, expand_hierarchy, parse_and_flatten, parse_netlist
 from ccsim.solver import ConvergenceError, SingularMatrixError, Tolerances, newton_dc
-from ccsim.transient import member_waveform, run_transient, run_transient_union
+from ccsim.transient import Waveform, run_transient, run_transient_stacked
 
-from conftest import behavioral_amp, memoryless_or_rc_netlists, node_kcl_residuals
+from conftest import memoryless_or_rc_netlists, node_kcl_residuals
 
 
 def assert_kcl(c, w):
@@ -33,23 +34,43 @@ def assert_kcl(c, w):
 
 
 def assert_member_matches_run(w, c, dt, tstop, method, tol=None, rel=1e-12):
-    """A member's split record equals its own run to ``rel`` of the
-    member's largest voltage for a voltage and of its largest KCL term
-    (see ``node_kcl_residuals``) for a current.
+    """A member's record equals its own run to ``rel`` of the member's
+    largest voltage for a voltage and of its largest KCL term (see
+    ``node_kcl_residuals``; its largest current with MOSFETs) for a
+    current; to the last bit with ``rel=0``.
 
     A solve's round-off is relative to the whole system, not to one
     column: a current that is a small difference of large terms, such as
     a capacitor's companion current, or a node held only by the gmin
     floor, carries round-off far above its own peak's."""
     ref = run_transient(c, dt, tstop, method, tol)
+    assert isinstance(w, Waveform)
     assert np.array_equal(w.times, ref.times) and w.method == ref.method
     assert list(w.columns) == list(ref.columns)
     assert w.vsource_nodes == ref.vsource_nodes
-    _, terms = node_kcl_residuals(c, ref)
+    if any(isinstance(e, Mosfet) for e in c.elements):  # the KCL oracle has no MOSFET law
+        terms = [np.abs(col) for n, col in ref.columns.items() if n[0] == "i"]
+    else:
+        terms = node_kcl_residuals(c, ref)[1].values()
     peak = {"v": max(np.abs(col).max() for n, col in ref.columns.items() if n[0] == "v"),
-            "i": max(t.max() for t in terms.values())}
+            "i": max(t.max() for t in terms)}
     for name, col in ref.columns.items():
         assert np.abs(w.column(name) - col).max() <= rel * peak[name[0]], name
+
+
+def assert_same_error(got, c, dt, tstop, method="trap", tol=None):
+    """``got`` is the error ``c``'s own run raises, text included."""
+    with pytest.raises((ConvergenceError, SingularMatrixError)) as alone:
+        run_transient(c, dt, tstop, method, tol)
+    assert type(got) is type(alone.value) and str(got) == str(alone.value)
+
+
+def padded(circuits):
+    """Whether the stack of ``circuits`` pads each one."""
+    maps = [mna.index_unknowns(c) for c in circuits]
+    n_nodes = max(u.n_nodes for u in maps)
+    n = n_nodes + max(u.size - u.n_nodes for u in maps)
+    return [(u.n_nodes, u.size) != (n_nodes, n) for u in maps]
 
 
 def condition(c, dt):
@@ -63,48 +84,46 @@ def condition(c, dt):
 @given(data=st.data(), method=st.sampled_from(["be", "trap"]))
 @settings(max_examples=40, deadline=None)
 def test_union_members_equal_their_own_runs(data, method):
-    caps = data.draw(st.lists(st.booleans(), min_size=2, max_size=3))
+    caps = data.draw(st.lists(st.booleans(), min_size=2, max_size=4))
     circuits = [parse_and_flatten(data.draw(memoryless_or_rc_netlists(cap))) for cap in caps]
-    whole = union(circuits)
     dt = data.draw(st.floats(1e-7, 1e-5))
-    wave = run_transient(whole, dt, 40 * dt, method, rescue=False)
-    assert_kcl(whole, wave)
-    for j, c in enumerate(circuits):
-        w = member_waveform(wave, c, j)
+    waves = run_transient_stacked(circuits, dt, 40 * dt, method)
+    assert len(waves) == len(circuits)
+    for c, w in zip(circuits, waves):
+        if not isinstance(w, Waveform):  # a draw only the gmin floor holds up
+            assert_same_error(w, c, dt, 40 * dt, method)
+            continue
         assert_kcl(c, w)
-        # the union's LU orders its round-off differently, and a memoryless
-        # member alone is solved by superposition: the two answers differ
-        # by up to the condition number times the unit round-off (some of
-        # these netlists hold a node only by the gmin floor)
+        # a padded member's LU orders its round-off differently: the two
+        # answers differ by up to the condition number times the unit
+        # round-off (some of these netlists hold a node only by the gmin
+        # floor)
         rel = max(1e-12, 1e-14 * condition(c, dt))
         assert_member_matches_run(w, c, dt, 40 * dt, method, rel=rel)
 
 
-# under a rule without the separator, member 1's node "0a" and member 10's
-# node "a" would both become "k10a"
-NAME_CLASH = """names that a careless prefix would merge
+# eleven members of three sizes: the base circuit, one with a node and a
+# capacitor more, and one with a voltage source (a branch) more
+ELEVEN = """member {k}
 v1 a 0 SIN(0 {amp} 1k)
 r1 a 0a 1k
 r2 0a 0 2k
 u1 0 0a out ccii+ rx=10
 r3 out 0 3k
+c1 out 0 {nf}n
+{extra}
 .end
 """
+EXTRA = ("", "r4 out e 1k\nc2 e 0 1n", "v2 f 0 DC 0.1\nr5 f 0a 5k")
 
 
 def test_union_of_eleven_keeps_every_name_apart():
-    circuits = [parse_and_flatten(NAME_CLASH.format(amp=0.1 * (k + 1))) for k in range(11)]
-    whole = union(circuits)
-    assert whole.n_nodes == sum(c.n_nodes for c in circuits)
-    assert len(whole.node_names) == len(set(whole.node_names)) == len(whole.nodes)
-    assert [whole.node_names[i] for i in whole.nodes.values()] == list(whole.nodes)
-    names = [e.name for e in whole.elements]
-    assert len(names) == len(set(names)) == sum(len(c.elements) for c in circuits)
-    assert member_name(1, "0a") != member_name(10, "a")
-    assert member_name(3, "0") == "0"
-    waves = run_transient_union(circuits, 1e-5, 1e-3, "trap")
-    for c, w in zip(circuits, waves):
-        assert_member_matches_run(w, c, 1e-5, 1e-3, "trap")
+    circuits = [parse_and_flatten(ELEVEN.format(k=k, amp=0.1 * (k + 1), nf=k + 1, extra=EXTRA[k % 3]))
+                for k in range(11)]
+    assert any(padded(circuits)) and not all(padded(circuits))
+    waves = run_transient_stacked(circuits, 1e-5, 1e-3, "trap")
+    for c, w, pad in zip(circuits, waves, padded(circuits)):
+        assert_member_matches_run(w, c, 1e-5, 1e-3, "trap", rel=1e-12 if pad else 0.0)
 
 
 CLAMPED = """clamped amplifier
@@ -115,68 +134,78 @@ r2 out 0 100k
 c1 out 0 1n
 .end
 """
+TRANSLINEAR = emit_example("proposed_amp_translinear")
+FERRI_2CC = emit_example("ferri_2cc", AmplifierConfig(conveyor=TranslinearConveyor()))
 
 
 @pytest.mark.parametrize("method", ["be", "trap"])
 def test_member_clamp_applies_inside_the_union(method):
-    circuits = [behavioral_amp(rx=500.0), parse_and_flatten(CLAMPED)]
-    wave = run_transient(union(circuits), 1e-5, 2e-3, method, rescue=False)
-    clamped = member_waveform(wave, circuits[1], 1)
-    assert clamped.column("v(out)").max() == pytest.approx(0.5, abs=1e-15)
-    for k, c in enumerate(circuits):
-        assert_member_matches_run(member_waveform(wave, c, k), c, 1e-5, 2e-3, method)
+    # the clamped member is linear, stacked with a MOSFET amplifier
+    circuits = [parse_and_flatten(TRANSLINEAR), parse_and_flatten(CLAMPED)]
+    assert padded(circuits) == [False, True]
+    waves = run_transient_stacked(circuits, 1e-5, 2e-3, method)
+    assert waves[1].column("v(out)").max() == pytest.approx(0.5, abs=1e-15)
+    for c, w, rel in zip(circuits, waves, (0.0, 1e-12)):
+        assert_member_matches_run(w, c, 1e-5, 2e-3, method, rel=rel)
 
 
-TRANSLINEAR = emit_example("proposed_amp_translinear")
-VSOURCE_LOOP = "t\nV1 x 0 DC 1\nV2 x 0 DC 2\nR1 x 0 1k\n.end\n"
+# a loop of two voltage sources, with a capacitor so that it is stepped
+VSOURCE_LOOP = "t\nV1 x 0 DC 1\nV2 x 0 DC 2\nR1 x 0 1k\nC1 x 0 1n\n.end\n"
 
 
 def test_singular_member_raises_its_own_error():
-    loop = parse_and_flatten(VSOURCE_LOOP)
-    circuits = [parse_and_flatten(TRANSLINEAR), loop]
-    with pytest.raises(SingularMatrixError) as alone:
-        run_transient(loop, 1e-5, 1e-4)
-    with pytest.raises(SingularMatrixError) as joined:
-        run_transient_union(circuits, 1e-5, 1e-4)
-    assert str(joined.value) == str(alone.value)
-    assert re.search(r"\(unknown i\(v[12]\)\)", str(joined.value))
-    # the operating-point pair of measure_rx_emergent falls back the same way
-    bench = parse_and_flatten(emit_example("cccii_char"))
-    with pytest.raises(SingularMatrixError) as dc:
-        library._dc_voltages([bench, loop], "x", None)
-    assert str(dc.value) == str(alone.value)
-
-
-def _variants(text, values):
-    ast = parse_netlist(text)
-    return [expand_hierarchy(ast, {"ibval": v}) for v in values]
+    circuits = [parse_and_flatten(TRANSLINEAR), parse_and_flatten(VSOURCE_LOOP)]
+    waves = run_transient_stacked(circuits, 1e-5, 1e-4)
+    assert_same_error(waves[1], circuits[1], 1e-5, 1e-4)
+    assert re.search(r"\(unknown i\(v[12]\)\)", str(waves[1]))
+    assert_member_matches_run(waves[0], circuits[0], 1e-5, 1e-4, "trap", rel=0.0)
 
 
 def test_member_without_dc_convergence_raises_its_own_error():
     # 100 A of bias fails DC even with gmin stepping
-    circuits = _variants(TRANSLINEAR, [50e-6, 100.0])
-    with pytest.raises(ConvergenceError) as alone:
-        run_transient(circuits[1], 1e-5, 1e-4)
-    with pytest.raises(ConvergenceError) as joined:
-        run_transient_union(circuits, 1e-5, 1e-4)
-    assert str(joined.value) == str(alone.value)
+    circuits = [parse_and_flatten(TRANSLINEAR), parse_and_flatten(FERRI_2CC, {"ibval": 100.0})]
+    waves = run_transient_stacked(circuits, 1e-5, 1e-4)
+    assert_same_error(waves[1], circuits[1], 1e-5, 1e-4)
+    assert_member_matches_run(waves[0], circuits[0], 1e-5, 1e-4, "trap")
+    # power_comparison raises the first failing amplifier's error
+    with pytest.raises(ConvergenceError) as info:
+        power_comparison(ib=100.0)
+    cfg = AmplifierConfig(r1=1e3, r2=1e3, conveyor=TranslinearConveyor(100.0, "ccii", 1.0))
+    first = parse_and_flatten(emit_example("ferri_2cc", cfg))
+    assert_same_error(info.value, first, *next(d for d in first.directives if d.kind == "tran").args)
 
 
-def test_gmin_rescue_of_one_member_leaves_the_others_exact():
+def test_gmin_rescue_of_one_member_leaves_the_others_exact(monkeypatch):
     # a 2 V input step at 0.1 ms that Newton crosses in 8 iterations only
-    # with gmin rescues: the union fails there and each member runs alone
+    # with gmin rescues
     stepped = re.sub(r"vin in 0 SIN\(.*\)", "vin in 0 PULSE(0 2 1e-4 1e-6 1e-6 2e-4 1)", TRANSLINEAR)
     tol = Tolerances(maxiter=8)
-    circuits = _variants(TRANSLINEAR, [50e-6]) + _variants(stepped, [25e-6])
-    with pytest.raises(ConvergenceError):
-        run_transient(union(circuits), 1e-5, 3e-4, "trap", tol, rescue=False)
-    for c, w in zip(circuits, run_transient_union(circuits, 1e-5, 3e-4, "trap", tol)):
-        ref = run_transient(c, 1e-5, 3e-4, "trap", tol)
-        assert all(np.array_equal(w.column(n), ref.column(n)) for n in ref.columns)
+    # capacitors too, so that the rescue must take the rescued member's
+    # own companions out of the stack's padded ones
+    stepped = stepped.replace("r2 out 0 r2\n", "r2 out 0 r2\ncl out 0 1n\n")
+    largest = FERRI_2CC.replace("r2 out 0 r2\n", "r2 out 0 r2\ncl out 0 2n\ncz zf 0 1n\n")
+    circuits = [parse_and_flatten(largest), parse_and_flatten(stepped, {"ibval": 25e-6})]
+    assert padded(circuits) == [False, True]
+    rescued, rescue = [], transient.gmin_stepped_dc
+
+    def counted(c, *args, **kwargs):
+        rescued.append(next(k for k, d in enumerate(circuits) if d is c))
+        return rescue(c, *args, **kwargs)
+
+    monkeypatch.setattr(transient, "gmin_stepped_dc", counted)
+    waves = run_transient_stacked(circuits, 1e-5, 3e-4, "trap", tol)
+    monkeypatch.undo()
+    assert 1 in rescued
+    assert_member_matches_run(waves[0], circuits[0], 1e-5, 3e-4, "trap", tol, rel=0.0)
+    # the rescued member starts each Newton from a round-off away from its
+    # own run's start, and Newton stops within reltol (1e-6) of the root:
+    # the two answers agree to that, not to round-off (1.6e-12 measured)
+    assert_member_matches_run(waves[1], circuits[1], 1e-5, 3e-4, "trap", tol, rel=1e-9)
 
 
 def test_power_comparison_matches_separate_runs():
     got = power_comparison(ib=50e-6, rails=1.0)
+    circuits = []
     for label, topo, family in POWER_SUITE:
         cfg = AmplifierConfig(r1=1e3, r2=1e3, conveyor=TranslinearConveyor(50e-6, family, 1.0))
         c = parse_and_flatten(emit_example(topo, cfg))
@@ -184,6 +213,15 @@ def test_power_comparison_matches_separate_runs():
         w = run_transient(c, *tran.args)
         ref = (average_power(w, ("vdd", "vss")), peak_power(w, ("vdd", "vss")))
         assert got[label] == pytest.approx(ref, rel=1e-9, abs=0.0), label
+        circuits.append(c)
+    # each amplifier's record is its own run's, to 1e-12 of each column's
+    # peak; the largest, which the stack does not pad, to the last bit
+    pads = padded(circuits)
+    assert [label for (label, _, _), pad in zip(POWER_SUITE, pads) if not pad] == ["ferri_2cc_cccii"]
+    for c, w, pad in zip(circuits, run_transient_stacked(circuits, *tran.args), pads):
+        ref = run_transient(c, *tran.args)
+        for name, col in ref.columns.items():
+            assert np.abs(w.column(name) - col).max() <= (1e-12 if pad else 0.0) * np.abs(col).max()
 
 
 @pytest.mark.parametrize("ib", [12.5e-6, 50e-6, 200e-6])
@@ -198,5 +236,4 @@ def test_rx_matches_separate_operating_points(ib):
         c = expand_hierarchy(ast, {"iprobe": sign * delta})
         u = mna.index_unknowns(c)
         vx.append(newton_dc(c, u).x[u.node_row(c.nodes["x"])])
-    ref = (vx[0] - vx[1]) / (2.0 * delta)
-    assert measure_rx_emergent(ib) == pytest.approx(ref, rel=1e-9, abs=0.0)
+    assert measure_rx_emergent(ib) == (vx[0] - vx[1]) / (2.0 * delta)
