@@ -67,14 +67,14 @@ def _overrides(pairs) -> dict[str, float]:
     return out
 
 
-def _validate_probes(c, u, probes):
+def _validate_probes(u, probes):
     known = set(u.names) | {"v(0)"}
     for p in probes or ():
         if p not in known:
             raise NetlistError(f"probe {p!r} does not match any node or branch")
 
 
-def _print_op(c, u, op):
+def _print_op(u, op):
     print("operating point:")
     width = max((len(n) for n in u.names), default=4)
     for name, val in zip(u.names, op.x):
@@ -119,7 +119,7 @@ def _execute_directives(c, tol, out_path, probes, quiet=False, waves=None):
     the result of each .tran, run beforehand: a waveform, or the error
     that run raised."""
     u = mna.index_unknowns(c)
-    _validate_probes(c, u, probes)
+    _validate_probes(u, probes)
     wave: Waveform | None = None
     results: list[Measurement] = []
     pending = None if waves is None else iter(waves)
@@ -127,7 +127,7 @@ def _execute_directives(c, tol, out_path, probes, quiet=False, waves=None):
         if d.kind == "op":
             op = newton_dc(c, u, tol)
             if not quiet:
-                _print_op(c, u, op)
+                _print_op(u, op)
         elif d.kind == "tran":
             if pending is None:
                 wave = run_transient(c, d.args[0], d.args[1], d.args[2], tol)
@@ -177,7 +177,7 @@ def cmd_op(args) -> int:
     c = _load_circuit(args)
     u = mna.index_unknowns(c)
     op = newton_dc(c, u, _tolerances(args))
-    _print_op(c, u, op)
+    _print_op(u, op)
     return EXIT_OK
 
 

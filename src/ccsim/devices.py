@@ -2,7 +2,8 @@
 
 Everything a stamp needs to know about a device lives here: the level-1
 square-law MOSFET with analytic derivatives, time-dependent independent
-sources, and the current-conveyor intrinsic resistance law
+sources (one law, :func:`source_samples`, over an array of times), and
+the current-conveyor intrinsic resistance law
 
     R_X = 1 / (2 gm) = 1 / sqrt(8 * beta_n * Ib)
 
@@ -240,32 +241,16 @@ def mosfet_eval(vgs, vds, p):
     return p.sign * flip * (bmod * core), flip * g1, g2 + rev * g1
 
 
-def _pulse_value(s: Pulse, t: float) -> float:
-    if t < s.delay:
-        return s.v1
-    m = math.fmod(t - s.delay, s.period)
-    if m < s.rise:
-        return s.v1 + (s.v2 - s.v1) * (m / s.rise)
-    m -= s.rise
-    if m < s.width:
-        return s.v2
-    m -= s.width
-    if m < s.fall:
-        return s.v2 + (s.v1 - s.v2) * (m / s.fall)
-    return s.v1
-
-
 def source_value(s: SourceSpec, t: float) -> float:
-    """Instantaneous value of an independent source at time t >= 0."""
-    if isinstance(s, Dc):
-        return s.value
-    if isinstance(s, Sin):
-        return s.offset + s.amplitude * math.sin(TWO_PI * s.freq * t)
-    return _pulse_value(s, t)
+    """Value of an independent source at one time t >= 0: one :func:`source_samples` sample."""
+    return float(source_samples(s, np.array([t]))[0])
 
 
 def source_samples(s: SourceSpec, times: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`source_value` over an array of sample times."""
+    """Values of an independent source at each of ``times`` (all >= 0).
+
+    This is the one law of the DC, SIN and PULSE sources: every value a
+    simulation stamps is one of its samples."""
     times = np.asarray(times, dtype=float)
     if isinstance(s, Dc):
         return np.full_like(times, s.value)

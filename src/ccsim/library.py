@@ -25,8 +25,8 @@ The power comparison steps its four amplifiers together as one stack
 from __future__ import annotations
 
 from . import mna
-from .devices import Dc, Pulse, Record, Sin, SourceSpec, conveyor_rx
-from .netlist import expand_hierarchy, parse_and_flatten, parse_netlist
+from .devices import Record, Sin, SourceSpec, conveyor_rx
+from .netlist import expand_hierarchy, parse_and_flatten, parse_netlist, source_text
 from .solver import Tolerances, newton_dc
 from .transient import Waveform, run_transient, run_transient_stacked
 from .measure import average_power, gain, peak_power
@@ -168,16 +168,6 @@ def _behavioral_u(name: str, nodes: str, conv: BehavioralConveyor, ctype: str) -
     return " ".join(parts)
 
 
-def _source_text(s: SourceSpec) -> str:
-    if isinstance(s, Dc):
-        return f"DC {_fmt(s.value)}"
-    if isinstance(s, Sin):
-        return f"SIN({_fmt(s.offset)} {_fmt(s.amplitude)} {_fmt(s.freq)})"
-    assert isinstance(s, Pulse)
-    vals = (s.v1, s.v2, s.delay, s.rise, s.fall, s.width, s.period)
-    return "PULSE(" + " ".join(_fmt(v) for v in vals) + ")"
-
-
 def _default_tran(s: SourceSpec, periods: int = 5, points_per_period: int = 1000) -> str:
     freq = s.freq if isinstance(s, Sin) else 1e3
     dt = 1.0 / (freq * points_per_period)
@@ -205,7 +195,7 @@ def _behavioral_amp(cfg: AmplifierConfig, two_stage: bool, ctype: str) -> str:
         "two-resistor tunable voltage amplifier (behavioral conveyor)",
         f".param r1={_fmt(cfg.r1)}",
         f".param r2={_fmt(cfg.r2)}",
-        f"vin in 0 {_source_text(cfg.input)}",
+        f"vin in 0 {source_text(cfg.input)}",
     ]
     if two_stage:
         lines.append(_behavioral_u("u1", "in m zf", conv, ctype))
@@ -234,7 +224,7 @@ def _translinear_amp(cfg: AmplifierConfig, two_stage: bool) -> str:
         _CELL_TEXT[conv.family],
         f"vdd vdd 0 DC {_fmt(conv.rails)}",
         f"vss vss 0 DC {_fmt(-conv.rails)}",
-        f"vin in 0 {_source_text(cfg.input)}",
+        f"vin in 0 {source_text(cfg.input)}",
     ]
     if two_stage:
         lines.append(f"xu1 in m zf vdd vss {cell}")

@@ -13,9 +13,10 @@ from Z to ground) comes out non-inverting with gain R2 / (R1 + R_X).
 
 :func:`compile` stamps a topology once into a :class:`StampPlan`;
 :func:`assemble` turns the plan into one Newton iterate, with all MOSFETs
-linearized by one vectorized :func:`mosfet_eval` call.  :func:`stack`
-joins the plans of K circuits, padded to one size, so that one
-:func:`assemble` call builds all K systems.
+linearized by one vectorized :func:`mosfet_eval` call, and its sources
+stamped from one column of the run's :meth:`SourceTable.samples`.
+:func:`stack` joins the plans of K circuits, padded to one size, so that
+one :func:`assemble` call builds all K systems.
 
 Matrices are dense; the circuits this simulator targets stay well under a
 couple hundred unknowns.  A system under assembly is exclusively owned by
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .devices import MosfetBank, SourceSpec, mosfet_eval, source_value
+from .devices import MosfetBank, SourceSpec, mosfet_eval, source_samples
 from .netlist import (
     Capacitor,
     Conveyor,
@@ -127,9 +128,9 @@ def companion_values(farads, method: str, dt: float, v_prev, i_prev):
 
 
 class SourceTable:
-    """The independent sources of a plan: entry j adds
-    ``sign[j] * value(specs[spec[j]], t)`` at buffer position ``at[j]``.
-    Each distinct spec is listed, and so evaluated, once."""
+    """The independent sources of a plan: entry j adds ``sign[j]`` times
+    a sample of ``specs[spec[j]]`` at buffer position ``at[j]``.  Each
+    distinct spec is listed, and so sampled, once."""
 
     __slots__ = ("at", "sign", "spec", "specs")
 
@@ -152,9 +153,17 @@ class SourceTable:
     def entries(self) -> list[tuple[int, float, SourceSpec]]:
         return [(int(a), float(s), self.specs[j]) for a, s, j in zip(self.at, self.sign, self.spec)]
 
+    def samples(self, times: np.ndarray) -> np.ndarray:
+        """Each entry's signed value at each of ``times``: an (entries,
+        times) matrix, whose column k :func:`stamp_sources` stamps at
+        ``times[k]``.  Each spec is sampled once, over all the times."""
+        times = np.asarray(times, dtype=float)
+        per_spec = np.array([source_samples(s, times) for s in self.specs])
+        return self.sign[:, None] * per_spec.reshape(len(self.specs), times.size)[self.spec]
+
     def values(self, t: float) -> np.ndarray:
-        """Each entry's signed value at time ``t``."""
-        return self.sign * np.array([source_value(s, t) for s in self.specs])[self.spec]
+        """Each entry's signed value at time ``t``: one column of :meth:`samples`."""
+        return self.samples(np.array([t]))[:, 0]
 
 
 class StampPlan:
@@ -340,12 +349,19 @@ def stack(plans: list[StampPlan], maps: list[UnknownMap]) -> tuple[StampPlan, Un
     ), u
 
 
-def stamp_sources(p: StampPlan, t: float) -> np.ndarray:
-    """A copy of the plan's static buffer with every source valued at
-    time ``t`` added, in source-table order."""
+def stamp_sources(p: StampPlan, column: np.ndarray) -> np.ndarray:
+    """A copy of the plan's static buffer with one column of its source
+    table's :meth:`~SourceTable.samples` (each entry's signed value at one
+    time) added, in source-table order."""
     buf = p.static.copy()
-    np.add.at(buf.reshape(-1), p.sources.at, p.sources.values(t))
+    np.add.at(buf.reshape(-1), p.sources.at, column)
     return buf
+
+
+def unit_sources(p: StampPlan, n: int) -> np.ndarray:
+    """Each source-table entry's right-hand side at unit value, one column
+    per entry, in a plan of ``n`` unknowns; an entry on ground is zero."""
+    return (np.arange(n)[:, None] == p.sources.at - (n + 1) ** 2).astype(float)
 
 
 def assemble(
@@ -366,8 +382,10 @@ def assemble(
     circuits (the DC operating-point convention).  ``gmin_extra`` adds a
     homotopy conductance on top of the permanent floor.  ``plan`` is
     ``compile(c, u, gmin_floor)``, passed by repeated callers, and
-    ``base`` is ``stamp_sources(plan, t)``, passed by callers that
-    assemble at one ``t`` repeatedly.
+    ``base`` is the plan's buffer with its sources stamped
+    (:func:`stamp_sources`), passed by callers that assemble with one
+    source column repeatedly.  ``c`` is read only without ``plan``, and
+    ``t`` only without ``base``.
 
     With a stacked plan (see :func:`stack`) ``u`` is the stack's map,
     ``x_est`` has one row per circuit, the companion arrays one column per circuit, and the
@@ -375,7 +393,7 @@ def assemble(
     """
     p = plan if plan is not None else compile(c, u, gmin_floor)
     n, m = u.size, u.size + 1
-    buf = stamp_sources(p, t) if base is None else base.copy()
+    buf = stamp_sources(p, p.sources.values(t)) if base is None else base.copy()
     flat = buf.reshape(-1)
     if companions is not None and p.farads.size:
         geq, ieq = companions

@@ -473,6 +473,11 @@ def _fmt_source(src) -> str:
     return f"{kind.upper()}({' '.join(_fmt(a) for a in args)})"
 
 
+def source_text(spec: SourceSpec) -> str:
+    """The netlist text of a built source, as :func:`print_netlist` writes a parsed one."""
+    return _fmt_source((type(spec).__name__.lower(), [getattr(spec, f) for f in spec._fields]))
+
+
 def _fmt_probe(p) -> str:
     return f"{p[0]}({p[1]})"
 

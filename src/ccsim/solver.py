@@ -9,8 +9,8 @@ per-iteration voltage changes, and a gmin ladder (1e-3 S stepped down by
 decades to 1e-12 S) rescues cold starts that plain iteration cannot.
 A permanent gmin floor from every node to ground is always stamped, so
 deliberately floating nodes (for example an unused conveyor Z terminal)
-stay solvable without special cases.  The sources are stamped once per
-Newton call, not once per iteration.
+stay solvable without special cases.  The Newton loop evaluates no
+source: it stamps a given column of the sources' samples once per call.
 
 There is one Newton loop, :func:`newton_stack`.  It runs the plain
 Newton over K circuits at once, padded to one size (see
@@ -59,11 +59,10 @@ class Tolerances:
 
 
 class OperatingPoint:
-    __slots__ = ("x", "residual_norm", "iterations", "gmin_final")
+    __slots__ = ("x", "residual_norm", "iterations")
 
-    def __init__(self, x: np.ndarray, residual_norm: float, iterations: int, gmin_final: float):
-        self.x, self.residual_norm = x, residual_norm
-        self.iterations, self.gmin_final = iterations, gmin_final
+    def __init__(self, x: np.ndarray, residual_norm: float, iterations: int):
+        self.x, self.residual_norm, self.iterations = x, residual_norm, iterations
 
 
 def lu_factor(a: np.ndarray):
@@ -168,14 +167,11 @@ def _solve_stack(a, b, row_names):
     return x, errors
 
 
-def node_residual_norm(sys: mna.MnaSystem, x: np.ndarray, n_nodes: int):
-    """Max KCL residual over the node-voltage rows, in amps; one per
+def node_residual_norm(sys: mna.MnaSystem, x: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Max KCL residual over the node-voltage rows, in amps, of each
     slice of a stacked system."""
-    if x.ndim > 1:
-        r = (sys.a @ x[..., None])[..., 0] - sys.b
-        return abs(r[..., :n_nodes]).max(axis=-1, initial=0.0)
-    r = sys.a @ x - sys.b
-    return float(abs(r[:n_nodes]).max()) if n_nodes else 0.0
+    r = (sys.a @ x[..., None])[..., 0] - sys.b
+    return abs(r[..., :n_nodes]).max(axis=-1, initial=0.0)
 
 
 _ONE = np.ones(1, dtype=bool)  # the live mask of a stack of one
@@ -207,16 +203,17 @@ def gmin_stepped_dc(
     plan, x, companions = _stack_of_one(
         plan or mna.compile(c, u, tol.gmin_floor), u, x0, companions
     )
+    column = plan.sources.values(t)
     total_iters = 0
     g = gmin_start
     while g >= 1e-12 * 0.999:
-        x_g, _, its, errors = newton_stack(c, u, tol, t, x, companions, plan, _ONE, g)
+        x_g, _, its, errors = newton_stack(u, tol, column, x, companions, plan, _ONE, g)
         if not errors:  # a failed rung keeps the previous rung's solution
             x, total_iters = x_g, total_iters + int(its[0])
         g /= 10.0
-    x, resid, its, errors = newton_stack(c, u, tol, t, x, companions, plan, _ONE)
+    x, resid, its, errors = newton_stack(u, tol, column, x, companions, plan, _ONE)
     if not errors:
-        return OperatingPoint(x[0], float(resid[0]), total_iters + int(its[0]), tol.gmin_floor)
+        return OperatingPoint(x[0], float(resid[0]), total_iters + int(its[0]))
     if isinstance(errors[0], ConvergenceError):
         raise ConvergenceError(
             f"no DC convergence even with gmin stepping: {errors[0]}", errors[0].residual
@@ -246,17 +243,16 @@ def newton_dc(
     plan = plan or mna.compile(c, u, tol.gmin_floor)
     x0 = np.zeros(u.size) if x0 is None else x0
     one, x, comp = _stack_of_one(plan, u, x0, companions)
-    x, resid, its, errors = newton_stack(c, u, tol, t, x, comp, one, _ONE)
+    x, resid, its, errors = newton_stack(u, tol, one.sources.values(t), x, comp, one, _ONE)
     if not errors:
-        return OperatingPoint(x[0], float(resid[0]), int(its[0]), tol.gmin_floor)
+        return OperatingPoint(x[0], float(resid[0]), int(its[0]))
     return gmin_stepped_dc(c, u, tol, t, x0, companions, gmin_start, plan)
 
 
 def newton_stack(
-    c: FlatCircuit,
     u: mna.UnknownMap,
     tol: Tolerances,
-    t: float,
+    column: np.ndarray,
     x0: np.ndarray,
     companions,
     plan: mna.StampPlan,
@@ -265,8 +261,10 @@ def newton_stack(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
     """The plain damped Newton, on a stacked plan and its map ``u`` (see
     :func:`mna.stack`) over the circuits marked in ``live``; a single
-    circuit is a stack of one.  ``gmin_extra`` is as in
-    :func:`mna.assemble`.
+    circuit is a stack of one.  ``column`` is the stack's sources at the
+    solve's time, one column of ``plan.sources.samples``; the loop
+    evaluates no source itself.  ``companions`` and ``gmin_extra`` are as
+    in :func:`mna.assemble`.
 
     ``x0`` holds one start row per circuit.  A circuit stops iterating
     once it has converged, so each row comes out as its own run would:
@@ -288,13 +286,13 @@ def newton_stack(
     resid = np.zeros(n_var)
     its = np.zeros(n_var, dtype=np.intp)
     errors = {}
-    base = mna.stamp_sources(plan, t)
+    base = mna.stamp_sources(plan, column)
     nv = u.n_nodes
     linear = plan.linear
     last = tol.maxiter - 1  # its residual is the one a non-converged circuit reports
     # np.count_nonzero and .nonzero() cost less than .any() and np.flatnonzero
     for it in range(1 if linear else tol.maxiter):
-        sys = mna.assemble(c, u, t, None if linear else x, companions, gmin_extra, plan=plan, base=base)
+        sys = mna.assemble(None, u, None, None if linear else x, companions, gmin_extra, plan=plan, base=base)
         if it == last or np.count_nonzero(dx_ok):
             resid = node_residual_norm(sys, x, nv)
             done = dx_ok & (resid < tol.abstol)

@@ -1,8 +1,10 @@
 """Fixed-step time-domain simulation.
 
-Each step evaluates the sources at t_{n+1}, replaces capacitors by their
-companion models and solves to DC tolerances.  The initial condition is
-always the DC operating point with sources evaluated at t = 0.
+A run samples its sources once into one matrix (see
+:meth:`mna.SourceTable.samples`); each step stamps its column of t_{n+1},
+replaces capacitors by their companion models and solves to DC
+tolerances.  The initial condition is always the DC operating point with
+sources evaluated at t = 0.
 
 Integration methods are backward Euler ("be") and trapezoidal ("trap").
 A trapezoidal run takes its first step with backward Euler: at t = 0
@@ -13,12 +15,12 @@ global error, so the method keeps its second-order convergence.
 
 Every step reuses one compiled stamp plan (see :mod:`ccsim.mna`).
 Memoryless linear circuits (no MOSFETs, no capacitors) are solved by
-superposition: one solve for the response to each unit source, each
-response then scaled by that source's samples at every step.  Every
-other circuit goes through the one stepped loop, which steps K circuits
-together as one stack (see :func:`mna.stack`), one stacked Newton
-(:func:`newton_stack`) per step.  :func:`run_transient_stacked` runs it
-over K circuits, and :func:`run_transient` over a stack of one.
+superposition: one solve for the response to each unit source, the
+responses then combined by the same sample matrix.  Every other circuit
+goes through the one stepped loop, which steps K circuits together as one
+stack (see :func:`mna.stack`), one stacked Newton (:func:`newton_stack`)
+per step.  :func:`run_transient_stacked` runs it over K circuits, and
+:func:`run_transient` over a stack of one.
 
 CSV export writes each cell as the text of :func:`format_sci`, byte for
 byte.  A vectorized kernel formats a block of rows at a time in numpy;
@@ -29,12 +31,11 @@ subnormal or beyond 1e+-280) go through :func:`format_sci` itself.
 from __future__ import annotations
 
 import functools
-from itertools import compress
 
 import numpy as np
 
 from . import mna
-from .devices import Dc, source_samples
+from .devices import Dc
 from .netlist import Conveyor, FlatCircuit, ISource, VSource
 from .solver import (
     ConvergenceError,
@@ -126,8 +127,10 @@ def run_transient_stacked(
     stepped together.
 
     A memoryless linear circuit (no MOSFETs, no capacitors) is solved
-    alone by superposition.  The others go through the one stepped loop
-    as one stack, padded to one size when their topologies differ (see
+    alone by superposition.  The others go through the one stepped loop,
+    the linear ones (with capacitors, no MOSFETs) as one stack and the
+    nonlinear ones as another, so a linear circuit keeps its one solve per
+    step; a stack is padded to one size when its topologies differ (see
     :func:`mna.stack`).  Each circuit's operating point is its own
     :func:`newton_dc` call.  Each step then runs one :func:`newton_stack`
     over every circuit still running; a circuit whose plain Newton fails
@@ -143,11 +146,14 @@ def run_transient_stacked(
     tol = tol or Tolerances()
     maps = [mna.index_unknowns(c) for c in circuits]
     plans = [mna.compile(c, u, tol.gmin_floor) for c, u in zip(circuits, maps)]
-    stepped = [not p.linear or p.farads.size > 0 for p in plans]
-    runs = iter(_run_stack(*(list(compress(seq, stepped)) for seq in (circuits, maps, plans)),
-                           dt, tstop, method, tol) if any(stepped) else ())
-    return [next(runs) if s else _or_error(_run_memoryless, c, u, p, dt, tstop, method, tol)
-            for s, c, u, p in zip(stepped, circuits, maps, plans)]
+    runs = {}
+    for linear in (True, False):  # stepped: the linear ones with capacitors, the nonlinear ones
+        ks = [k for k, p in enumerate(plans) if p.linear == linear and (p.farads.size or not linear)]
+        if ks:
+            members = ([seq[k] for k in ks] for seq in (circuits, maps, plans))
+            runs.update(zip(ks, _run_stack(*members, dt, tstop, method, tol)))
+    return [runs[k] if k in runs else _or_error(_run_memoryless, c, u, p, dt, tstop, method, tol)
+            for k, (c, u, p) in enumerate(zip(circuits, maps, plans))]
 
 
 def _run_memoryless(c, u, plan, dt, tstop, method, tol):
@@ -174,16 +180,12 @@ def _waveform(c, u, times, data, dt, method, rows=None):
 
 
 def _run_batched(c, u, plan, times):
-    """All steps of a memoryless linear circuit, by superposition over
-    the rows of the plan's source table."""
+    """All steps of a memoryless linear circuit, by superposition: the
+    response to each source-table entry at unit value, combined by the
+    table's sample matrix."""
     sys = mna.assemble(c, u, 0.0, plan=plan)
-    src = plan.sources
-    unit = np.zeros((plan.static.size, len(src.at)))
-    unit[src.at, np.arange(len(src.at))] = src.sign
-    rhs = (u.size + 1) ** 2
-    response = solve_linear(sys.a, unit[rhs : rhs + u.size], u.names)
-    samples = np.array([source_samples(spec, times) for spec in src.specs])
-    return response @ samples.reshape(len(src.specs), len(times))[src.spec]
+    response = solve_linear(sys.a, mna.unit_sources(plan, u.size), u.names)
+    return response @ plan.sources.samples(times)
 
 
 def _run_stack(circuits, maps, plans, dt, tstop, method, tol):
@@ -222,11 +224,12 @@ def _run_stack(circuits, maps, plans, dt, tstop, method, tol):
     # (a capacitor is an open circuit at DC)
     v_prev = plan.cap_voltages(x)
     i_prev = np.zeros_like(v_prev)
+    samples = plan.sources.samples(times)
     for k in range(1, len(times)):
         t = times[k]
         meth = "be" if method == "be" or k == 1 else "trap"
         geq, ieq = mna.companion_values(plan.farads, meth, dt, v_prev, i_prev)
-        x_new, _, _, failed = newton_stack(circuits[0], u, tol, t, x, (geq, ieq), plan, live)
+        x_new, _, _, failed = newton_stack(u, tol, samples[:, k], x, (geq, ieq), plan, live)
         for j in failed:
             own = plans[j].farads.size  # the stack's capacitors of circuit j are its own, then pads
             try:

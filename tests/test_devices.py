@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccsim.devices import (
     Dc,
@@ -150,7 +150,14 @@ def test_sin_invariants():
         Pulse(0, 1, 0, -1e-9, 0, 1, 2)
 
 
+# a pulse whose fall ends at 20 steps of dt = EDGE_DT, where two roundings
+# of the fall-edge formula gave 0.0 and 6.7e-16
+EDGE_DT = 3.0052388797929313e-05 / 20
+EDGE_PULSE = Pulse(0.0, 1.0, EDGE_DT, 2 * EDGE_DT, EDGE_DT, 16 * EDGE_DT, 60 * EDGE_DT)
+
+
 @given(st.floats(0, 1e-3))
+@example(20 * EDGE_DT)
 @settings(max_examples=200)
 def test_vectorized_sources_match_scalar(t):
     specs = [
@@ -158,7 +165,13 @@ def test_vectorized_sources_match_scalar(t):
         Sin(0.1, 0.05, 1e3),
         Pulse(0.0, 1.0, 2e-5, 1e-6, 2e-6, 5e-6, 2e-5),
         Pulse(-1.0, 1.0, 0.0, 0.0, 0.0, 5e-6, 1e-5),
+        EDGE_PULSE,
     ]
     for s in specs:
-        vec = source_samples(s, np.array([t]))[0]
-        assert vec == pytest.approx(source_value(s, t), abs=1e-15)
+        assert source_value(s, t) == source_samples(s, np.array([t]))[0]
+
+
+def test_pulse_fall_edge_ends_on_v1():
+    times = np.arange(21) * EDGE_DT
+    assert source_samples(EDGE_PULSE, times)[20] == 0.0
+    assert source_value(EDGE_PULSE, times[20]) == 0.0

@@ -293,4 +293,4 @@ def test_stamp_sources_adds_in_table_order():
         loop = plan.static.copy()
         for at, sign, spec in plan.sources.entries():
             loop[at] += sign * source_value(spec, t)
-        assert np.array_equal(mna.stamp_sources(plan, t), loop)
+        assert np.array_equal(mna.stamp_sources(plan, plan.sources.values(t)), loop)

@@ -206,7 +206,8 @@ def plain_newton_error(c, tol):
     u = index_unknowns(c)
     plan, stacked = mna.stack([mna.compile(c, u)], [u])
     live = np.ones(1, dtype=bool)
-    _, _, _, errors = newton_stack(c, stacked, tol, 0.0, np.zeros((1, u.size)), None, plan, live)
+    column = plan.sources.values(0.0)
+    _, _, _, errors = newton_stack(stacked, tol, column, np.zeros((1, u.size)), None, plan, live)
     assert list(errors) == [0]
     return errors[0]
 

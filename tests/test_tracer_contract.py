@@ -1,6 +1,7 @@
 """The benchmark's tracer binds ccsim functions by name: this pins that
-every function it names exists, and that its own rebinding mechanism
-sees the operating points of a stacked sweep."""
+every function it names exists, that each of its hooks reads its count
+from a real call's arguments or result, and that its own rebinding
+mechanism sees the operating points of a stacked sweep."""
 
 import importlib
 import importlib.util
@@ -49,3 +50,30 @@ def test_sweep_enters_newton_dc_once_per_point(tracer, tmp_path, monkeypatch):
             "--out", str(tmp_path / "sweep.csv")]
     assert cli.main(argv) == cli.EXIT_OK
     assert len(calls) >= len(points)
+
+
+def test_every_hook_reads_a_real_call(tracer, tmp_path, capsys):
+    # each reader gets the (args, kwargs, result) of one real call, and the
+    # calls print nothing: the traced run's last stdout line is its result
+    from ccsim import mna, solver, transient
+    from ccsim.library import emit_example
+    from ccsim.netlist import parse_and_flatten
+
+    c = parse_and_flatten(emit_example("proposed_amp"))
+    u = mna.index_unknowns(c)
+    op = solver.newton_dc(c, u)
+    wave = transient.run_transient(c, 1e-5, 1e-3)
+    path = tmp_path / "wave.csv"
+    transient.write_csv(wave, path)
+    calls = {
+        "mna.index_unknowns": (((c,), {}, u), u.size),
+        "solver.newton_dc": (((c, u), {}, op), op.iterations),
+        "transient.run_transient": (((c, 1e-5, 1e-3), {}, wave), 100),
+        "transient.write_csv": (((wave, str(path)), {}, None), path.stat().st_size),
+    }
+    assert set(tracer.HOOKS) <= set(calls)
+    for span, (_, read, _) in tracer.HOOKS.items():
+        (args, kwargs, result), want = calls[span]
+        value = read(args, kwargs, result)
+        assert type(value) is int and value == want > 0, span
+    assert capsys.readouterr().out == ""

@@ -69,6 +69,23 @@ def test_memoryless_equals_frozen_dc():
             assert w.column(name)[k] == pytest.approx(op.x[i], abs=1e-12)
 
 
+# the pulse of test_devices.EDGE_PULSE: its fall ends on sample 20
+EDGE_DT = 3.0052388797929313e-05 / 20
+EDGE_SOURCE = ("vin in 0 PULSE(0 1 1.5026194398964657e-06 3.0052388797929314e-06 "
+               "1.5026194398964657e-06 2.404191103834345e-05 9.015716639378795e-05)\n")
+
+
+def test_pulse_samples_agree_on_memoryless_and_stepped_paths():
+    # superposition and the stepped loop stamp one sample matrix, so the
+    # source's own node records the same values through either path
+    memoryless = parse_and_flatten("t\n" + EDGE_SOURCE + "r1 in 0 1k\n.end\n")
+    stepped = parse_and_flatten("t\n" + EDGE_SOURCE + "r1 in 0 1k\nr2 in q 1k\nc2 q 0 1n\n.end\n")
+    a = run_transient(memoryless, EDGE_DT, 200 * EDGE_DT).column("v(in)")
+    b = run_transient(stepped, EDGE_DT, 200 * EDGE_DT).column("v(in)")
+    assert a[20] == 0.0
+    assert a.tobytes() == b.tobytes()
+
+
 def test_time_shift_invariance():
     # a sine delayed by one full period is the same source, so samples one
     # period apart must agree

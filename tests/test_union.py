@@ -134,19 +134,53 @@ r2 out 0 100k
 c1 out 0 1n
 .end
 """
+CLAMPED_RC = """clamped rc amplifier
+vin in 0 SIN(0.1 1 1k)
+r1 in x 1k
+c1 x 0 100n
+u1 x m out ccii+ rx=50 vmax=0.4
+r2 m 0 1k
+r3 out 0 2k
+.end
+"""
 TRANSLINEAR = emit_example("proposed_amp_translinear")
 FERRI_2CC = emit_example("ferri_2cc", AmplifierConfig(conveyor=TranslinearConveyor()))
 
 
 @pytest.mark.parametrize("method", ["be", "trap"])
 def test_member_clamp_applies_inside_the_union(method):
-    # the clamped member is linear, stacked with a MOSFET amplifier
-    circuits = [parse_and_flatten(TRANSLINEAR), parse_and_flatten(CLAMPED)]
+    # the clamped member is padded in the linear stack of a larger
+    # clamped amplifier
+    circuits = [parse_and_flatten(CLAMPED_RC), parse_and_flatten(CLAMPED)]
     assert padded(circuits) == [False, True]
     waves = run_transient_stacked(circuits, 1e-5, 2e-3, method)
     assert waves[1].column("v(out)").max() == pytest.approx(0.5, abs=1e-15)
     for c, w, rel in zip(circuits, waves, (0.0, 1e-12)):
         assert_member_matches_run(w, c, 1e-5, 2e-3, method, rel=rel)
+
+
+def test_linear_member_takes_one_solve_per_step(monkeypatch):
+    # linear and nonlinear members step as separate stacks: the linear one
+    # keeps its one solve per step and its own run's every bit
+    circuits = [parse_and_flatten(CLAMPED_RC), parse_and_flatten(TRANSLINEAR)]
+    solves, newton = [], transient.newton_stack
+
+    def counted(*args):
+        out = newton(*args)
+        solves.append(int(out[2].sum()))
+        return out
+
+    monkeypatch.setattr(transient, "newton_stack", counted)
+    waves = run_transient_stacked(circuits, 1e-5, 1e-3)
+    both = sum(solves)
+    solves.clear()
+    run_transient(circuits[1], 1e-5, 1e-3)
+    monkeypatch.undo()
+    assert both - sum(solves) == 100  # one per step
+    own = run_transient(circuits[0], 1e-5, 1e-3)
+    assert list(waves[0].columns) == list(own.columns)
+    for name, col in own.columns.items():
+        assert waves[0].column(name).tobytes() == col.tobytes(), name
 
 
 # a loop of two voltage sources, with a capacitor so that it is stepped
