@@ -211,9 +211,9 @@ def cmd_sweep(args) -> int:
         for d in ast.directives if d.kind == "tran"
     ]
     points = []
-    for k, (v, c) in enumerate(zip(values, circuits)):
+    for v, c, *waves in zip(values, circuits, *runs):
         try:
-            points.append(_sweep_point(c, tol, [run[k] for run in runs]))
+            points.append(_sweep_point(c, tol, waves))
         except (ConvergenceError, SingularMatrixError) as exc:
             raise ConvergenceError(f"sweep aborted at {name}={format_sci(v)}: {exc}") from exc
     header = ["param_value"] + [n for n, _ in points[0]]

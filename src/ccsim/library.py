@@ -18,8 +18,9 @@ X-branch currents mirrored to Z.  A lighter class-A follower cell stands
 in for the plain (uncontrolled) conveyor; it spends fewer bias branches,
 so its supply draw is measurably lower at the same rails and bias.
 
-The power comparison steps its four amplifiers together as one stack
-(see :func:`ccsim.transient.run_transient_stacked`).
+The gain grid parses its amplifier once and runs all its points as one
+stack, and the power comparison steps its four amplifiers together as
+one stack (see :func:`ccsim.transient.run_transient_stacked`).
 """
 
 from __future__ import annotations
@@ -28,15 +29,16 @@ from . import mna
 from .devices import Record, Sin, SourceSpec, conveyor_rx
 from .netlist import expand_hierarchy, parse_and_flatten, parse_netlist, source_text
 from .solver import Tolerances, newton_dc
-from .transient import Waveform, run_transient, run_transient_stacked
+from .transient import Waveform, run_transient_stacked
 from .measure import average_power, gain, peak_power
 
 
 class BehavioralConveyor(Record):
     """Ideal conveyor element parameters: explicit rx, or (ib, beta_n) for
-    the bias-controlled variant.  An explicit rx wins when both are set."""
+    the bias-controlled variant.  An explicit rx wins when both are set;
+    it may be a number or the name of a parameter that flattening sets."""
 
-    rx: float | None = None
+    rx: float | str | None = None
     ib: float | None = 50e-6
     beta_n: float | None = 1e-3
     controlled: bool = True
@@ -150,8 +152,9 @@ EXAMPLE_NAMES = (
 )
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _fmt(v: float | str) -> str:
+    """A value as netlist text: a number's repr, a parameter name as it is."""
+    return v if isinstance(v, str) else repr(float(v))
 
 
 def _behavioral_u(name: str, nodes: str, conv: BehavioralConveyor, ctype: str) -> str:
@@ -369,7 +372,7 @@ def power_comparison(
     ]
     # one input, so every amplifier carries the same .tran
     tran = next(d for d in circuits[0].directives if d.kind == "tran")
-    waves = run_transient_stacked(circuits, *tran.args, tol)
+    waves = list(run_transient_stacked(circuits, *tran.args, tol))
     for wave in waves:
         if not isinstance(wave, Waveform):
             raise wave
@@ -392,21 +395,47 @@ def simulated_gain(
     tol: Tolerances | None = None,
 ) -> float:
     """End-to-end amplifier gain from a transient run of the behavioral
-    single-conveyor amplifier."""
+    single-conveyor amplifier: the one point of a :func:`gain_grid`."""
+    return next(gain_grid([r1], [r2], [rx], amplitude, freq, dt, periods, clip, tol))[3]
+
+
+def gain_grid(
+    r1s,
+    r2s,
+    rxs,
+    amplitude: float = 0.05,
+    freq: float = 1e3,
+    dt: float = 1e-6,
+    periods: int = 5,
+    clip: tuple[float, float] | None = None,
+    tol: Tolerances | None = None,
+):
+    """Simulated versus formula gain over a grid of (r1, r2, rx): yields
+    ``(r1, r2, rx, simulated, formula)`` per point, r1 slowest and rx
+    fastest.
+
+    The behavioral single-conveyor amplifier, driven by a sine of
+    ``amplitude`` and ``freq`` and clamped to ``clip``, is emitted and
+    parsed once with r1, r2 and rx as parameters.  Each point is
+    flattened with its values, and all points run ``periods`` periods
+    with step ``dt`` as one :func:`run_transient_stacked` call, which
+    forms each waveform only when it is taken.  The first point that
+    fails raises its error.
+    """
+    points = [(r1, r2, rx) for r1 in r1s for r2 in r2s for rx in rxs]
     conv = BehavioralConveyor(
-        rx=rx,
+        rx="rx",
         vmin=None if clip is None else clip[0],
         vmax=None if clip is None else clip[1],
     )
-    cfg = AmplifierConfig(r1=r1, r2=r2, conveyor=conv, input=Sin(0.0, amplitude, freq))
-    c = parse_and_flatten(emit_example("proposed_amp", cfg))
-    wave = run_transient(c, dt, periods / freq, "trap", tol)
-    return gain(wave, "v(in)", "v(out)")
-
-
-def gain_grid(r1s, r2s, rxs, **kwargs):
-    """Simulated versus formula gain over a grid of (r1, r2, rx)."""
-    for r1 in r1s:
-        for r2 in r2s:
-            for rx in rxs:
-                yield r1, r2, rx, simulated_gain(r1, r2, rx, **kwargs), loaded_gain(r1, r2, rx)
+    cfg = AmplifierConfig(conveyor=conv, input=Sin(0.0, amplitude, freq))
+    ast = parse_netlist(emit_example("proposed_amp", cfg))
+    circuits = []
+    for r1, r2, rx in points:
+        AmplifierConfig(r1=r1, r2=r2)  # checks the resistors
+        circuits.append(expand_hierarchy(ast, {"r1": float(r1), "r2": float(r2), "rx": float(rx)}))
+    waves = run_transient_stacked(circuits, dt, periods / freq, "trap", tol)
+    for (r1, r2, rx), wave in zip(points, waves):
+        if not isinstance(wave, Waveform):
+            raise wave
+        yield r1, r2, rx, gain(wave, "v(in)", "v(out)"), loaded_gain(r1, r2, rx)

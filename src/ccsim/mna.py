@@ -157,9 +157,19 @@ class SourceTable:
         """Each entry's signed value at each of ``times``: an (entries,
         times) matrix, whose column k :func:`stamp_sources` stamps at
         ``times[k]``.  Each spec is sampled once, over all the times."""
+        return self.signed(self.spec_samples(times))
+
+    def spec_samples(self, times: np.ndarray) -> np.ndarray:
+        """Each distinct spec's value at each of ``times``: a (specs,
+        times) matrix."""
         times = np.asarray(times, dtype=float)
         per_spec = np.array([source_samples(s, times) for s in self.specs])
-        return self.sign[:, None] * per_spec.reshape(len(self.specs), times.size)[self.spec]
+        return per_spec.reshape(len(self.specs), times.size)
+
+    def signed(self, per_spec: np.ndarray, entries: slice = slice(None)) -> np.ndarray:
+        """Rows ``entries`` of :meth:`samples`, from the specs' samples
+        ``per_spec`` (see :meth:`spec_samples`)."""
+        return self.sign[entries, None] * per_spec[self.spec[entries]]
 
     def values(self, t: float) -> np.ndarray:
         """Each entry's signed value at time ``t``: one column of :meth:`samples`."""

@@ -114,9 +114,10 @@ def solve_linear(a: np.ndarray, b: np.ndarray, row_names: list[str] | None = Non
     solves again; its :class:`SingularMatrixError` names the unknown
     through ``row_names`` (the unknown map's display names).
 
-    A stack ``a`` of shape (K, n, n) with ``b`` of shape (K, n) is solved
-    by one LAPACK call; each slice is then accepted, or solved again on
-    its own, as above.  The error of the first slice that fails is raised.
+    A stack ``a`` of shape (K, n, n) with ``b`` of shape (K, n), or
+    (K, n, m) for m columns per slice, is solved by one LAPACK call; each
+    slice is then accepted, or solved again on its own, as above.  The
+    error of the first slice that fails is raised.
     """
     if np.ndim(a) == 3:
         x, errors = _solve_stack(np.asarray(a), np.asarray(b), row_names)
@@ -149,11 +150,13 @@ def _solve_stack(a, b, row_names):
             return solve_linear(a[0], b[0], row_names)[None], {}
         except SingularMatrixError as exc:
             return np.zeros(b.shape), {0: exc}
+    columns = b if b.ndim == 3 else b[..., None]  # each slice's right-hand sides as columns
     try:
-        x = np.linalg.solve(a, b[..., None])[..., 0]
-        scale = np.abs(b).max(axis=-1, initial=0.0)
-        resid = abs((a @ x[..., None])[..., 0] - b).max(axis=-1, initial=0.0)
-        ok = (resid <= RESID_TOL * scale) & (abs(x).max(axis=-1, initial=0.0) * PIVOT_TOL <= scale)
+        x = np.linalg.solve(a, columns)
+        scale = np.abs(columns).max(axis=(1, 2), initial=0.0)
+        resid = abs(a @ x - columns).max(axis=(1, 2), initial=0.0)
+        ok = (resid <= RESID_TOL * scale) & (abs(x).max(axis=(1, 2), initial=0.0) * PIVOT_TOL <= scale)
+        x = x.reshape(b.shape)
     except np.linalg.LinAlgError:
         # one singular slice fails the whole call
         x, ok = np.empty(b.shape), np.zeros(len(b), dtype=bool)

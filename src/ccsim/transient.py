@@ -14,13 +14,14 @@ backward-Euler first step has the same local order as the trapezoid's
 global error, so the method keeps its second-order convergence.
 
 Every step reuses one compiled stamp plan (see :mod:`ccsim.mna`).
+:func:`run_transient_stacked` runs K circuits as stacks (see
+:func:`mna.stack`), and :func:`run_transient` is a stack of one.
 Memoryless linear circuits (no MOSFETs, no capacitors) are solved by
-superposition: one solve for the response to each unit source, the
-responses then combined by the same sample matrix.  Every other circuit
-goes through the one stepped loop, which steps K circuits together as one
-stack (see :func:`mna.stack`), one stacked Newton (:func:`newton_stack`)
-per step.  :func:`run_transient_stacked` runs it over K circuits, and
-:func:`run_transient` over a stack of one.
+superposition: one stacked solve for every circuit's response to each
+unit source, each circuit's responses then combined by its own samples
+when its waveform is taken.  Every other circuit goes through the one
+stepped loop, which steps its stack together, one stacked Newton
+(:func:`newton_stack`) per step.
 
 CSV export writes each cell as the text of :func:`format_sci`, byte for
 byte.  A vectorized kernel formats a block of rows at a time in numpy;
@@ -31,6 +32,7 @@ subnormal or beyond 1e+-280) go through :func:`format_sci` itself.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -122,50 +124,49 @@ def run_transient_stacked(
     tstop: float,
     method: str = "trap",
     tol: Tolerances | None = None,
-) -> list[Waveform | ConvergenceError | SingularMatrixError]:
-    """:func:`run_transient` of each of K circuits, the stepped ones
-    stepped together.
+) -> Iterator[Waveform | ConvergenceError | SingularMatrixError]:
+    """:func:`run_transient` of each of K circuits, the circuits run
+    together as stacks; yields each circuit's result in input order.
 
-    A memoryless linear circuit (no MOSFETs, no capacitors) is solved
-    alone by superposition.  The others go through the one stepped loop,
-    the linear ones (with capacitors, no MOSFETs) as one stack and the
-    nonlinear ones as another, so a linear circuit keeps its one solve per
-    step; a stack is padded to one size when its topologies differ (see
-    :func:`mna.stack`).  Each circuit's operating point is its own
-    :func:`newton_dc` call.  Each step then runs one :func:`newton_stack`
-    over every circuit still running; a circuit whose plain Newton fails
-    retries alone through :func:`gmin_stepped_dc` on its own plan from
-    the same start, as :func:`newton_dc` would.  So every waveform equals
-    its own run: to the last bit when the stack did not pad the circuit
-    (variants of one netlist, or the largest circuit), to round-off when
-    it did.  A circuit that fails holds its error, the one
-    :func:`run_transient` would raise with its own unknown names, in
-    place of its waveform, and the others run on.
+    The stepped circuits go through the one stepped loop, the linear ones
+    (with capacitors, no MOSFETs) as one stack and the nonlinear ones as
+    another, so a linear circuit keeps its one solve per step.  The
+    memoryless linear ones (no MOSFETs, no capacitors) are solved as
+    stacks by superposition (see :func:`_run_superposed`), one stack per
+    number of source-table entries, and each of their waveforms is formed
+    only when it is yielded.  A stack is padded to one size when its
+    topologies differ (see :func:`mna.stack`).  Each circuit's operating
+    point is its own :func:`newton_dc` call.  Each step then runs one
+    :func:`newton_stack` over every circuit still running; a circuit whose
+    plain Newton fails retries alone through :func:`gmin_stepped_dc` on
+    its own plan from the same start, as :func:`newton_dc` would.  So
+    every waveform equals its own run: to the last bit when the stack did
+    not pad the circuit (variants of one netlist, or the largest
+    circuit), to round-off when it did.  A circuit that fails yields its
+    error, the one :func:`run_transient` would raise with its own unknown
+    names, in place of its waveform, and the others run on.
     """
     _check_step(dt, tstop, method)
     tol = tol or Tolerances()
     maps = [mna.index_unknowns(c) for c in circuits]
     plans = [mna.compile(c, u, tol.gmin_floor) for c, u in zip(circuits, maps)]
-    runs = {}
-    for linear in (True, False):  # stepped: the linear ones with capacitors, the nonlinear ones
-        ks = [k for k, p in enumerate(plans) if p.linear == linear and (p.farads.size or not linear)]
-        if ks:
-            members = ([seq[k] for k in ks] for seq in (circuits, maps, plans))
+    # LAPACK's answer for one right-hand side can change in its last bit
+    # with the number solved beside it, so a memoryless stack holds the
+    # circuits of one source-table entry count
+    keys = [("memoryless", p.sources.at.size) if p.linear and not p.farads.size else ("stepped", p.linear)
+            for p in plans]
+    stacks = {}
+    for k, key in enumerate(keys):
+        stacks.setdefault(key, []).append(k)
+    runs, superposed = {}, {}
+    for key, ks in stacks.items():
+        members = ([seq[k] for k in ks] for seq in (circuits, maps, plans))
+        if key[0] == "stepped":
             runs.update(zip(ks, _run_stack(*members, dt, tstop, method, tol)))
-    return [runs[k] if k in runs else _or_error(_run_memoryless, c, u, p, dt, tstop, method, tol)
-            for k, (c, u, p) in enumerate(zip(circuits, maps, plans))]
-
-
-def _run_memoryless(c, u, plan, dt, tstop, method, tol):
-    """The run of a memoryless linear circuit with index map ``u`` and
-    compiled plan ``plan``, by superposition (see :func:`_run_batched`)."""
-    times = _times(dt, tstop)
-    op = newton_dc(c, u, tol, t=0.0, plan=plan)
-    data = _run_batched(c, u, plan, times)
-    data[:, 0] = op.x
-    for r, lo, hi in _clip_rows(c, u):
-        np.clip(data[r], lo, hi, out=data[r])
-    return _waveform(c, u, times, data, dt, method)
+        else:
+            superposed[key] = _run_superposed(*members, dt, tstop, method, tol)
+    for k, key in enumerate(keys):
+        yield runs.pop(k) if key[0] == "stepped" else next(superposed[key])
 
 
 def _times(dt, tstop):
@@ -179,13 +180,69 @@ def _waveform(c, u, times, data, dt, method, rows=None):
     return Waveform(times, columns, dt, method, _vsource_nodes(c))
 
 
-def _run_batched(c, u, plan, times):
-    """All steps of a memoryless linear circuit, by superposition: the
-    response to each source-table entry at unit value, combined by the
-    table's sample matrix."""
-    sys = mna.assemble(c, u, 0.0, plan=plan)
-    response = solve_linear(sys.a, mna.unit_sources(plan, u.size), u.names)
-    return response @ plan.sources.samples(times)
+def _run_superposed(circuits, maps, plans, dt, tstop, method, tol):
+    """Yield the run of each of K memoryless linear circuits, all with the
+    same number of source-table entries, in order; a circuit that fails
+    yields its error.
+
+    Each circuit's operating point is its own :func:`newton_dc` call.  The
+    circuits that have one are stacked (see :func:`mna.stack`) and solved
+    by one :func:`solve_linear` call for the response to each source-table
+    entry at unit value; each distinct spec of the stack's sources is
+    sampled once.  A circuit's waveform is its response times its own
+    signed samples, with its operating point as column 0 and its clamps
+    applied.  It is formed only when it is yielded, so the caller holds
+    one waveform at a time.
+    """
+    times = _times(dt, tstop)
+    ops = []
+    for c, m, p in zip(circuits, maps, plans):
+        try:
+            ops.append(newton_dc(c, m, tol, t=0.0, plan=p).x)
+        except (ConvergenceError, SingularMatrixError) as exc:
+            ops.append(exc)
+    live = [k for k, op in enumerate(ops) if isinstance(op, np.ndarray)]
+    responses = {}  # each live circuit's response, on its own rows, or its error
+    if live:
+        plan, u = mna.stack([plans[k] for k in live], [maps[k] for k in live])
+        rows = [mna.padded_rows(maps[k], u.n_nodes) for k in live]
+        n_entries = plans[live[0]].sources.at.size
+        units = np.zeros((len(live), u.size, n_entries))
+        for j, k in enumerate(live):
+            units[j, rows[j]] = mna.unit_sources(plans[k], maps[k].size)
+        a = mna.assemble(None, u, None, plan=plan, base=plan.static).a
+        try:
+            x = solve_linear(a, units, u.names)
+            responses = {k: x[j, r] for j, (k, r) in enumerate(zip(live, rows))}
+        except SingularMatrixError:
+            # each circuit again alone, on its own rows of the stack, so
+            # that an error names the circuit's own unknowns
+            for j, (k, r) in enumerate(zip(live, rows)):
+                try:
+                    responses[k] = solve_linear(a[j][np.ix_(r, r)], units[j, r], maps[k].names)
+                except SingularMatrixError as exc:
+                    responses[k] = exc
+        per_spec = plan.sources.spec_samples(times)
+        slot = {k: j for j, k in enumerate(live)}
+    for k, (c, m) in enumerate(zip(circuits, maps)):
+        response = responses.get(k, ops[k])
+        if not isinstance(response, np.ndarray):
+            yield response
+            continue
+        j = slot[k]
+        samples = plan.sources.signed(per_spec, slice(j * n_entries, (j + 1) * n_entries))
+        if n_entries == 1:
+            # the one product, as matmul sums it from 0.0 (a -0.0 product
+            # comes out 0.0), without matmul's several times slower loop
+            # for a single term
+            data = response * samples
+            data += 0.0
+        else:
+            data = response @ samples
+        data[:, 0] = ops[k]
+        for r, lo, hi in _clip_rows(c, m):
+            np.clip(data[r], lo, hi, out=data[r])
+        yield _waveform(c, m, times, data, dt, method)
 
 
 def _run_stack(circuits, maps, plans, dt, tstop, method, tol):
@@ -248,13 +305,6 @@ def _run_stack(circuits, maps, plans, dt, tstop, method, tol):
         data[:, :, k] = x
     return [e or _waveform(c, m, times, d, dt, method, r)
             for c, m, d, r, e in zip(circuits, maps, data, rows, errors)]
-
-
-def _or_error(run, *args):
-    try:
-        return run(*args)
-    except (ConvergenceError, SingularMatrixError) as exc:
-        return exc
 
 
 def _step_failure(exc, t, k):

@@ -158,24 +158,29 @@ def test_sweep_failure_names_failed_point(tmp_path):
 
 
 def test_sweep_rows_equal_single_runs(tmp_path):
-    p = tmp_path / "tl.cir"
-    assert ccsim("examples", "--emit", "proposed_amp_translinear", "--out", str(p)).returncode == 0
-    values = ["1.5e-05", "5e-05", "1.8e-04"]
-    out = tmp_path / "sweep.csv"
-    r = ccsim("sweep", str(p), "--sweep", "ibval=" + ",".join(values), "--out", str(out))
-    assert r.returncode == 0, r.stderr
-    lines = out.read_text().splitlines()
-    header = lines[0].split(",")
-    assert len(lines) == 1 + len(values)
-    for v, line in zip(values, lines[1:]):
-        wave = tmp_path / f"run_{v}.csv"
-        r = ccsim("run", str(p), "--param", f"ibval={v}", "--out", str(wave))
+    # a stepped translinear sweep and a memoryless behavioral one, which
+    # is solved as one stacked superposition
+    translinear = tmp_path / "tl.cir"
+    assert ccsim("examples", "--emit", "proposed_amp_translinear", "--out", str(translinear)).returncode == 0
+    loaded = tmp_path / "loaded.cir"
+    loaded.write_text(LOADED)
+    for net, name, values in [(translinear, "ibval", ["1.5e-05", "5e-05", "1.8e-04"]),
+                              (loaded, "r1", ["100", "1000", "4700"])]:
+        out = tmp_path / f"sweep_{name}.csv"
+        r = ccsim("sweep", str(net), "--sweep", f"{name}=" + ",".join(values), "--out", str(out))
         assert r.returncode == 0, r.stderr
-        measures = wave.with_suffix(".measures.csv").read_text().splitlines()[1:]
-        rows = [row.split(",") for row in measures]
-        assert dict(zip(header, line.split(","))) == {
-            "param_value": f"{float(v):.8e}", **{row[0]: row[2] for row in rows}
-        }
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        assert len(lines) == 1 + len(values)
+        for v, line in zip(values, lines[1:]):
+            wave = tmp_path / f"run_{name}_{v}.csv"
+            r = ccsim("run", str(net), "--param", f"{name}={v}", "--out", str(wave))
+            assert r.returncode == 0, r.stderr
+            measures = wave.with_suffix(".measures.csv").read_text().splitlines()[1:]
+            rows = [row.split(",") for row in measures]
+            assert dict(zip(header, line.split(","))) == {
+                "param_value": f"{float(v):.8e}", **{row[0]: row[2] for row in rows}
+            }
 
 
 def test_zero_resistance_rejected(tmp_path):

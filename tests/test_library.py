@@ -9,12 +9,16 @@ from ccsim.library import (
     TranslinearConveyor,
     emit_example,
     expected_rx,
+    gain_grid,
     loaded_gain,
     measure_rx_emergent,
     simulated_gain,
     tuning_case,
 )
+from ccsim.devices import Sin
+from ccsim.measure import gain
 from ccsim.netlist import Conveyor, Resistor, parse_and_flatten, parse_netlist
+from ccsim.transient import run_transient
 
 
 def test_loaded_gain_values():
@@ -86,6 +90,40 @@ def test_simulated_gain_tracks_formula_spot_checks():
     for r1, r2, rx in [(1e3, 100e3, 0.0), (2e3, 50e3, 500.0), (100.0, 10e3, 1581.0)]:
         sim = simulated_gain(r1, r2, rx)
         assert sim == pytest.approx(loaded_gain(r1, r2, rx), rel=5e-3)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"clip": (-0.5, 0.5)}, {"dt": 2e-6, "periods": 3}],
+                         ids=["default", "clip", "dt"])
+def test_gain_grid_points_equal_single_runs(kwargs):
+    r1s, r2s, rxs = (100.0, 1e3), (1e3, 100e3), (0.0, 500.0)
+    rows = list(gain_grid(r1s, r2s, rxs, **kwargs))
+    assert [row[:3] for row in rows] == [(r1, r2, rx) for r1 in r1s for r2 in r2s for rx in rxs]
+    clip = kwargs.get("clip")
+    for r1, r2, rx, sim, formula in rows:
+        assert formula == loaded_gain(r1, r2, rx)
+        assert sim == simulated_gain(r1, r2, rx, **kwargs)
+        # the amplifier emitted with its values, run on its own
+        conv = BehavioralConveyor(rx=rx, vmin=clip and clip[0], vmax=clip and clip[1])
+        cfg = AmplifierConfig(r1=r1, r2=r2, conveyor=conv, input=Sin(0.0, 0.05, 1e3))
+        wave = run_transient(parse_and_flatten(emit_example("proposed_amp", cfg)),
+                             kwargs.get("dt", 1e-6), kwargs.get("periods", 5) / 1e3)
+        assert sim == gain(wave, "v(in)", "v(out)")
+    if clip:  # r2/r1 = 1000 drives the output into the clamp: 1 V over 0.1 V peak to peak
+        assert rows[2][3] == pytest.approx(10.0)
+
+
+def test_gain_grid_holds_one_waveform_at_a_time():
+    import tracemalloc
+
+    r_values, rx_values = (100.0, 1e3, 2e3, 10e3, 100e3), (0.0, 500.0, 1581.0)
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in gain_grid(r_values, r_values, rx_values))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one waveform is 6 unknowns x 5001 samples, 0.24 MB; all 75 are 18 MB
+    assert n == 75 and peak < 2e6
 
 
 def test_emitted_amp_simulates_to_gain_100():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccsim import mna
+from ccsim.library import AmplifierConfig, TranslinearConveyor, emit_example
 from ccsim.mna import assemble, companion_values, index_unknowns
 from ccsim.netlist import (
     Capacitor,
@@ -294,3 +296,43 @@ def test_stamp_sources_adds_in_table_order():
         for at, sign, spec in plan.sources.entries():
             loop[at] += sign * source_value(spec, t)
         assert np.array_equal(mna.stamp_sources(plan, plan.sources.values(t)), loop)
+
+
+TRANSLINEAR_NETLISTS = [
+    parse_and_flatten(emit_example(name, cfg)) for name, cfg in (
+        ("proposed_amp_translinear", None),
+        ("proposed_amp_translinear", AmplifierConfig(conveyor=TranslinearConveyor(family="ccii"))),
+        ("ferri_2cc", AmplifierConfig(conveyor=TranslinearConveyor())),
+        ("cccii_char", None),
+    )
+]
+
+
+@given(members=st.lists(st.integers(0, len(TRANSLINEAR_NETLISTS) - 1), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_assembled_matrix_is_the_residual_jacobian(members, seed):
+    # linearized at x, the Newton residual F(x) = A(x)x - b(x) is the KCL
+    # and branch residual with each MOSFET's own drain current, so the
+    # assembled A(x) is its Jacobian: column j against a centred
+    # difference, for each circuit alone and in a padded stack
+    circuits = [TRANSLINEAR_NETLISTS[k] for k in members]
+    maps = [index_unknowns(c) for c in circuits]
+    plan, u = mna.stack([mna.compile(c, m) for c, m in zip(circuits, maps)], maps)
+    base = mna.stamp_sources(plan, plan.sources.values(0.0))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.5, 1.5, (len(circuits), u.size))
+    x[:, u.n_nodes:] *= 1e-3  # branch currents
+
+    def residual(x):
+        sys = assemble(None, u, None, x, plan=plan, base=base)
+        return (sys.a @ x[..., None])[..., 0] - sys.b, sys.a
+
+    a = residual(x)[1]
+    h = 1e-6
+    for j in range(u.size):
+        step = np.zeros(u.size)
+        step[j] = h
+        slope = (residual(x + step)[0] - residual(x - step)[0]) / (2 * h)
+        # a MOSFET region boundary inside the step costs up to beta*h/2 (5e-9 S)
+        assert np.abs(slope - a[:, :, j]).max() <= 5e-8, j

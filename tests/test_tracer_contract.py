@@ -77,3 +77,35 @@ def test_every_hook_reads_a_real_call(tracer, tmp_path, capsys):
         value = read(args, kwargs, result)
         assert type(value) is int and value == want > 0, span
     assert capsys.readouterr().out == ""
+
+
+def test_traced_units_report_every_per_layer_metric(tracer, tmp_path):
+    # a metric the tracer cannot compute (a target gone, a zero divisor)
+    # is left out of its result, and a non-finite one is not strict JSON
+    import json
+
+    from ccsim import cli
+    from ccsim.library import emit_example
+
+    spec = json.loads((TRACER.parent.parent / "BENCHMARK.json").read_text())
+    wanted = {m["name"] for m in spec["per_layer"] if not m["name"].startswith("trace.")}
+    amp = tmp_path / "amp.cir"
+    amp.write_text(emit_example("proposed_amp").replace(".tran 1e-06 0.005", ".tran 1e-06 0.001"))
+    translinear = tmp_path / "amp_tl.cir"
+    translinear.write_text(emit_example("proposed_amp_translinear"))
+    units = [
+        ["run", str(amp), "--out", str(tmp_path / "amp.csv")],  # a memoryless run with its CSV
+        ["sweep", str(translinear), "--sweep", "ibval=25e-6,100e-6", "--out", str(tmp_path / "s.csv")],
+    ]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for unit, argv in enumerate(units):
+            t.begin_unit(unit)
+            assert cli.main(argv) == cli.EXIT_OK
+    finally:
+        t.uninstall()
+    for unit, argv in enumerate(units):
+        metrics = t.unit_metrics(unit)
+        assert wanted <= set(metrics), (argv[0], sorted(wanted - set(metrics)))
+        json.dumps(metrics, allow_nan=False)

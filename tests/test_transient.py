@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccsim import mna
 from ccsim.library import emit_example
 from ccsim.mna import index_unknowns
 from ccsim.netlist import expand_hierarchy, parse_and_flatten, parse_netlist
@@ -84,6 +85,24 @@ def test_pulse_samples_agree_on_memoryless_and_stepped_paths():
     b = run_transient(stepped, EDGE_DT, 200 * EDGE_DT).column("v(in)")
     assert a[20] == 0.0
     assert a.tobytes() == b.tobytes()
+
+
+def test_memoryless_run_is_the_responses_times_the_samples():
+    # after t = 0 the record is one matrix product of the unit responses
+    # and the sample matrix, bit for bit; before its delay the PULSE is
+    # 0.0, which times a negative response is -0.0, and the sum of the
+    # product from 0.0 records it as 0.0
+    c = parse_and_flatten("t\nvin in 0 PULSE(0 1 1e-5 1e-5 1e-5 2e-5 1e-4)\n"
+                          "u1 in x out ccii- rx=10\nr1 x 0 1k\nr2 out 0 2k\n.end\n")
+    u = index_unknowns(c)
+    plan = mna.compile(c, u)
+    w = run_transient(c, 1e-6, 2e-4)
+    response = np.linalg.solve(mna.assemble(c, u, 0.0, plan=plan).a, mna.unit_sources(plan, u.size))
+    samples = plan.sources.samples(w.times)
+    assert np.signbit(response * samples).any()
+    want = response @ samples
+    for i, name in enumerate(u.names):
+        assert w.column(name)[1:].tobytes() == want[i, 1:].tobytes(), name
 
 
 def test_time_shift_invariance():
@@ -216,7 +235,7 @@ def test_kcl_holds_at_every_sample(data, with_cap, method):
 
 def assert_stack_matches_runs(circuits, dt, tstop, method):
     """Each stacked waveform equals its own run to 1e-12 of each column's peak."""
-    stacked = run_transient_stacked(circuits, dt, tstop, method)
+    stacked = list(run_transient_stacked(circuits, dt, tstop, method))
     assert len(stacked) == len(circuits)
     for c, w in zip(circuits, stacked):
         ref = run_transient(c, dt, tstop, method)
@@ -311,7 +330,7 @@ m1 d g 0 0 nm
 ], ids=["dc", "step", "singular", "singular_newton"])
 def test_stacked_failure_stays_with_its_point(text, name, values, dt, tol, error):
     circuits = _variants(text, name, values)
-    out = run_transient_stacked(circuits, dt, 30 * dt, "trap", tol)
+    out = list(run_transient_stacked(circuits, dt, 30 * dt, "trap", tol))
     with pytest.raises(error) as single:
         run_transient(circuits[1], dt, 30 * dt, "trap", tol)
     assert type(out[1]) is error and str(out[1]) == str(single.value)

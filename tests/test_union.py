@@ -87,7 +87,7 @@ def test_union_members_equal_their_own_runs(data, method):
     caps = data.draw(st.lists(st.booleans(), min_size=2, max_size=4))
     circuits = [parse_and_flatten(data.draw(memoryless_or_rc_netlists(cap))) for cap in caps]
     dt = data.draw(st.floats(1e-7, 1e-5))
-    waves = run_transient_stacked(circuits, dt, 40 * dt, method)
+    waves = list(run_transient_stacked(circuits, dt, 40 * dt, method))
     assert len(waves) == len(circuits)
     for c, w in zip(circuits, waves):
         if not isinstance(w, Waveform):  # a draw only the gmin floor holds up
@@ -153,7 +153,7 @@ def test_member_clamp_applies_inside_the_union(method):
     # clamped amplifier
     circuits = [parse_and_flatten(CLAMPED_RC), parse_and_flatten(CLAMPED)]
     assert padded(circuits) == [False, True]
-    waves = run_transient_stacked(circuits, 1e-5, 2e-3, method)
+    waves = list(run_transient_stacked(circuits, 1e-5, 2e-3, method))
     assert waves[1].column("v(out)").max() == pytest.approx(0.5, abs=1e-15)
     for c, w, rel in zip(circuits, waves, (0.0, 1e-12)):
         assert_member_matches_run(w, c, 1e-5, 2e-3, method, rel=rel)
@@ -171,7 +171,7 @@ def test_linear_member_takes_one_solve_per_step(monkeypatch):
         return out
 
     monkeypatch.setattr(transient, "newton_stack", counted)
-    waves = run_transient_stacked(circuits, 1e-5, 1e-3)
+    waves = list(run_transient_stacked(circuits, 1e-5, 1e-3))
     both = sum(solves)
     solves.clear()
     run_transient(circuits[1], 1e-5, 1e-3)
@@ -189,7 +189,7 @@ VSOURCE_LOOP = "t\nV1 x 0 DC 1\nV2 x 0 DC 2\nR1 x 0 1k\nC1 x 0 1n\n.end\n"
 
 def test_singular_member_raises_its_own_error():
     circuits = [parse_and_flatten(TRANSLINEAR), parse_and_flatten(VSOURCE_LOOP)]
-    waves = run_transient_stacked(circuits, 1e-5, 1e-4)
+    waves = list(run_transient_stacked(circuits, 1e-5, 1e-4))
     assert_same_error(waves[1], circuits[1], 1e-5, 1e-4)
     assert re.search(r"\(unknown i\(v[12]\)\)", str(waves[1]))
     assert_member_matches_run(waves[0], circuits[0], 1e-5, 1e-4, "trap", rel=0.0)
@@ -198,7 +198,7 @@ def test_singular_member_raises_its_own_error():
 def test_member_without_dc_convergence_raises_its_own_error():
     # 100 A of bias fails DC even with gmin stepping
     circuits = [parse_and_flatten(TRANSLINEAR), parse_and_flatten(FERRI_2CC, {"ibval": 100.0})]
-    waves = run_transient_stacked(circuits, 1e-5, 1e-4)
+    waves = list(run_transient_stacked(circuits, 1e-5, 1e-4))
     assert_same_error(waves[1], circuits[1], 1e-5, 1e-4)
     assert_member_matches_run(waves[0], circuits[0], 1e-5, 1e-4, "trap")
     # power_comparison raises the first failing amplifier's error
@@ -227,7 +227,7 @@ def test_gmin_rescue_of_one_member_leaves_the_others_exact(monkeypatch):
         return rescue(c, *args, **kwargs)
 
     monkeypatch.setattr(transient, "gmin_stepped_dc", counted)
-    waves = run_transient_stacked(circuits, 1e-5, 3e-4, "trap", tol)
+    waves = list(run_transient_stacked(circuits, 1e-5, 3e-4, "trap", tol))
     monkeypatch.undo()
     assert 1 in rescued
     assert_member_matches_run(waves[0], circuits[0], 1e-5, 3e-4, "trap", tol, rel=0.0)
@@ -235,6 +235,64 @@ def test_gmin_rescue_of_one_member_leaves_the_others_exact(monkeypatch):
     # own run's start, and Newton stops within reltol (1e-6) of the root:
     # the two answers agree to that, not to round-off (1.6e-12 measured)
     assert_member_matches_run(waves[1], circuits[1], 1e-5, 3e-4, "trap", tol, rel=1e-9)
+
+
+# memoryless: a clamped amplifier with two sources, its r1 swept; a
+# two-conveyor cascade with one source and at least as many nodes and
+# branches; and a one-conveyor amplifier, smaller
+TWO_SOURCES = """two sources, clamped
+.param r1=1k
+vin in 0 SIN(0 0.05 1k)
+v2 b 0 PULSE(0 0.2 1e-4 2e-5 2e-5 2e-4 5e-4)
+u1 in x out cccii+ rx=50 vmin=-1 vmax=0.8
+r1 x b r1
+r2 out 0 20k
+.end
+"""
+CASCADE = """one source, two conveyors
+vin in 0 SIN(0 0.05 1k)
+u1 in x out ccii+ rx=0
+r1 x 0 1k
+r2 out 0 3k
+u2 out y z ccii- rx=10
+r3 y 0 2k
+r4 z 0 5k
+.end
+"""
+SMALL = "one source\nvin in 0 SIN(0 0.05 1k)\nu1 in x out ccii+ rx=0\nr1 x 0 1k\nr2 out 0 3k\n.end\n"
+
+
+def test_memoryless_members_equal_their_own_runs():
+    # a stack holds the circuits of one source-table entry count: the
+    # variants make one stack and the cascade another, so neither is
+    # padded, in rows or in right-hand sides, and each equals its own run
+    # to the last bit
+    circuits = [expand_hierarchy(parse_netlist(TWO_SOURCES), {"r1": r}) for r in (100.0, 1e3, 5e3)]
+    circuits.insert(1, parse_and_flatten(CASCADE))
+    waves = list(run_transient_stacked(circuits, 1e-5, 1e-3))
+    assert waves[2].column("v(out)").max() == 0.8  # the clamp holds
+    for c, w in zip(circuits, waves):
+        assert_member_matches_run(w, c, 1e-5, 1e-3, "trap", rel=0.0)
+    # two topologies with one entry each make one padded stack
+    pair = [parse_and_flatten(SMALL), parse_and_flatten(CASCADE)]
+    assert padded(pair) == [True, False]
+    for c, w, rel in zip(pair, run_transient_stacked(pair, 1e-5, 1e-3), (1e-12, 0.0)):
+        assert_member_matches_run(w, c, 1e-5, 1e-3, "trap", rel=rel)
+
+
+# without the gmin floor, rw = 1e15 holds node c by 1e-15 S: the operating
+# point (the source is 0 at t = 0) is accepted, the unit response is not
+WEAK_NODE = "weak node\n.param rw=1k\ni1 0 c SIN(0 1m 1k)\nr1 c 0 rw\n.end\n"
+
+
+def test_memoryless_member_refused_by_the_stacked_solve_raises_its_own_error():
+    tol = Tolerances(gmin_floor=0.0)
+    circuits = [expand_hierarchy(parse_netlist(WEAK_NODE), {"rw": r}) for r in (1e3, 1e15, 2e3)]
+    waves = list(run_transient_stacked(circuits, 1e-5, 1e-4, "trap", tol))
+    assert_same_error(waves[1], circuits[1], 1e-5, 1e-4, "trap", tol)
+    assert re.search(r"\(unknown v\(c\)\)", str(waves[1]))
+    for c, w in zip(circuits[::2], waves[::2]):
+        assert_member_matches_run(w, c, 1e-5, 1e-4, "trap", tol, rel=0.0)
 
 
 def test_power_comparison_matches_separate_runs():
