@@ -153,23 +153,22 @@ class SourceTable:
     def entries(self) -> list[tuple[int, float, SourceSpec]]:
         return [(int(a), float(s), self.specs[j]) for a, s, j in zip(self.at, self.sign, self.spec)]
 
-    def samples(self, times: np.ndarray) -> np.ndarray:
+    def samples(self, times: np.ndarray, sampled: dict | None = None) -> np.ndarray:
         """Each entry's signed value at each of ``times``: an (entries,
         times) matrix, whose column k :func:`stamp_sources` stamps at
-        ``times[k]``.  Each spec is sampled once, over all the times."""
-        return self.signed(self.spec_samples(times))
-
-    def spec_samples(self, times: np.ndarray) -> np.ndarray:
-        """Each distinct spec's value at each of ``times``: a (specs,
-        times) matrix."""
+        ``times[k]``.  Each spec is sampled once, over all the times; with
+        ``sampled``, a dict from a spec's repr to its samples at these
+        times, once for all the tables that share the dict."""
         times = np.asarray(times, dtype=float)
-        per_spec = np.array([source_samples(s, times) for s in self.specs])
-        return per_spec.reshape(len(self.specs), times.size)
-
-    def signed(self, per_spec: np.ndarray, entries: slice = slice(None)) -> np.ndarray:
-        """Rows ``entries`` of :meth:`samples`, from the specs' samples
-        ``per_spec`` (see :meth:`spec_samples`)."""
-        return self.sign[entries, None] * per_spec[self.spec[entries]]
+        sampled = {} if sampled is None else sampled
+        per_spec = []
+        for s in self.specs:
+            key = repr(s)
+            if key not in sampled:
+                sampled[key] = source_samples(s, times)
+            per_spec.append(sampled[key])
+        per_spec = np.array(per_spec)
+        return self.sign[:, None] * per_spec.reshape(len(self.specs), times.size)[self.spec]
 
     def values(self, t: float) -> np.ndarray:
         """Each entry's signed value at time ``t``: one column of :meth:`samples`."""

@@ -17,9 +17,9 @@ Every step reuses one compiled stamp plan (see :mod:`ccsim.mna`).
 :func:`run_transient_stacked` runs K circuits as stacks (see
 :func:`mna.stack`), and :func:`run_transient` is a stack of one.
 Memoryless linear circuits (no MOSFETs, no capacitors) are solved by
-superposition: one stacked solve for every circuit's response to each
-unit source, each circuit's responses then combined by its own samples
-when its waveform is taken.  Every other circuit goes through the one
+superposition: one stacked solve per topology for the circuits'
+responses to each unit source, each circuit's responses then combined
+by its own samples when its waveform is taken.  Every other circuit goes through the one
 stepped loop, which steps its stack together, one stacked Newton
 (:func:`newton_stack`) per step.
 
@@ -126,47 +126,69 @@ def run_transient_stacked(
     tol: Tolerances | None = None,
 ) -> Iterator[Waveform | ConvergenceError | SingularMatrixError]:
     """:func:`run_transient` of each of K circuits, the circuits run
-    together as stacks; yields each circuit's result in input order.
+    together as stacks; an iterator of each circuit's result in input
+    order.  Everything but the memoryless waveforms is done at the call,
+    so bad arguments raise there.
 
     The stepped circuits go through the one stepped loop, the linear ones
     (with capacitors, no MOSFETs) as one stack and the nonlinear ones as
-    another, so a linear circuit keeps its one solve per step.  The
-    memoryless linear ones (no MOSFETs, no capacitors) are solved as
-    stacks by superposition (see :func:`_run_superposed`), one stack per
-    number of source-table entries, and each of their waveforms is formed
-    only when it is yielded.  A stack is padded to one size when its
-    topologies differ (see :func:`mna.stack`).  Each circuit's operating
-    point is its own :func:`newton_dc` call.  Each step then runs one
-    :func:`newton_stack` over every circuit still running; a circuit whose
-    plain Newton fails retries alone through :func:`gmin_stepped_dc` on
-    its own plan from the same start, as :func:`newton_dc` would.  So
-    every waveform equals its own run: to the last bit when the stack did
-    not pad the circuit (variants of one netlist, or the largest
-    circuit), to round-off when it did.  A circuit that fails yields its
-    error, the one :func:`run_transient` would raise with its own unknown
-    names, in place of its waveform, and the others run on.
+    another, so a linear circuit keeps its one solve per step.  A stack is
+    padded to one size when its topologies differ (see :func:`mna.stack`).
+    The memoryless linear ones (no MOSFETs, no capacitors) are solved by
+    superposition, one stack per unknown map and source-table entry count
+    (see :func:`_superpose`), and each of their waveforms is formed only
+    when the iterator reaches it, so the caller holds one at a time.  Each
+    circuit's operating point is its own :func:`newton_dc` call.  Each
+    step then runs one :func:`newton_stack` over every circuit still
+    running; a circuit whose plain Newton fails retries alone through
+    :func:`gmin_stepped_dc` on its own plan from the same start, as
+    :func:`newton_dc` would.  So every waveform equals its own run: to the
+    last bit when the stack did not pad the circuit (variants of one
+    netlist, or the largest circuit, and every memoryless circuit), to
+    round-off when it did.  A circuit that fails holds its error, the one
+    :func:`run_transient` would raise with its own unknown names, in place
+    of its waveform, and the others run on.
     """
     _check_step(dt, tstop, method)
     tol = tol or Tolerances()
     maps = [mna.index_unknowns(c) for c in circuits]
     plans = [mna.compile(c, u, tol.gmin_floor) for c, u in zip(circuits, maps)]
-    # LAPACK's answer for one right-hand side can change in its last bit
-    # with the number solved beside it, so a memoryless stack holds the
-    # circuits of one source-table entry count
-    keys = [("memoryless", p.sources.at.size) if p.linear and not p.farads.size else ("stepped", p.linear)
-            for p in plans]
     stacks = {}
-    for k, key in enumerate(keys):
+    for k, (u, p) in enumerate(zip(maps, plans)):
+        # a memoryless stack holds the circuits of one unknown map and one
+        # entry count, so none is padded: LAPACK's answer for one
+        # right-hand side can change in its last bit with the number
+        # solved beside it
+        memoryless = p.linear and not p.farads.size
+        key = ("memoryless", tuple(u.names), p.sources.at.size) if memoryless else ("stepped", p.linear)
         stacks.setdefault(key, []).append(k)
-    runs, superposed = {}, {}
+    runs = {}
     for key, ks in stacks.items():
         members = ([seq[k] for k in ks] for seq in (circuits, maps, plans))
         if key[0] == "stepped":
             runs.update(zip(ks, _run_stack(*members, dt, tstop, method, tol)))
         else:
-            superposed[key] = _run_superposed(*members, dt, tstop, method, tol)
-    for k, key in enumerate(keys):
-        yield runs.pop(k) if key[0] == "stepped" else next(superposed[key])
+            runs.update(zip(ks, _superpose(*members, tol)))
+    return _in_order(circuits, maps, plans, runs, _times(dt, tstop), dt, method)
+
+
+def _in_order(circuits, maps, plans, runs, times, dt, method):
+    """Yield each circuit's result from ``runs`` in order; a memoryless
+    circuit's is formed here, as its response (see :func:`_superpose`)
+    times its own samples, with its operating point as column 0 and its
+    clamps applied.  Each spec is sampled once for them all."""
+    sampled = {}
+    for k, (c, u, p) in enumerate(zip(circuits, maps, plans)):
+        run = runs.pop(k)
+        if not isinstance(run, tuple):
+            yield run
+            continue
+        op, response = run
+        data = response @ p.sources.samples(times, sampled)
+        data[:, 0] = op
+        for r, lo, hi in _clip_rows(c, u):
+            np.clip(data[r], lo, hi, out=data[r])
+        yield _waveform(c, u, times, data, dt, method)
 
 
 def _times(dt, tstop):
@@ -180,69 +202,28 @@ def _waveform(c, u, times, data, dt, method, rows=None):
     return Waveform(times, columns, dt, method, _vsource_nodes(c))
 
 
-def _run_superposed(circuits, maps, plans, dt, tstop, method, tol):
-    """Yield the run of each of K memoryless linear circuits, all with the
-    same number of source-table entries, in order; a circuit that fails
-    yields its error.
+def _superpose(circuits, maps, plans, tol):
+    """Each of K memoryless linear circuits of one unknown map and one
+    source-table entry count: its operating point and its response to
+    each source-table entry at unit value, or the error it raised.
 
-    Each circuit's operating point is its own :func:`newton_dc` call.  The
-    circuits that have one are stacked (see :func:`mna.stack`) and solved
-    by one :func:`solve_linear` call for the response to each source-table
-    entry at unit value; each distinct spec of the stack's sources is
-    sampled once.  A circuit's waveform is its response times its own
-    signed samples, with its operating point as column 0 and its clamps
-    applied.  It is formed only when it is yielded, so the caller holds
-    one waveform at a time.
-    """
-    times = _times(dt, tstop)
-    ops = []
-    for c, m, p in zip(circuits, maps, plans):
-        try:
-            ops.append(newton_dc(c, m, tol, t=0.0, plan=p).x)
-        except (ConvergenceError, SingularMatrixError) as exc:
-            ops.append(exc)
-    live = [k for k, op in enumerate(ops) if isinstance(op, np.ndarray)]
-    responses = {}  # each live circuit's response, on its own rows, or its error
+    Each operating point is its own :func:`newton_dc` call; the responses
+    of the circuits that have one are one stacked :func:`solve_linear`
+    call (see :func:`mna.stack`).  If that call refuses a circuit, each is
+    solved again alone, so that the error stays with its circuit."""
+    out = [_or_error(newton_dc, c, u, tol, t=0.0, plan=p) for c, u, p in zip(circuits, maps, plans)]
+    live = [k for k, op in enumerate(out) if not isinstance(op, Exception)]
     if live:
         plan, u = mna.stack([plans[k] for k in live], [maps[k] for k in live])
-        rows = [mna.padded_rows(maps[k], u.n_nodes) for k in live]
-        n_entries = plans[live[0]].sources.at.size
-        units = np.zeros((len(live), u.size, n_entries))
-        for j, k in enumerate(live):
-            units[j, rows[j]] = mna.unit_sources(plans[k], maps[k].size)
+        units = np.array([mna.unit_sources(plans[k], u.size) for k in live])
         a = mna.assemble(None, u, None, plan=plan, base=plan.static).a
         try:
-            x = solve_linear(a, units, u.names)
-            responses = {k: x[j, r] for j, (k, r) in enumerate(zip(live, rows))}
+            responses = solve_linear(a, units, u.names)
         except SingularMatrixError:
-            # each circuit again alone, on its own rows of the stack, so
-            # that an error names the circuit's own unknowns
-            for j, (k, r) in enumerate(zip(live, rows)):
-                try:
-                    responses[k] = solve_linear(a[j][np.ix_(r, r)], units[j, r], maps[k].names)
-                except SingularMatrixError as exc:
-                    responses[k] = exc
-        per_spec = plan.sources.spec_samples(times)
-        slot = {k: j for j, k in enumerate(live)}
-    for k, (c, m) in enumerate(zip(circuits, maps)):
-        response = responses.get(k, ops[k])
-        if not isinstance(response, np.ndarray):
-            yield response
-            continue
-        j = slot[k]
-        samples = plan.sources.signed(per_spec, slice(j * n_entries, (j + 1) * n_entries))
-        if n_entries == 1:
-            # the one product, as matmul sums it from 0.0 (a -0.0 product
-            # comes out 0.0), without matmul's several times slower loop
-            # for a single term
-            data = response * samples
-            data += 0.0
-        else:
-            data = response @ samples
-        data[:, 0] = ops[k]
-        for r, lo, hi in _clip_rows(c, m):
-            np.clip(data[r], lo, hi, out=data[r])
-        yield _waveform(c, m, times, data, dt, method)
+            responses = [_or_error(solve_linear, a_k, b_k, u.names) for a_k, b_k in zip(a, units)]
+        for k, response in zip(live, responses):
+            out[k] = response if isinstance(response, Exception) else (out[k].x, response)
+    return out
 
 
 def _run_stack(circuits, maps, plans, dt, tstop, method, tol):
@@ -305,6 +286,13 @@ def _run_stack(circuits, maps, plans, dt, tstop, method, tol):
         data[:, :, k] = x
     return [e or _waveform(c, m, times, d, dt, method, r)
             for c, m, d, r, e in zip(circuits, maps, data, rows, errors)]
+
+
+def _or_error(run, *args, **kwargs):
+    try:
+        return run(*args, **kwargs)
+    except (ConvergenceError, SingularMatrixError) as exc:
+        return exc
 
 
 def _step_failure(exc, t, k):

@@ -146,6 +146,11 @@ def test_argument_errors():
         run_transient(c, 1e-3, 1e-4)
     with pytest.raises(ValueError):
         run_transient(c, 1e-6, 1e-3, "gear")
+    # a stacked call raises at the call, before any result is taken
+    with pytest.raises(ValueError):
+        run_transient_stacked([c], 0.0, 1e-3)
+    with pytest.raises(ValueError):
+        run_transient_stacked([c], 1e-6, 1e-3, "gear")
 
 
 def test_waveform_columns_consistent():
