@@ -113,34 +113,30 @@ def _write_measures_csv(results: list[Measurement], path):
             writer.writerow([m.name, m.kind, val, m.units])
 
 
-def _execute_directives(c, tol, out_path, probes, quiet=False, waves=None):
-    """Run .op/.dc/.tran/.measure in netlist order.  Returns the list of
-    measurement results (netlist order).  ``waves``, when given, holds
-    the result of each .tran, run beforehand: a waveform, or the error
-    that run raised."""
+def _execute_directives(c, tol, out_path, probes, waves=None):
+    """Run .op/.dc/.tran/.measure in netlist order, writing each .tran
+    and .dc record to ``out_path``; returns the measurement results in
+    netlist order.  ``waves``, when given, makes this a sweep point that
+    keeps only its measurements: it holds the result of each .tran, run
+    beforehand (a waveform, or the error that run raised), and .op and
+    .dc are not run."""
     u = mna.index_unknowns(c)
     _validate_probes(u, probes)
     wave: Waveform | None = None
     results: list[Measurement] = []
-    pending = None if waves is None else iter(waves)
+    point = waves is not None
+    pending = iter(waves or ())
     for d in c.directives:
-        if d.kind == "op":
-            op = newton_dc(c, u, tol)
-            if not quiet:
-                _print_op(u, op)
+        if d.kind == "op" and not point:
+            _print_op(u, newton_dc(c, u, tol))
         elif d.kind == "tran":
-            if pending is None:
-                wave = run_transient(c, d.args[0], d.args[1], d.args[2], tol)
-            else:
-                wave = next(pending)
+            wave = next(pending) if point else run_transient(c, *d.args, tol)
             if isinstance(wave, Exception):
                 raise wave
-            if out_path is not None:
+            if not point:
                 write_csv(wave, out_path, probes)
-        elif d.kind == "dc":
-            sweep_wave = run_dc_sweep(c, d.args[0], d.args[1], d.args[2], d.args[3], tol)
-            if out_path is not None:
-                write_csv(sweep_wave, out_path, probes)
+        elif d.kind == "dc" and not point:
+            write_csv(run_dc_sweep(c, *d.args, tol), out_path, probes)
         elif d.kind == "measure":
             if wave is None:
                 raise NetlistError(".measure needs a preceding .tran", d.line)
@@ -183,8 +179,8 @@ def cmd_op(args) -> int:
 
 def _sweep_point(c, tol, waves):
     """The row of measurements of one sweep point, from its circuit and
-    the results of its .tran directives."""
-    results = _execute_directives(c, tol, None, None, quiet=True, waves=waves)
+    the results of its .tran directives; its .op and .dc are not run."""
+    results = _execute_directives(c, tol, None, None, waves)
     return [(m.name, m.value) for m in results]
 
 

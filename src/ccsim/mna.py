@@ -115,7 +115,10 @@ def _linear_stamp(e: Element, c: FlatCircuit, u: UnknownMap):
 
 
 def companion_values(farads, method: str, dt: float, v_prev, i_prev):
-    """Discrete-time equivalent (geq, ieq) of capacitors (scalars or arrays) for one step."""
+    """Discrete-time equivalent (geq, ieq) of capacitors (scalars or arrays)
+    for one step; zero for a "dc" step, whose capacitors are open."""
+    if method == "dc":
+        return np.zeros_like(v_prev), np.zeros_like(v_prev)
     if dt <= 0.0:
         raise ValueError("companion model requires dt > 0")
     if method == "be":
@@ -130,7 +133,8 @@ def companion_values(farads, method: str, dt: float, v_prev, i_prev):
 class SourceTable:
     """The independent sources of a plan: entry j adds ``sign[j]`` times
     a sample of ``specs[spec[j]]`` at buffer position ``at[j]``.  Each
-    distinct spec is listed, and so sampled, once."""
+    distinct spec is listed, and so sampled, once.  :func:`compile` lists
+    the entries in element order, each source's :func:`_linear_stamp` rows."""
 
     __slots__ = ("at", "sign", "spec", "specs")
 

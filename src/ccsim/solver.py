@@ -191,7 +191,7 @@ def gmin_stepped_dc(
     c: FlatCircuit,
     u: mna.UnknownMap,
     tol: Tolerances,
-    t: float = 0.0,
+    column: np.ndarray | None = None,
     x0: np.ndarray | None = None,
     companions=None,
     gmin_start: float = 1e-3,
@@ -201,12 +201,13 @@ def gmin_stepped_dc(
     stepped down by decades from ``gmin_start`` to 1e-12 S, reusing each
     rung's solution as the next initial guess, then a final solve with
     only the permanent floor.  Each rung is :func:`newton_stack` over a
-    stack of one."""
+    stack of one that stamps ``column``, the rescued point's own column
+    of the plan's source samples (t = 0 when not given)."""
     x0 = np.zeros(u.size) if x0 is None else x0
     plan, x, companions = _stack_of_one(
         plan or mna.compile(c, u, tol.gmin_floor), u, x0, companions
     )
-    column = plan.sources.values(t)
+    column = plan.sources.values(0.0) if column is None else column
     total_iters = 0
     g = gmin_start
     while g >= 1e-12 * 0.999:
@@ -246,10 +247,11 @@ def newton_dc(
     plan = plan or mna.compile(c, u, tol.gmin_floor)
     x0 = np.zeros(u.size) if x0 is None else x0
     one, x, comp = _stack_of_one(plan, u, x0, companions)
-    x, resid, its, errors = newton_stack(u, tol, one.sources.values(t), x, comp, one, _ONE)
+    column = one.sources.values(t)
+    x, resid, its, errors = newton_stack(u, tol, column, x, comp, one, _ONE)
     if not errors:
         return OperatingPoint(x[0], float(resid[0]), int(its[0]))
-    return gmin_stepped_dc(c, u, tol, t, x0, companions, gmin_start, plan)
+    return gmin_stepped_dc(c, u, tol, column, x0, companions, gmin_start, plan)
 
 
 def newton_stack(

@@ -21,7 +21,9 @@ superposition: one stacked solve per topology for the circuits'
 responses to each unit source, each circuit's responses then combined
 by its own samples when its waveform is taken.  Every other circuit goes through the one
 stepped loop, which steps its stack together, one stacked Newton
-(:func:`newton_stack`) per step.
+(:func:`newton_stack`) per step.  A ``.dc`` sweep (:func:`run_dc_sweep`)
+is that loop too, over a stack of one, with the swept values as its
+axis and its capacitors open.
 
 CSV export writes each cell as the text of :func:`format_sci`, byte for
 byte.  A vectorized kernel formats a block of rows at a time in numpy;
@@ -162,22 +164,24 @@ def run_transient_stacked(
         memoryless = p.linear and not p.farads.size
         key = ("memoryless", tuple(u.names), p.sources.at.size) if memoryless else ("stepped", p.linear)
         stacks.setdefault(key, []).append(k)
+    times = np.arange(int(round(tstop / dt)) + 1) * dt
+    sampled = {}  # each spec's samples, shared by every circuit
     runs = {}
     for key, ks in stacks.items():
         members = ([seq[k] for k in ks] for seq in (circuits, maps, plans))
         if key[0] == "stepped":
-            runs.update(zip(ks, _run_stack(*members, dt, tstop, method, tol)))
+            samples = [plans[k].sources.samples(times, sampled) for k in ks]
+            runs.update(zip(ks, _run_stack(*members, times, samples, dt, method, tol)))
         else:
             runs.update(zip(ks, _superpose(*members, tol)))
-    return _in_order(circuits, maps, plans, runs, _times(dt, tstop), dt, method)
+    return _in_order(circuits, maps, plans, runs, times, sampled, dt, method)
 
 
-def _in_order(circuits, maps, plans, runs, times, dt, method):
+def _in_order(circuits, maps, plans, runs, times, sampled, dt, method):
     """Yield each circuit's result from ``runs`` in order; a memoryless
     circuit's is formed here, as its response (see :func:`_superpose`)
-    times its own samples, with its operating point as column 0 and its
-    clamps applied.  Each spec is sampled once for them all."""
-    sampled = {}
+    times its own samples, each spec's taken from ``sampled``, with its
+    operating point as column 0 and its clamps applied."""
     for k, (c, u, p) in enumerate(zip(circuits, maps, plans)):
         run = runs.pop(k)
         if not isinstance(run, tuple):
@@ -191,15 +195,11 @@ def _in_order(circuits, maps, plans, runs, times, dt, method):
         yield _waveform(c, u, times, data, dt, method)
 
 
-def _times(dt, tstop):
-    return np.arange(int(round(tstop / dt)) + 1) * dt
-
-
-def _waveform(c, u, times, data, dt, method, rows=None):
+def _waveform(c, u, times, data, dt, method, rows=None, label="time"):
     """The record of ``c`` whose unknown i is row ``rows[i]`` of ``data``."""
     rows = range(u.size) if rows is None else rows
     columns = {name: data[r] for r, name in zip(rows, u.names)}
-    return Waveform(times, columns, dt, method, _vsource_nodes(c))
+    return Waveform(times, columns, dt, method, _vsource_nodes(c), label)
 
 
 def _superpose(circuits, maps, plans, tol):
@@ -226,13 +226,16 @@ def _superpose(circuits, maps, plans, tol):
     return out
 
 
-def _run_stack(circuits, maps, plans, dt, tstop, method, tol):
+def _run_stack(circuits, maps, plans, axis, samples, dt, method, tol, label="time"):
     """The stepped loop over K circuits with index maps ``maps`` and
     compiled plans ``plans``, as one stack (see :func:`mna.stack`).
-    Returns each circuit's waveform, or the error its run raised."""
+    Point k of ``axis`` (a transient's times, or the values of a ``.dc``
+    sweep, ``method`` "dc", of the source ``label``) starts from point
+    k - 1 and stamps column k of each circuit's (entries x points) matrix
+    in ``samples``; point 0 is each circuit's :func:`newton_dc`.  Returns
+    each circuit's waveform, or the error its run raised."""
     plan, u = mna.stack(plans, maps)
     rows = [mna.padded_rows(m, u.n_nodes) for m in maps]
-    times = _times(dt, tstop)
     n_var = len(circuits)
     # each clamped Z as one (circuit, row) index into the stack of
     # solutions; a Z row is a node row, which padding does not move
@@ -246,37 +249,36 @@ def _run_stack(circuits, maps, plans, dt, tstop, method, tol):
             x[at] = np.minimum(np.maximum(x[at], lo), hi)
         return x
 
-    data = np.zeros((n_var, u.size, len(times)))
+    data = np.zeros((n_var, u.size, len(axis)))
     errors = [None] * n_var
     for k, c in enumerate(circuits):
         try:
             data[k, rows[k], 0] = newton_dc(c, maps[k], tol, t=0.0, plan=plans[k]).x
         except (ConvergenceError, SingularMatrixError) as exc:
-            errors[k] = exc
+            errors[k] = _step_failure(exc, label, axis[0], 0)
 
     live = np.array([e is None for e in errors])
     if not live.any():
         return errors
     x = data[:, :, 0] = clamp(data[:, :, 0].copy())
     # capacitor history: voltage from the operating point, current zero
-    # (a capacitor is an open circuit at DC)
+    # (a capacitor is an open circuit at DC, and stays open in a .dc sweep)
     v_prev = plan.cap_voltages(x)
     i_prev = np.zeros_like(v_prev)
-    samples = plan.sources.samples(times)
-    for k in range(1, len(times)):
-        t = times[k]
-        meth = "be" if method == "be" or k == 1 else "trap"
+    stacked = np.concatenate(samples)
+    for k in range(1, len(axis)):
+        meth = "be" if method == "trap" and k == 1 else method
         geq, ieq = mna.companion_values(plan.farads, meth, dt, v_prev, i_prev)
-        x_new, _, _, failed = newton_stack(u, tol, samples[:, k], x, (geq, ieq), plan, live)
+        x_new, _, _, failed = newton_stack(u, tol, stacked[:, k], x, (geq, ieq), plan, live)
         for j in failed:
             own = plans[j].farads.size  # the stack's capacitors of circuit j are its own, then pads
             try:
                 x_new[j, rows[j]] = gmin_stepped_dc(
-                    circuits[j], maps[j], tol, t, x[j, rows[j]], (geq[:own, j], ieq[:own, j]),
-                    plan=plans[j],
+                    circuits[j], maps[j], tol, samples[j][:, k], x[j, rows[j]],
+                    (geq[:own, j], ieq[:own, j]), plan=plans[j],
                 ).x
             except (ConvergenceError, SingularMatrixError) as exc:
-                errors[j] = _step_failure(exc, t, k)
+                errors[j] = _step_failure(exc, label, axis[k], k)
                 live[j] = False
         if failed and not live.any():
             break
@@ -284,7 +286,7 @@ def _run_stack(circuits, maps, plans, dt, tstop, method, tol):
         v_prev = plan.cap_voltages(x)
         i_prev = geq * v_prev - ieq
         data[:, :, k] = x
-    return [e or _waveform(c, m, times, d, dt, method, r)
+    return [e or _waveform(c, m, axis, d, dt, method, r, label)
             for c, m, d, r, e in zip(circuits, maps, data, rows, errors)]
 
 
@@ -295,12 +297,13 @@ def _or_error(run, *args, **kwargs):
         return exc
 
 
-def _step_failure(exc, t, k):
-    if not isinstance(exc, ConvergenceError):
+def _step_failure(exc, label, value, k):
+    """``exc`` naming its point; a transient's operating point keeps its own."""
+    if not isinstance(exc, ConvergenceError) or (k == 0 and label == "time"):
         return exc
-    return ConvergenceError(
-        f"transient Newton failure at t={t:.9e} s (step {k}): {exc}", exc.residual
-    )
+    where = (f"transient Newton failure at t={value:.9e} s (step {k})" if label == "time"
+             else f"dc sweep Newton failure at {label}={value:.9e} (point {k})")
+    return ConvergenceError(f"{where}: {exc}", exc.residual)
 
 
 def run_dc_sweep(
@@ -311,39 +314,33 @@ def run_dc_sweep(
     step: float,
     tol: Tolerances | None = None,
 ) -> Waveform:
-    """Operating-point sweep of one independent source's DC value."""
+    """Operating points over one independent source's DC value: the
+    stepped loop over a stack of one, compiled once with the source at
+    ``start``, whose sample matrix is the t = 0 column repeated with the
+    source's own entries set to each value.  They are picked by place in
+    the source table (element order), as two sources may share a spec."""
     tol = tol or Tolerances()
     name = source_name.lower()
-    idx = next(
-        (i for i, e in enumerate(c.elements)
-         if isinstance(e, (VSource, ISource)) and e.name == name),
-        None,
-    )
-    if idx is None:
+    sources = [e.name if isinstance(e, (VSource, ISource)) else None for e in c.elements]
+    if name not in sources:
         raise ValueError(f"no independent source named {source_name!r} to sweep")
-    if step == 0.0:
-        raise ValueError("dc sweep step must be nonzero")
-    n = int(round((stop - start) / step))
+    n = int(round((stop - start) / step)) if step else -1
+    if n < 0:
+        raise ValueError("dc sweep step must be nonzero and lead from start to stop")
     values = start + np.arange(n + 1) * step
+    idx = sources.index(name)
+    elems = [*c.elements[:idx], c.elements[idx]._replace(spec=Dc(float(values[0]))), *c.elements[idx + 1:]]
+    c = FlatCircuit(c.nodes, c.node_names, elems, c.directives, c.params)
     u = mna.index_unknowns(c)
-    data = np.empty((u.size, len(values)))
-    x = None
-    for k, v in enumerate(values):
-        elems = list(c.elements)
-        elems[idx] = elems[idx]._replace(spec=Dc(float(v)))
-        ck = FlatCircuit(c.nodes, c.node_names, elems, c.directives, c.params)
-        op = newton_dc(ck, u, tol, t=0.0, x0=x)
-        x = op.x
-        data[:, k] = x
-    columns = {nm: data[i] for i, nm in enumerate(u.names)}
-    return Waveform(
-        values,
-        columns,
-        float(step),
-        "dc",
-        _vsource_nodes(c),
-        time_label=name,
-    )
+    plan = mna.compile(c, u, tol.gmin_floor)
+    own = [len(mna._linear_stamp(e, c, u)[1]) if s else 0 for e, s in zip(elems, sources)]
+    swept = slice(sum(own[:idx]), sum(own[: idx + 1]))
+    samples = np.repeat(plan.sources.values(0.0)[:, None], len(values), axis=1)
+    samples[swept] = plan.sources.sign[swept, None] * values
+    (wave,) = _run_stack([c], [u], [plan], values, [samples], float(step), "dc", tol, name)
+    if isinstance(wave, Waveform):
+        return wave
+    raise wave
 
 
 # --------------------------------------------------------------------------

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import strategies as st
 
 from ccsim import mna
-from ccsim.devices import source_samples
+from ccsim.devices import mosfet_eval, source_samples
 from ccsim.library import AmplifierConfig, BehavioralConveyor, emit_example
 from ccsim.netlist import (
     Capacitor,
     Conveyor,
     ISource,
+    Mosfet,
     Resistor,
     VSource,
     parse_and_flatten,
@@ -122,6 +123,7 @@ def node_kcl_residuals(c, wave):
     there.  Capacitor currents follow
     the discrete law of the run: zero at the operating point, backward
     Euler on the first step and for ``be`` runs, trapezoidal after that.
+    A MOSFET draws its drain current from the drain node.
     """
     times = wave.times
     zero = np.zeros_like(times)
@@ -158,6 +160,11 @@ def node_kcl_residuals(c, wave):
             ix = wave.column(f"i({e.name})")
             flow(e.x, ix)
             flow(e.z, e.params.polarity * ix)
+        elif isinstance(e, Mosfet):
+            vs = vcol(e.s)
+            i_d = mosfet_eval(vcol(e.g) - vs, vcol(e.d) - vs, e.params)[0]  # into the drain
+            flow(e.d, i_d)
+            flow(e.s, -i_d)
         elif isinstance(e, Capacitor):
             v = vcol(e.a) - vcol(e.b)
             size = np.abs(vcol(e.a)) + np.abs(vcol(e.b))

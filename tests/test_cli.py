@@ -159,21 +159,25 @@ def test_sweep_failure_names_failed_point(tmp_path):
 
 def test_sweep_rows_equal_single_runs(tmp_path):
     # a stepped translinear sweep and a memoryless behavioral one, which
-    # is solved as one stacked superposition
+    # is solved as one stacked superposition; and the behavioral one with
+    # an .op and a .dc, which a sweep point does not run
     translinear = tmp_path / "tl.cir"
     assert ccsim("examples", "--emit", "proposed_amp_translinear", "--out", str(translinear)).returncode == 0
     loaded = tmp_path / "loaded.cir"
     loaded.write_text(LOADED)
+    with_op_dc = tmp_path / "op_dc.cir"
+    with_op_dc.write_text(LOADED.replace(".tran", ".op\n.dc vin -0.1 0.1 0.05\n.tran"))
     for net, name, values in [(translinear, "ibval", ["1.5e-05", "5e-05", "1.8e-04"]),
-                              (loaded, "r1", ["100", "1000", "4700"])]:
-        out = tmp_path / f"sweep_{name}.csv"
+                              (loaded, "r1", ["100", "1000", "4700"]),
+                              (with_op_dc, "r1", ["100", "1000", "4700"])]:
+        out = tmp_path / f"sweep_{net.stem}.csv"
         r = ccsim("sweep", str(net), "--sweep", f"{name}=" + ",".join(values), "--out", str(out))
         assert r.returncode == 0, r.stderr
         lines = out.read_text().splitlines()
         header = lines[0].split(",")
         assert len(lines) == 1 + len(values)
         for v, line in zip(values, lines[1:]):
-            wave = tmp_path / f"run_{name}_{v}.csv"
+            wave = tmp_path / f"run_{net.stem}_{v}.csv"
             r = ccsim("run", str(net), "--param", f"{name}={v}", "--out", str(wave))
             assert r.returncode == 0, r.stderr
             measures = wave.with_suffix(".measures.csv").read_text().splitlines()[1:]

@@ -17,7 +17,7 @@ from ccsim.library import (
 )
 from ccsim.devices import Sin
 from ccsim.measure import gain
-from ccsim.netlist import Conveyor, Resistor, parse_and_flatten, parse_netlist
+from ccsim.netlist import Conveyor, Resistor, expand_hierarchy, parse_and_flatten, parse_netlist
 from ccsim.transient import run_transient
 
 
@@ -147,6 +147,29 @@ def test_rx_extraction_small_signal_linearity():
     r1 = measure_rx_emergent(50e-6, delta_frac=0.01)
     r2 = measure_rx_emergent(50e-6, delta_frac=0.005)
     assert abs(r1 - r2) / r1 < 0.01
+
+
+@pytest.mark.parametrize("family,ib", [("cccii", 12.5e-6), ("cccii", 50e-6), ("cccii", 200e-6),
+                                       ("ccii", 50e-6)])
+def test_rx_converges_to_the_jacobian_rx_at_second_order(family, ib):
+    # at the bench's operating point with no probe current, the assembled
+    # matrix A is the circuit's Jacobian, so dV_X/dI_X is (A^-1)_xx; the
+    # centred difference misses it by O(delta^2), a quarter per halving
+    from ccsim import mna
+    from ccsim.solver import newton_dc
+
+    ast = parse_netlist(emit_example(
+        "cccii_char", AmplifierConfig(conveyor=TranslinearConveyor(ib=ib, family=family, rails=1.5))
+    ))
+    c = expand_hierarchy(ast, {"iprobe": 0.0})
+    u = mna.index_unknowns(c)
+    a = mna.assemble(c, u, 0.0, x_est=newton_dc(c, u).x).a
+    x = u.node_row(c.nodes["x"])
+    jacobian_rx = np.linalg.solve(a, np.eye(u.size)[x])[x]
+    gaps = [abs(measure_rx_emergent(ib, family=family, delta_frac=d) - jacobian_rx)
+            for d in (0.02, 0.01, 0.005, 0.0025)]
+    for wide, narrow in zip(gaps, gaps[1:]):
+        assert wide / narrow == pytest.approx(4.0, abs=0.5)
 
 
 def test_translinear_amp_converges_and_follows():

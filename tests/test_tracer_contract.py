@@ -93,9 +93,16 @@ def test_traced_units_report_every_per_layer_metric(tracer, tmp_path):
     amp.write_text(emit_example("proposed_amp").replace(".tran 1e-06 0.005", ".tran 1e-06 0.001"))
     translinear = tmp_path / "amp_tl.cir"
     translinear.write_text(emit_example("proposed_amp_translinear"))
+    # the same amplifier with its .tran and .measure lines replaced by a .dc sweep
+    transfer = tmp_path / "amp_dc.cir"
+    lines = [line for line in emit_example("proposed_amp_translinear").splitlines()
+             if not line.startswith((".tran", ".measure"))]
+    assert lines[-1] == ".end"
+    transfer.write_text("\n".join(lines[:-1] + [".dc vin -0.1 0.1 0.01", ".end", ""]))
     units = [
         ["run", str(amp), "--out", str(tmp_path / "amp.csv")],  # a memoryless run with its CSV
         ["sweep", str(translinear), "--sweep", "ibval=25e-6,100e-6", "--out", str(tmp_path / "s.csv")],
+        ["run", str(transfer), "--out", str(tmp_path / "dc.csv")],  # a .dc sweep alone
     ]
     t = tracer.Tracer()
     t.install()

@@ -5,21 +5,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccsim import mna
+from ccsim import mna, solver, transient
+from ccsim.devices import Dc
 from ccsim.library import emit_example
 from ccsim.mna import index_unknowns
-from ccsim.netlist import expand_hierarchy, parse_and_flatten, parse_netlist
+from ccsim.netlist import (
+    Capacitor,
+    FlatCircuit,
+    ISource,
+    VSource,
+    expand_hierarchy,
+    parse_and_flatten,
+    parse_netlist,
+)
 from ccsim.solver import ConvergenceError, SingularMatrixError, Tolerances, newton_dc
 from ccsim.transient import (
     Waveform,
     format_sci,
     read_csv,
+    run_dc_sweep,
     run_transient,
     run_transient_stacked,
     write_csv,
 )
 
 from conftest import behavioral_amp, memoryless_or_rc_netlists, node_kcl_residuals, run_amp
+from test_csv import DC as CONVEYOR_DC
 
 RC = """rc charging step response
 vs in 0 PULSE(0 1 0 1p 1p 10 10)
@@ -342,3 +353,101 @@ def test_stacked_failure_stays_with_its_point(text, name, values, dt, tol, error
     for c, w in zip(circuits[::2], out[::2]):
         ref = run_transient(c, dt, 30 * dt, "trap", tol)
         assert all(np.array_equal(w.column(n), ref.column(n)) for n in ref.columns)
+
+
+def reference_dc_sweep(c, name, start, stop, step, tol):
+    """The per-point loop a ``.dc`` sweep once ran: a new circuit with
+    the source at each value, solved by :func:`newton_dc` from the point
+    before.  Returns the values and an (unknowns x points) matrix."""
+    idx = next(i for i, e in enumerate(c.elements) if isinstance(e, (VSource, ISource)) and e.name == name)
+    values = start + np.arange(int(round((stop - start) / step)) + 1) * step
+    u = index_unknowns(c)
+    x, points = None, []
+    for v in values:
+        elems = list(c.elements)
+        elems[idx] = elems[idx]._replace(spec=Dc(float(v)))
+        x = newton_dc(FlatCircuit(c.nodes, c.node_names, elems, c.directives, c.params), u, tol, t=0.0, x0=x).x
+        points.append(x)
+    return values, np.array(points).T
+
+
+DC_SWEEPS = {
+    "divider": ("t\nv1 a 0 DC 0\nr1 a m 1k\nr2 m 0 1k\n.end\n", "v1", 0.0, 1.0, 0.25, Tolerances()),
+    "conveyor": (CONVEYOR_DC, "v1", -1.0, 1.0, 0.01, Tolerances()),
+    "translinear": (TRANSLINEAR, "vin", -0.1, 0.1, 0.2 / 120, Tolerances()),
+    "capacitor": ("t\nv1 in 0 DC 0\nr1 in c 1k\nc1 c 0 1u\nr2 c 0 2k\n.end\n", "v1", 0.0, 1.0, 0.1,
+                  Tolerances()),
+    "current": ("t\ni1 0 a DC 0\nr1 a 0 1k\nr2 a b 2k\nr3 b 0 1k\n.end\n", "i1", -1e-3, 1e-3, 2.5e-4,
+                Tolerances()),
+    # v1 and v2 share one source-table spec; i1 and i2 share it and their
+    # buffer positions too
+    "equal_specs": ("t\nv1 a 0 DC 1\nv2 b 0 DC 1\nr1 a m 1k\nr2 b m 2k\nr3 m 0 1k\n.end\n", "v2",
+                    0.0, 2.0, 0.5, Tolerances()),
+    "parallel": ("t\ni1 0 a DC 1m\ni2 0 a DC 1m\nr1 a 0 1k\n.end\n", "i2", 0.0, 2e-3, 5e-4, Tolerances()),
+    "negative_step": (TRANSLINEAR, "vss", 0.0, -2.0, -0.5, Tolerances()),
+    # 3 points are rescued by the gmin ladder
+    "rescued": (TRANSLINEAR, "vin", -0.8, 0.8, 0.4, Tolerances(maxiter=8)),
+}
+
+
+@pytest.mark.parametrize("case", DC_SWEEPS)
+def test_dc_sweep_equals_the_per_point_loop(case, monkeypatch):
+    text, name, start, stop, step, tol = DC_SWEEPS[case]
+    c = parse_and_flatten(text)
+    values, want = reference_dc_sweep(c, name, start, stop, step, tol)
+    rescues, ladder = [], solver.gmin_stepped_dc
+
+    def counted(*args, **kwargs):
+        rescues.append(1)
+        return ladder(*args, **kwargs)
+
+    for module in (solver, transient):
+        monkeypatch.setattr(module, "gmin_stepped_dc", counted)
+    w = run_dc_sweep(c, name, start, stop, step, tol)
+    assert len(rescues) == (3 if case == "rescued" else 0)
+    assert w.times.tobytes() == values.tobytes()
+    assert (w.time_label, w.method) == (name, "dc")
+    for i, unknown in enumerate(index_unknowns(c).names):
+        assert w.column(unknown).tobytes() == want[i].tobytes(), unknown
+    # each point is an operating point, capacitors open: KCL holds to the
+    # Newton's acceptance.  The oracle takes the swept source at 0 and
+    # the sweep's values are added for a current source.
+    swept = next(e for e in c.elements if e.name == name)
+    elems = [e._replace(spec=Dc(0.0)) if e is swept else e
+             for e in c.elements if not isinstance(e, Capacitor)]
+    net, scale = node_kcl_residuals(FlatCircuit(c.nodes, c.node_names, elems, (), c.params), w)
+    if isinstance(swept, ISource):
+        for node, sign in ((swept.p, 1.0), (swept.n, -1.0)):
+            if node != "0":
+                net[node] += sign * w.times
+                scale[node] += np.abs(w.times)
+    for node in net:
+        assert np.all(np.abs(net[node]) <= tol.abstol + 1e-9 * scale[node]), node
+
+
+def test_dc_sweep_clamps_the_conveyor_output():
+    # the clamp of the stepped loop holds a .dc point too (gain 10, +-0.5 V)
+    c = parse_and_flatten("t\nv1 in 0 DC 0\nu1 in x out ccii+ rx=0 vmin=-0.5 vmax=0.5\n"
+                          "r1 x 0 1k\nr2 out 0 10k\n.end\n")
+    w = run_dc_sweep(c, "v1", -0.2, 0.2, 0.01)
+    out = w.column("v(out)")
+    assert out == pytest.approx(np.clip(10.0 * w.times, -0.5, 0.5), rel=1e-7)
+    assert (out.min(), out.max()) == (-0.5, 0.5)
+
+
+def test_dc_sweep_step_must_lead_from_start_to_stop():
+    c = parse_and_flatten("t\nv1 a 0 DC 0\nr1 a m 1k\nr2 m 0 1k\n.end\n")
+    for step in (0.0, -0.25):
+        with pytest.raises(ValueError, match="step"):
+            run_dc_sweep(c, "v1", 0.0, 1.0, step)
+
+
+@pytest.mark.parametrize("start,stop,point", [(50e-6, 100.00005, "=1.000000500e+02 (point 1)"),
+                                              (100.0, 100.0, "=1.000000000e+02 (point 0)")])
+def test_dc_sweep_failure_names_the_source_and_value(start, stop, point):
+    # a 100 A bias fails DC even with gmin stepping
+    c = parse_and_flatten(TRANSLINEAR)
+    with pytest.raises(ConvergenceError) as failed:
+        run_dc_sweep(c, "xu1.ibias", start, stop, 100.0)
+    assert str(failed.value).startswith("dc sweep Newton failure at xu1.ibias" + point)
+    assert "transient" not in str(failed.value)
