@@ -101,21 +101,26 @@ def _measure_report(results: list[Measurement]):
         print(f"  {r[0]:<{w0}}  {r[1]:<{w1}}  {r[2]:<{w2}}  {r[3]}")
 
 
+def _cell(value) -> str:
+    """A measurement's CSV cell: a histogram's counts joined by ';', else the number."""
+    if isinstance(value, Histogram):
+        return ";".join(str(cnt) for cnt in value.counts)
+    return format_sci(value)
+
+
 def _write_measures_csv(results: list[Measurement], path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["name", "kind", "value", "units"])
         for m in results:
-            if isinstance(m.value, Histogram):
-                val = ";".join(str(cnt) for cnt in m.value.counts)
-            else:
-                val = format_sci(m.value)
-            writer.writerow([m.name, m.kind, val, m.units])
+            writer.writerow([m.name, m.kind, _cell(m.value), m.units])
 
 
 def _execute_directives(c, tol, out_path, probes, waves=None):
     """Run .op/.dc/.tran/.measure in netlist order, writing each .tran
-    and .dc record to ``out_path``; returns the measurement results in
+    record to ``out_path`` and each .dc record there too, or to
+    ``<stem>.dc.csv`` beside it when the netlist also has a .tran, so
+    that neither replaces the other; returns the measurement results in
     netlist order.  ``waves``, when given, makes this a sweep point that
     keeps only its measurements: it holds the result of each .tran, run
     beforehand (a waveform, or the error that run raised), and .op and
@@ -136,7 +141,9 @@ def _execute_directives(c, tol, out_path, probes, waves=None):
             if not point:
                 write_csv(wave, out_path, probes)
         elif d.kind == "dc" and not point:
-            write_csv(run_dc_sweep(c, *d.args, tol), out_path, probes)
+            tran = any(e.kind == "tran" for e in c.directives)
+            path = Path(out_path).with_suffix(".dc.csv") if tran else out_path
+            write_csv(run_dc_sweep(c, *d.args, tol), path, probes)
         elif d.kind == "measure":
             if wave is None:
                 raise NetlistError(".measure needs a preceding .tran", d.line)
@@ -145,11 +152,7 @@ def _execute_directives(c, tol, out_path, probes, waves=None):
 
 
 def _load_circuit(args):
-    try:
-        text = Path(args.netlist).read_text()
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
-    ast = parse_netlist(text)
+    ast = parse_netlist(Path(args.netlist).read_text())
     return expand_hierarchy(ast, _overrides(args.param))
 
 
@@ -185,10 +188,7 @@ def _sweep_point(c, tol, waves):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        text = Path(args.netlist).read_text()
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
+    text = Path(args.netlist).read_text()
     if "=" not in args.sweep:
         raise NetlistError(f"--sweep expects NAME=v1,v2,..., got {args.sweep!r}")
     name, raw = args.sweep.split("=", 1)
@@ -218,13 +218,7 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for v, row in zip(values, points):
-            cells = [format_sci(v)]
-            for _, val in row:
-                if isinstance(val, Histogram):
-                    cells.append(";".join(str(cnt) for cnt in val.counts))
-                else:
-                    cells.append(format_sci(val))
-            writer.writerow(cells)
+            writer.writerow([format_sci(v)] + [_cell(val) for _, val in row])
     print(f"sweep of {name} over {len(values)} points -> {out_path}")
     return EXIT_OK
 
@@ -259,11 +253,8 @@ def cmd_examples(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    try:
-        text = Path(args.netlist).read_text()
-        wave = read_csv(args.csv)
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
+    text = Path(args.netlist).read_text()
+    wave = read_csv(args.csv)
     ast = parse_netlist(text)
     c = expand_hierarchy(ast, _overrides(args.param))
     wave.vsource_nodes = transient._vsource_nodes(c)

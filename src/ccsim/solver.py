@@ -1,16 +1,20 @@
 """Linear solves and the DC operating point.
 
-Linear systems are solved by LAPACK, one matrix or a stack of them in
-one call.  A suspect answer is solved again by a hand-written dense LU
-with partial pivoting, the diagnostic: a pivot smaller than 1e-13 aborts
-with the name of the unknown whose column lost rank, almost always a
-floating node or a loop of voltage sources.  The Newton loop damps
-per-iteration voltage changes, and a gmin ladder (1e-3 S stepped down by
-decades to 1e-12 S) rescues cold starts that plain iteration cannot.
-A permanent gmin floor from every node to ground is always stamped, so
-deliberately floating nodes (for example an unused conveyor Z terminal)
-stay solvable without special cases.  The Newton loop evaluates no
-source: it stamps a given column of the sources' samples once per call.
+There is one linear solve, :func:`_solve_stack`: a stack of matrices
+in one LAPACK call (one matrix is a stack of one) and one acceptance
+check per slice.  Only a refused slice reaches the diagnostic, a
+hand-written dense LU with partial pivoting: a pivot smaller than 1e-13
+aborts with the name of the unknown whose column lost rank, almost
+always a floating node or a loop of voltage sources.
+:func:`solve_linear` is its raising wrapper.
+
+The Newton loop damps per-iteration voltage changes, and a gmin ladder
+(1e-3 S stepped down by decades to 1e-12 S) rescues cold starts that
+plain iteration cannot.  A permanent gmin floor from every node to
+ground is always stamped, so deliberately floating nodes (for example
+an unused conveyor Z terminal) stay solvable without special cases.
+The Newton loop evaluates no source: it stamps a given column of the
+sources' samples once per call.
 
 There is one Newton loop, :func:`newton_stack`.  It runs the plain
 Newton over K circuits at once, padded to one size (see
@@ -108,65 +112,48 @@ def lu_solve(factors, b: np.ndarray) -> np.ndarray:
 def solve_linear(a: np.ndarray, b: np.ndarray, row_names: list[str] | None = None) -> np.ndarray:
     """Solve a*x = b for one right-hand side vector or a matrix of columns.
 
-    LAPACK's x is kept when it reproduces b to RESID_TOL of b's largest
-    entry (a non-finite x never does) and is not so large that only a
-    pivot under PIVOT_TOL could make it from b.  Otherwise the hand LU
-    solves again; its :class:`SingularMatrixError` names the unknown
-    through ``row_names`` (the unknown map's display names).
-
-    A stack ``a`` of shape (K, n, n) with ``b`` of shape (K, n), or
-    (K, n, m) for m columns per slice, is solved by one LAPACK call; each
-    slice is then accepted, or solved again on its own, as above.  The
-    error of the first slice that fails is raised.
+    ``a`` is one matrix, or a stack of shape (K, n, n) with ``b`` of
+    shape (K, n), or (K, n, m) for m columns per slice; one matrix is a
+    stack of one.  Each slice is solved and judged by :func:`_solve_stack`;
+    the error of the first slice that fails is raised.
     """
-    if np.ndim(a) == 3:
-        x, errors = _solve_stack(np.asarray(a), np.asarray(b), row_names)
-        if errors:
-            raise errors[min(errors)]
-        return x
-    try:
-        x = np.linalg.solve(a, b)
-        scale = np.abs(b).max(initial=0.0)
-        resid = abs(a @ x - b).max(initial=0.0)
-        if resid <= RESID_TOL * scale and abs(x).max(initial=0.0) * PIVOT_TOL <= scale:
-            return x
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return lu_solve(lu_factor(a), b)
-    except SingularMatrixError as exc:
-        if row_names is not None and exc.unknown is None:
-            raise SingularMatrixError(exc.column, row_names[exc.column]) from None
-        raise
+    one = np.ndim(a) == 2
+    a, b = np.asarray(a), np.asarray(b)
+    x, errors = _solve_stack(a[None] if one else a, b[None] if one else b, row_names)
+    if errors:
+        raise errors[min(errors)]
+    return x[0] if one else x
 
 
 def _solve_stack(a, b, row_names):
-    """:func:`solve_linear` of each slice of a stack.  Returns the
-    solutions and a dict from slice to the :class:`SingularMatrixError`
-    of each slice that could not be solved; those rows are zero."""
-    if len(a) == 1:
-        # the checks on one matrix cost less than their stacked form
-        try:
-            return solve_linear(a[0], b[0], row_names)[None], {}
-        except SingularMatrixError as exc:
-            return np.zeros(b.shape), {0: exc}
+    """Solve each slice of a stack by one LAPACK call.
+
+    A slice's x is kept when it reproduces b to RESID_TOL of b's largest
+    entry (a non-finite x never does) and is not so large that only a
+    pivot under PIVOT_TOL could make it from b.  Otherwise the hand LU
+    solves that slice again; its :class:`SingularMatrixError` names the
+    unknown through ``row_names`` (the unknown map's display names).
+    Returns the solutions and a dict from slice to the error of each
+    slice that could not be solved; those rows are zero."""
     columns = b if b.ndim == 3 else b[..., None]  # each slice's right-hand sides as columns
     try:
         x = np.linalg.solve(a, columns)
-        scale = np.abs(columns).max(axis=(1, 2), initial=0.0)
-        resid = abs(a @ x - columns).max(axis=(1, 2), initial=0.0)
-        ok = (resid <= RESID_TOL * scale) & (abs(x).max(axis=(1, 2), initial=0.0) * PIVOT_TOL <= scale)
-        x = x.reshape(b.shape)
     except np.linalg.LinAlgError:
-        # one singular slice fails the whole call
-        x, ok = np.empty(b.shape), np.zeros(len(b), dtype=bool)
+        if len(a) > 1:  # one exactly singular slice fails the whole call
+            parts = [_solve_stack(a[k : k + 1], b[k : k + 1], row_names) for k in range(len(a))]
+            return np.concatenate([x for x, _ in parts]), {k: e[0] for k, (_, e) in enumerate(parts) if e}
+        x = np.full(columns.shape, np.nan)  # fails the acceptance check below
+    scale = np.abs(columns).max(axis=(1, 2), initial=0.0)
+    resid = abs(a @ x - columns).max(axis=(1, 2), initial=0.0)
+    ok = (resid <= RESID_TOL * scale) & (abs(x).max(axis=(1, 2), initial=0.0) * PIVOT_TOL <= scale)
+    x = x.reshape(b.shape)
     errors = {}
-    if not ok.all():
-        for k in np.flatnonzero(~ok):
-            try:
-                x[k] = solve_linear(a[k], b[k], row_names)
-            except SingularMatrixError as exc:
-                x[k], errors[k] = 0.0, exc
+    for k in (~ok).nonzero()[0].tolist():
+        try:
+            x[k] = lu_solve(lu_factor(a[k]), b[k])
+        except SingularMatrixError as exc:
+            name = None if row_names is None else row_names[exc.column]
+            x[k], errors[k] = 0.0, SingularMatrixError(exc.column, name)
     return x, errors
 
 
@@ -180,11 +167,9 @@ def node_residual_norm(sys: mna.MnaSystem, x: np.ndarray, n_nodes: int) -> np.nd
 _ONE = np.ones(1, dtype=bool)  # the live mask of a stack of one
 
 
-def _stack_of_one(plan: mna.StampPlan, u: mna.UnknownMap, x0: np.ndarray, companions):
-    """A single circuit's plan, start and companions as a stack of one."""
-    if companions is not None:
-        companions = tuple(np.reshape(v, (-1, 1)) for v in companions)
-    return mna.stack([plan], [u])[0], x0[None], companions
+def _stack_of_one(plan: mna.StampPlan, u: mna.UnknownMap, x0: np.ndarray):
+    """A single circuit's plan and start as a stack of one."""
+    return mna.stack([plan], [u])[0], x0[None]
 
 
 def gmin_stepped_dc(
@@ -204,9 +189,9 @@ def gmin_stepped_dc(
     stack of one that stamps ``column``, the rescued point's own column
     of the plan's source samples (t = 0 when not given)."""
     x0 = np.zeros(u.size) if x0 is None else x0
-    plan, x, companions = _stack_of_one(
-        plan or mna.compile(c, u, tol.gmin_floor), u, x0, companions
-    )
+    plan, x = _stack_of_one(plan or mna.compile(c, u, tol.gmin_floor), u, x0)
+    if companions is not None:
+        companions = tuple(np.reshape(v, (-1, 1)) for v in companions)
     column = plan.sources.values(0.0) if column is None else column
     total_iters = 0
     g = gmin_start
@@ -231,27 +216,25 @@ def newton_dc(
     tol: Tolerances | None = None,
     t: float = 0.0,
     x0: np.ndarray | None = None,
-    companions=None,
-    gmin_start: float = 1e-3,
     plan: mna.StampPlan | None = None,
 ) -> OperatingPoint:
     """Find the DC solution at time ``t`` (sources evaluated there).
 
     Plain damped Newton first (:func:`newton_stack` over a stack of
     one), restarting with :func:`gmin_stepped_dc` when it fails.
-    ``companions`` and ``plan`` are as in :func:`mna.assemble`; the plan
-    is compiled here when not given.  ``iterations`` counts the linear
+    ``plan`` is as in :func:`mna.assemble`; it is compiled here when not
+    given.  ``iterations`` counts the linear
     solves.
     """
     tol = tol or Tolerances()
     plan = plan or mna.compile(c, u, tol.gmin_floor)
     x0 = np.zeros(u.size) if x0 is None else x0
-    one, x, comp = _stack_of_one(plan, u, x0, companions)
+    one, x = _stack_of_one(plan, u, x0)
     column = one.sources.values(t)
-    x, resid, its, errors = newton_stack(u, tol, column, x, comp, one, _ONE)
+    x, resid, its, errors = newton_stack(u, tol, column, x, None, one, _ONE)
     if not errors:
         return OperatingPoint(x[0], float(resid[0]), int(its[0]))
-    return gmin_stepped_dc(c, u, tol, column, x0, companions, gmin_start, plan)
+    return gmin_stepped_dc(c, u, tol, column, x0, plan=plan)
 
 
 def newton_stack(

@@ -261,3 +261,18 @@ def test_dc_sweep_directive(tmp_path):
     assert lines[0].startswith("v1,")
     mid = [float(line.split(",")[2]) for line in lines[1:]]
     assert mid == pytest.approx([0.0, 0.25, 0.5], rel=1e-6)
+
+
+def test_dc_beside_tran_gets_its_own_csv(tmp_path):
+    # a netlist with both analyses keeps the .tran record in --out and
+    # writes the .dc record to <stem>.dc.csv, each as its own run writes it
+    body = "t\nvin in 0 SIN(0 0.05 1k)\nr1 in m 1k\nr2 m 0 1k\n"
+    tran, dc = ".tran 10u 1m\n", ".dc vin -0.1 0.1 0.05\n"
+    runs = {"both": ".op\n" + dc + tran, "tran": tran, "dc": dc}
+    for name, lines in runs.items():
+        (tmp_path / f"{name}.cir").write_text(body + lines + ".end\n")
+        r = ccsim("run", str(tmp_path / f"{name}.cir"), "--out", str(tmp_path / f"{name}.csv"))
+        assert r.returncode == 0, r.stderr
+    assert (tmp_path / "both.csv").read_bytes() == (tmp_path / "tran.csv").read_bytes()
+    assert (tmp_path / "both.dc.csv").read_bytes() == (tmp_path / "dc.csv").read_bytes()
+    assert not (tmp_path / "dc.dc.csv").exists()

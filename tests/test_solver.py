@@ -3,13 +3,16 @@ import re
 import numpy as np
 import pytest
 
-from ccsim import mna
+from ccsim import mna, solver
 from ccsim.mna import assemble, index_unknowns
 from ccsim.netlist import parse_and_flatten
 from ccsim.solver import (
+    PIVOT_TOL,
     ConvergenceError,
     SingularMatrixError,
     Tolerances,
+    lu_factor,
+    lu_solve,
     newton_dc,
     newton_stack,
     solve_linear,
@@ -291,3 +294,29 @@ def test_stacked_solve_matches_each_slice(rng):
         stack = np.stack([np.eye(2), bad, 2 * np.eye(2)])
         with pytest.raises(SingularMatrixError, match=r"v\(q\)"):
             solve_linear(stack, np.array([[1.0, 0.0]] * 3), row_names=["v(p)", "v(q)"])
+    # a refused slice whose hand-LU pivots (1e-6) pass: LAPACK's x reaches
+    # 1e18, too large for the pivot size test, and the diagnostic's answer
+    # is returned, alone and as the middle slice of a stack
+    tri = np.array([[1e-6, 1.0, 0.0], [0.0, 1e-6, 1.0], [0.0, 0.0, 1e-6]])
+    stack = np.stack([np.eye(3), tri, 2 * np.eye(3)])
+    rhs = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0], [3.0, 2.0, 1.0]])
+    assert abs(np.linalg.solve(tri, rhs[1])).max() * PIVOT_TOL > abs(rhs[1]).max()
+    want = lu_solve(lu_factor(tri), rhs[1])
+    assert np.array_equal(solve_linear(tri, rhs[1]), want)
+    x = solve_linear(stack, rhs)
+    assert np.array_equal(x[1], want)
+    for k in (0, 2):
+        assert np.array_equal(x[k], solve_linear(stack[k], rhs[k]))
+
+
+def test_stacked_solve_keeps_a_singular_slice_error_to_its_slice():
+    # LAPACK fails the whole stack on its exactly singular slice; the
+    # others still get their own answers, and only that slice an error
+    stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [1.0, 2.0]]), 2 * np.eye(2)])
+    rhs = np.array([[1.0, -2.0], [1.0, 0.0], [3.0, 4.0]])
+    x, errors = solver._solve_stack(stack, rhs, ["v(p)", "v(q)"])
+    for k in (0, 2):
+        assert np.array_equal(x[k], solve_linear(stack[k], rhs[k]))
+    assert list(errors) == [1]
+    assert type(errors[1]) is SingularMatrixError and errors[1].unknown == "v(q)"
+    assert np.array_equal(x[1], np.zeros(2))
