@@ -117,21 +117,20 @@ def _write_measures_csv(results: list[Measurement], path):
 
 
 def _execute_directives(c, tol, out_path, probes, waves=None):
-    """Run .op/.dc/.tran/.measure in netlist order, writing each .tran
-    record to ``out_path`` and each .dc record there too, or to
-    ``<stem>.dc.csv`` beside it when the netlist also has a .tran, so
-    that neither replaces the other; returns the measurement results in
-    netlist order.  ``waves``, when given, makes this a sweep point that
-    keeps only its measurements: it holds the result of each .tran, run
-    beforehand (a waveform, or the error that run raised), and .op and
-    .dc are not run."""
+    """Run .op/.dc/.tran/.measure in netlist order, writing each record
+    to its own CSV (see :func:`_record_path`); returns the measurement
+    results in netlist order.  ``waves``, when given, makes this a sweep
+    point that keeps only its measurements: it holds the result of each
+    .tran, run beforehand (a waveform, or the error that run raised), and
+    .op and .dc are not run."""
     u = mna.index_unknowns(c)
     _validate_probes(u, probes)
     wave: Waveform | None = None
     results: list[Measurement] = []
     point = waves is not None
     pending = iter(waves or ())
-    for d in c.directives:
+    kinds = [d.kind for d in c.directives]
+    for i, d in enumerate(c.directives):
         if d.kind == "op" and not point:
             _print_op(u, newton_dc(c, u, tol))
         elif d.kind == "tran":
@@ -139,16 +138,26 @@ def _execute_directives(c, tol, out_path, probes, waves=None):
             if isinstance(wave, Exception):
                 raise wave
             if not point:
-                write_csv(wave, out_path, probes)
+                write_csv(wave, _record_path(out_path, kinds, i), probes)
         elif d.kind == "dc" and not point:
-            tran = any(e.kind == "tran" for e in c.directives)
-            path = Path(out_path).with_suffix(".dc.csv") if tran else out_path
-            write_csv(run_dc_sweep(c, *d.args, tol), path, probes)
+            write_csv(run_dc_sweep(c, *d.args, tol), _record_path(out_path, kinds, i), probes)
         elif d.kind == "measure":
             if wave is None:
                 raise NetlistError(".measure needs a preceding .tran", d.line)
             results.append(run_measure(d.args, wave))
     return results
+
+
+def _record_path(out_path, kinds: list[str], i: int):
+    """Where directive i, a .tran or .dc, writes its record, ``kinds``
+    being every directive's kind: the first .tran to ``out_path``, the
+    first .dc there too without a .tran and to ``<stem>.dc.csv`` with one,
+    and the k-th of a kind (k >= 2) to ``<stem>.tran<k>.csv`` or
+    ``<stem>.dc<k>.csv``, so no record replaces another."""
+    k = kinds[: i + 1].count(kinds[i])
+    if k == 1 and (kinds[i] == "tran" or "tran" not in kinds):
+        return out_path
+    return Path(out_path).with_suffix(f".{kinds[i]}{k if k > 1 else ''}.csv")
 
 
 def _load_circuit(args):
@@ -257,7 +266,7 @@ def cmd_measure(args) -> int:
     wave = read_csv(args.csv)
     ast = parse_netlist(text)
     c = expand_hierarchy(ast, _overrides(args.param))
-    wave.vsource_nodes = transient._vsource_nodes(c)
+    wave.vsource_nodes = transient.vsource_nodes(c)
     results = []
     for d in c.directives:
         if d.kind == "measure":

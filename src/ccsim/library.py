@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from . import mna
 from .devices import Record, Sin, SourceSpec, conveyor_rx
-from .netlist import expand_hierarchy, parse_and_flatten, parse_netlist, source_text
+from .netlist import expand_hierarchy, parse_and_flatten, parse_netlist, source_text, value_text
 from .solver import Tolerances, newton_dc
 from .transient import Waveform, run_transient_stacked
 from .measure import average_power, gain, peak_power
@@ -152,29 +152,24 @@ EXAMPLE_NAMES = (
 )
 
 
-def _fmt(v: float | str) -> str:
-    """A value as netlist text: a number's repr, a parameter name as it is."""
-    return v if isinstance(v, str) else repr(float(v))
-
-
 def _behavioral_u(name: str, nodes: str, conv: BehavioralConveyor, ctype: str) -> str:
     parts = [name, nodes, ctype]
     if conv.rx is not None:
-        parts.append(f"rx={_fmt(conv.rx)}")
+        parts.append(f"rx={value_text(conv.rx)}")
     else:
-        parts.append(f"ib={_fmt(conv.ib)}")
-        parts.append(f"beta={_fmt(conv.beta_n)}")
+        parts.append(f"ib={value_text(conv.ib)}")
+        parts.append(f"beta={value_text(conv.beta_n)}")
     if conv.vmin is not None:
-        parts.append(f"vmin={_fmt(conv.vmin)}")
+        parts.append(f"vmin={value_text(conv.vmin)}")
     if conv.vmax is not None:
-        parts.append(f"vmax={_fmt(conv.vmax)}")
+        parts.append(f"vmax={value_text(conv.vmax)}")
     return " ".join(parts)
 
 
 def _default_tran(s: SourceSpec, periods: int = 5, points_per_period: int = 1000) -> str:
     freq = s.freq if isinstance(s, Sin) else 1e3
     dt = 1.0 / (freq * points_per_period)
-    return f".tran {_fmt(dt)} {_fmt(periods / freq)} method=trap"
+    return f".tran {value_text(dt)} {value_text(periods / freq)} method=trap"
 
 
 def _amp_measures(powered: bool) -> list[str]:
@@ -196,8 +191,8 @@ def _behavioral_amp(cfg: AmplifierConfig, two_stage: bool, ctype: str) -> str:
     conv = cfg.conveyor
     lines = [
         "two-resistor tunable voltage amplifier (behavioral conveyor)",
-        f".param r1={_fmt(cfg.r1)}",
-        f".param r2={_fmt(cfg.r2)}",
+        f".param r1={value_text(cfg.r1)}",
+        f".param r2={value_text(cfg.r2)}",
         f"vin in 0 {source_text(cfg.input)}",
     ]
     if two_stage:
@@ -220,13 +215,13 @@ def _translinear_amp(cfg: AmplifierConfig, two_stage: bool) -> str:
     cell = f"{conv.family}_cell"
     lines = [
         "two-resistor tunable voltage amplifier (translinear conveyor)",
-        f".param r1={_fmt(cfg.r1)}",
-        f".param r2={_fmt(cfg.r2)}",
-        f".param ibval={_fmt(conv.ib)}",
+        f".param r1={value_text(cfg.r1)}",
+        f".param r2={value_text(cfg.r2)}",
+        f".param ibval={value_text(conv.ib)}",
         _MODEL_CARDS,
         _CELL_TEXT[conv.family],
-        f"vdd vdd 0 DC {_fmt(conv.rails)}",
-        f"vss vss 0 DC {_fmt(-conv.rails)}",
+        f"vdd vdd 0 DC {value_text(conv.rails)}",
+        f"vss vss 0 DC {value_text(-conv.rails)}",
         f"vin in 0 {source_text(cfg.input)}",
     ]
     if two_stage:
@@ -251,12 +246,12 @@ def _char_circuit(cfg: AmplifierConfig) -> str:
     cell = f"{conv.family}_cell"
     lines = [
         "conveyor X-resistance characterization (grounded Y, current probe at X)",
-        f".param ibval={_fmt(conv.ib)}",
+        f".param ibval={value_text(conv.ib)}",
         ".param iprobe=0.0",
         _MODEL_CARDS,
         _CELL_TEXT[conv.family],
-        f"vdd vdd 0 DC {_fmt(conv.rails)}",
-        f"vss vss 0 DC {_fmt(-conv.rails)}",
+        f"vdd vdd 0 DC {value_text(conv.rails)}",
+        f"vss vss 0 DC {value_text(-conv.rails)}",
         "it 0 x DC iprobe",
         f"xu1 0 x z vdd vss {cell}",
         "rz z 0 1000.0",

@@ -14,9 +14,11 @@ from Z to ground) comes out non-inverting with gain R2 / (R1 + R_X).
 :func:`compile` stamps a topology once into a :class:`StampPlan`;
 :func:`assemble` turns the plan into one Newton iterate, with all MOSFETs
 linearized by one vectorized :func:`mosfet_eval` call, and its sources
-stamped from one column of the run's :meth:`SourceTable.samples`.
+stamped from one column of the run's :meth:`SourceTable.samples`, whose
+memo is the one place where equal source specs are merged.
 :func:`stack` joins the plans of K circuits, padded to one size, so that
-one :func:`assemble` call builds all K systems.
+one :func:`assemble` call builds all K systems; their source tables are
+joined as they are, for the positions, and a run samples each plan's own.
 
 Matrices are dense; the circuits this simulator targets stay well under a
 couple hundred unknowns.  A system under assembly is exclusively owned by
@@ -132,47 +134,33 @@ def companion_values(farads, method: str, dt: float, v_prev, i_prev):
 
 class SourceTable:
     """The independent sources of a plan: entry j adds ``sign[j]`` times
-    a sample of ``specs[spec[j]]`` at buffer position ``at[j]``.  Each
-    distinct spec is listed, and so sampled, once.  :func:`compile` lists
-    the entries in element order, each source's :func:`_linear_stamp` rows."""
+    a sample of ``specs[j]`` at buffer position ``at[j]``.  :func:`compile`
+    lists the entries in element order, each source's :func:`_linear_stamp`
+    rows.  Specs are not merged here: :meth:`samples` samples each distinct
+    one once, through the run's memo."""
 
-    __slots__ = ("at", "sign", "spec", "specs")
+    __slots__ = ("at", "sign", "specs")
 
-    def __init__(self, at: np.ndarray, sign: np.ndarray, spec: np.ndarray, specs: list[SourceSpec]):
-        self.at, self.sign, self.spec, self.specs = at, sign, spec, specs
-
-    @classmethod
-    def of(cls, entries: list[tuple[int, float, SourceSpec]]) -> "SourceTable":
-        # keyed by repr, which tells -0.0 from 0.0 where == does not
-        index = {}
-        for _, _, spec in entries:
-            index.setdefault(repr(spec), (len(index), spec))
-        return cls(
-            np.array([at for at, _, _ in entries], dtype=np.intp),
-            np.array([sign for _, sign, _ in entries], dtype=float),
-            np.array([index[repr(spec)][0] for _, _, spec in entries], dtype=np.intp),
-            [spec for _, spec in index.values()],
-        )
-
-    def entries(self) -> list[tuple[int, float, SourceSpec]]:
-        return [(int(a), float(s), self.specs[j]) for a, s, j in zip(self.at, self.sign, self.spec)]
+    def __init__(self, at: np.ndarray, sign: np.ndarray, specs: list[SourceSpec]):
+        self.at, self.sign, self.specs = at, sign, specs
 
     def samples(self, times: np.ndarray, sampled: dict | None = None) -> np.ndarray:
         """Each entry's signed value at each of ``times``: an (entries,
         times) matrix, whose column k :func:`stamp_sources` stamps at
-        ``times[k]``.  Each spec is sampled once, over all the times; with
-        ``sampled``, a dict from a spec's repr to its samples at these
-        times, once for all the tables that share the dict."""
+        ``times[k]``.  ``sampled`` is the memo, a dict from a spec's repr
+        (which tells -0.0 from 0.0 where == does not) to its samples at
+        these times; each distinct spec is sampled once per memo, so once
+        per run when the run's tables share one, else once per call."""
         times = np.asarray(times, dtype=float)
         sampled = {} if sampled is None else sampled
-        per_spec = []
+        rows = []
         for s in self.specs:
             key = repr(s)
-            if key not in sampled:
-                sampled[key] = source_samples(s, times)
-            per_spec.append(sampled[key])
-        per_spec = np.array(per_spec)
-        return self.sign[:, None] * per_spec.reshape(len(self.specs), times.size)[self.spec]
+            row = sampled.get(key)
+            if row is None:
+                row = sampled[key] = source_samples(s, times)
+            rows.append(row)
+        return self.sign[:, None] * np.array(rows).reshape(len(self.specs), times.size)
 
     def values(self, t: float) -> np.ndarray:
         """Each entry's signed value at time ``t``: one column of :meth:`samples`."""
@@ -237,7 +225,7 @@ def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> St
     rhs = m * m
     static = np.zeros(rhs + m)
     matrix = static[:rhs].reshape(m, m)
-    sources, caps, mos = [], [], []  # sources as (position, sign, spec)
+    at, sign, specs, caps, mos = [], [], [], [], []  # at, sign and specs: the source entries
     for e in c.elements:
         if isinstance(e, Capacitor):
             caps.append(e)
@@ -247,7 +235,9 @@ def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> St
             entries, rows = _linear_stamp(e, c, u)
             for i, j, v in entries:
                 matrix[i, j] += v
-            sources += [(rhs + r % m, sign, e.spec) for r, sign in rows]
+            at += [rhs + r % m for r, _ in rows]
+            sign += [row_sign for _, row_sign in rows]
+            specs += [e.spec for _ in rows]
     static[: u.n_nodes * (m + 1) : m + 1] += gmin_floor  # the node-voltage diagonal
 
     def rows(elements, *terminals):
@@ -256,8 +246,9 @@ def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> St
 
     a, b = cap_ab = rows(caps, "a", "b")
     d, g, s = mos_dgs = rows(mos, "d", "g", "s")
+    sources = SourceTable(np.array(at, dtype=np.intp), np.array(sign, dtype=float), specs)
     return StampPlan(
-        static, SourceTable.of(sources), cap_ab, np.array([e.farads for e in caps]),
+        static, sources, cap_ab, np.array([e.farads for e in caps]),
         # +geq, +geq and +ieq, then the same entries negated
         np.concatenate([a * m + a, b * m + b, rhs + a, a * m + b, b * m + a, rhs + b]),
         mos_dgs, MosfetBank.of([e.params for e in mos]),
@@ -305,7 +296,7 @@ def _pad(p: StampPlan, u: UnknownMap, n_nodes: int, n: int, n_mos: int, n_cap: i
 
     src = p.sources
     return StampPlan(
-        static.ravel(), SourceTable(moved(src.at), src.sign, src.spec, src.specs),
+        static.ravel(), SourceTable(moved(src.at), src.sign, src.specs),
         terminals(p.cap_ab, n_cap), grown(p.farads, n_cap), at(p.cap_at, 6, n_cap),
         terminals(p.mos_dgs, n_mos),
         MosfetBank(grown(p.mos.sign, n_mos, 1.0), grown(p.mos.vth, n_mos), grown(p.mos.beta, n_mos),
@@ -353,8 +344,9 @@ def stack(plans: list[StampPlan], maps: list[UnknownMap]) -> tuple[StampPlan, Un
         return (values([getattr(p, name) for p in plans]) + offset).ravel()
 
     bank = (values([getattr(p.mos, f) for p in plans]).reshape(-1) for f in ("sign", "vth", "beta", "lam"))
-    sources = SourceTable.of([(k * size + at, sign, spec)
-                              for k, p in enumerate(plans) for at, sign, spec in p.sources.entries()])
+    tables = [p.sources for p in plans]  # a run samples each plan's own; the stack's only stamps
+    sources = SourceTable(np.concatenate([k * size + t.at for k, t in enumerate(tables)]),
+                          np.concatenate([t.sign for t in tables]), [s for t in tables for s in t.specs])
     return StampPlan(
         np.array([p.static for p in plans]), sources,
         rows("cap_ab"), values([p.farads for p in plans]), positions("cap_at"),

@@ -462,15 +462,16 @@ def parse_netlist(text: str) -> NetlistAst:
 # Printing (parse -> print -> parse is a fixed point)
 # --------------------------------------------------------------------------
 
-def _fmt(v) -> str:
+def value_text(v: float | str) -> str:
+    """The netlist text of a value: a number's repr, a parameter name as it is."""
     return v if isinstance(v, str) else repr(float(v))
 
 
 def _fmt_source(src) -> str:
     kind, args = src
     if kind == "dc":
-        return f"DC {_fmt(args[0])}"
-    return f"{kind.upper()}({' '.join(_fmt(a) for a in args)})"
+        return f"DC {value_text(args[0])}"
+    return f"{kind.upper()}({' '.join(value_text(a) for a in args)})"
 
 
 def source_text(spec: SourceSpec) -> str:
@@ -485,7 +486,7 @@ def _fmt_probe(p) -> str:
 def _print_element(el: ElementSpec) -> str:
     parts = [el.name, *el.nodes]
     if el.kind in ("r", "c"):
-        parts.append(_fmt(el.param("value")))
+        parts.append(value_text(el.param("value")))
     elif el.kind in ("v", "i"):
         parts.append(_fmt_source(el.param("source")))
     elif el.kind == "m":
@@ -496,7 +497,7 @@ def _print_element(el: ElementSpec) -> str:
         parts.append(el.param("ctype"))
         for k, v in el.params:
             if k != "ctype":
-                parts.append(f"{k}={_fmt(v)}")
+                parts.append(f"{k}={value_text(v)}")
     return " ".join(parts)
 
 
@@ -504,11 +505,11 @@ def _print_directive(d: Directive) -> str:
     if d.kind in ("op", "end"):
         return f".{d.kind}"
     if d.kind == "dc":
-        return f".dc {d.args[0]} " + " ".join(_fmt(a) for a in d.args[1:])
+        return f".dc {d.args[0]} " + " ".join(value_text(a) for a in d.args[1:])
     if d.kind == "tran":
-        return f".tran {_fmt(d.args[0])} {_fmt(d.args[1])} method={d.args[2]}"
+        return f".tran {value_text(d.args[0])} {value_text(d.args[1])} method={d.args[2]}"
     if d.kind == "param":
-        return f".param {d.args[0]}={_fmt(d.args[1])}"
+        return f".param {d.args[0]}={value_text(d.args[1])}"
     mname, mkind, margs = d.args
     if mkind in ("rms", "pp"):
         body = _fmt_probe(margs[0])
@@ -525,13 +526,13 @@ def print_netlist(ast: NetlistAst) -> str:
     """Render an AST back to netlist text in canonical form."""
     out = [ast.title]
     for card in ast.models:
-        parts = [f".model {card.name} {card.polarity}", f"vth={_fmt(card.vth)}"]
+        parts = [f".model {card.name} {card.polarity}", f"vth={value_text(card.vth)}"]
         if card.beta is not None:
-            parts.append(f"beta={_fmt(card.beta)}")
+            parts.append(f"beta={value_text(card.beta)}")
         else:
-            parts += [f"un_cox={_fmt(card.un_cox)}", f"w={_fmt(card.w)}", f"l={_fmt(card.l)}"]
+            parts += [f"un_cox={value_text(card.un_cox)}", f"w={value_text(card.w)}", f"l={value_text(card.l)}"]
         if not (isinstance(card.lam, float) and card.lam == 0.0):
-            parts.append(f"lambda={_fmt(card.lam)}")
+            parts.append(f"lambda={value_text(card.lam)}")
         out.append(" ".join(parts))
     for sub in ast.subckt_defs:
         out.append(f".subckt {sub.name} " + " ".join(sub.ports))

@@ -33,6 +33,7 @@ from .netlist import FlatCircuit
 
 PIVOT_TOL = 1e-13
 RESID_TOL = 1e-9
+DAMPING = 0.5  # largest node-voltage change per Newton iteration, volts
 
 
 class SingularMatrixError(Exception):
@@ -53,13 +54,11 @@ class ConvergenceError(Exception):
 
 
 class Tolerances:
-    __slots__ = ("reltol", "vntol", "abstol", "maxiter", "damping", "gmin_floor")
+    __slots__ = ("reltol", "vntol", "abstol", "maxiter", "gmin_floor")
 
-    def __init__(self, reltol=1e-6, vntol=1e-9, abstol=1e-12, maxiter=100,
-                 damping=0.5,  # max per-iteration voltage change, volts
-                 gmin_floor=mna.GMIN_FLOOR):
+    def __init__(self, reltol=1e-6, vntol=1e-9, abstol=1e-12, maxiter=100, gmin_floor=mna.GMIN_FLOOR):
         self.reltol, self.vntol, self.abstol = reltol, vntol, abstol
-        self.maxiter, self.damping, self.gmin_floor = maxiter, damping, gmin_floor
+        self.maxiter, self.gmin_floor = maxiter, gmin_floor
 
 
 class OperatingPoint:
@@ -301,8 +300,8 @@ def newton_stack(
             xi = x if full else x[idx]
             dx = x_new - xi
             dv = dx[:, :nv]
-            # clip to +-damping in place (np.clip's wrapper costs more than the work)
-            np.minimum(np.maximum(dv, -tol.damping, out=dv), tol.damping, out=dv)
+            # clip to +-DAMPING in place (np.clip's wrapper costs more than the work)
+            np.minimum(np.maximum(dv, -DAMPING, out=dv), DAMPING, out=dv)
             xi = xi + dx
             ok = (abs(dv) <= tol.reltol * abs(xi[:, :nv]) + tol.vntol).all(axis=-1)
             if full:

@@ -79,7 +79,8 @@ class Waveform:
         return self.columns[name]
 
 
-def _vsource_nodes(c: FlatCircuit) -> dict[str, tuple[str, str]]:
+def vsource_nodes(c: FlatCircuit) -> dict[str, tuple[str, str]]:
+    """Each voltage source's (p, n) nodes, as a :class:`Waveform` keeps them."""
     return {e.name: (e.p, e.n) for e in c.elements if isinstance(e, VSource)}
 
 
@@ -199,7 +200,7 @@ def _waveform(c, u, times, data, dt, method, rows=None, label="time"):
     """The record of ``c`` whose unknown i is row ``rows[i]`` of ``data``."""
     rows = range(u.size) if rows is None else rows
     columns = {name: data[r] for r, name in zip(rows, u.names)}
-    return Waveform(times, columns, dt, method, _vsource_nodes(c), label)
+    return Waveform(times, columns, dt, method, vsource_nodes(c), label)
 
 
 def _superpose(circuits, maps, plans, tol):
@@ -317,8 +318,9 @@ def run_dc_sweep(
     """Operating points over one independent source's DC value: the
     stepped loop over a stack of one, compiled once with the source at
     ``start``, whose sample matrix is the t = 0 column repeated with the
-    source's own entries set to each value.  They are picked by place in
-    the source table (element order), as two sources may share a spec."""
+    source's own entries set to each value.  Its entries are those whose
+    spec is the very ``Dc`` object made here for it: no other element can
+    hold that object, while two sources may hold equal specs."""
     tol = tol or Tolerances()
     name = source_name.lower()
     sources = [e.name if isinstance(e, (VSource, ISource)) else None for e in c.elements]
@@ -329,12 +331,12 @@ def run_dc_sweep(
         raise ValueError("dc sweep step must be nonzero and lead from start to stop")
     values = start + np.arange(n + 1) * step
     idx = sources.index(name)
-    elems = [*c.elements[:idx], c.elements[idx]._replace(spec=Dc(float(values[0]))), *c.elements[idx + 1:]]
+    first = Dc(float(values[0]))
+    elems = [*c.elements[:idx], c.elements[idx]._replace(spec=first), *c.elements[idx + 1:]]
     c = FlatCircuit(c.nodes, c.node_names, elems, c.directives, c.params)
     u = mna.index_unknowns(c)
     plan = mna.compile(c, u, tol.gmin_floor)
-    own = [len(mna._linear_stamp(e, c, u)[1]) if s else 0 for e, s in zip(elems, sources)]
-    swept = slice(sum(own[:idx]), sum(own[: idx + 1]))
+    swept = np.array([spec is first for spec in plan.sources.specs], dtype=bool)
     samples = np.repeat(plan.sources.values(0.0)[:, None], len(values), axis=1)
     samples[swept] = plan.sources.sign[swept, None] * values
     (wave,) = _run_stack([c], [u], [plan], values, [samples], float(step), "dc", tol, name)

@@ -276,3 +276,21 @@ def test_dc_beside_tran_gets_its_own_csv(tmp_path):
     assert (tmp_path / "both.csv").read_bytes() == (tmp_path / "tran.csv").read_bytes()
     assert (tmp_path / "both.dc.csv").read_bytes() == (tmp_path / "dc.csv").read_bytes()
     assert not (tmp_path / "dc.dc.csv").exists()
+
+
+@pytest.mark.parametrize("kind,first,second", [
+    ("dc", ".dc i2 -1m 1m 0.5m\n", ".dc v1 -1 1 0.25\n"),
+    ("tran", ".tran 10u 1m\n", ".tran 20u 2m method=be\n"),
+])
+def test_repeated_records_get_numbered_csvs(tmp_path, kind, first, second):
+    # --out keeps the first record of a kind and <stem>.<kind>2.csv takes
+    # the second, each as the run of its directive alone writes it
+    body = "t\nv1 in 0 SIN(0 0.5 1k)\ni2 0 m DC 0\nr1 in m 1k\nr2 m 0 1k\n"
+    runs = {"both": first + second, "first": first, "second": second}
+    for name, lines in runs.items():
+        (tmp_path / f"{name}.cir").write_text(body + lines + ".end\n")
+        r = ccsim("run", str(tmp_path / f"{name}.cir"), "--out", str(tmp_path / f"{name}.csv"))
+        assert r.returncode == 0, r.stderr
+    assert (tmp_path / "both.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+    assert (tmp_path / f"both.{kind}2.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+    assert (tmp_path / "both.csv").read_bytes() != (tmp_path / "second.csv").read_bytes()

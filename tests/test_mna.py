@@ -290,10 +290,12 @@ def test_stamp_sources_adds_in_table_order():
     )
     u = index_unknowns(c)
     plan = mna.compile(c, u)
-    assert len(plan.sources.specs) == 5
+    sampled = {}
+    plan.sources.samples(np.array([0.0]), sampled)
+    assert len(sampled) == 5  # the memo samples each distinct spec once
     for t in (0.0, 1.23e-4, 3.7e-4):
         loop = plan.static.copy()
-        for at, sign, spec in plan.sources.entries():
+        for at, sign, spec in zip(plan.sources.at, plan.sources.sign, plan.sources.specs):
             loop[at] += sign * source_value(spec, t)
         assert np.array_equal(mna.stamp_sources(plan, plan.sources.values(t)), loop)
 

@@ -94,9 +94,11 @@ def test_repr_names_every_field():
 
 
 def test_source_table_tells_negative_zero_from_zero():
-    table = mna.SourceTable.of([(0, 1.0, Dc(0.0)), (1, 1.0, Dc(-0.0)), (2, -1.0, Dc(0.0))])
-    assert [repr(s) for s in table.specs] == ["Dc(value=0.0)", "Dc(value=-0.0)"]
-    assert table.spec.tolist() == [0, 1, 0]
+    table = mna.SourceTable(np.array([0, 1, 2]), np.array([1.0, 1.0, -1.0]), [Dc(0.0), Dc(-0.0), Dc(0.0)])
+    sampled = {}
+    column = table.samples(np.array([0.0]), sampled)[:, 0]
+    assert list(sampled) == ["Dc(value=0.0)", "Dc(value=-0.0)"]
+    assert [repr(v) for v in column.tolist()] == ["0.0", "-0.0", "-0.0"]
 
 
 @pytest.mark.parametrize("record", FROZEN, ids=lambda r: type(r).__name__)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccsim import mna, solver, transient
 from ccsim.devices import Dc
-from ccsim.library import emit_example
+from ccsim.library import AmplifierConfig, TranslinearConveyor, emit_example
 from ccsim.mna import index_unknowns
 from ccsim.netlist import (
     Capacitor,
@@ -310,6 +310,30 @@ STEPPED_INPUT = re.sub(
 def test_stacked_translinear_amp_matches_single_runs():
     circuits = _variants(TRANSLINEAR, "ibval", [15e-6, 50e-6, 180e-6])
     assert_stack_matches_runs(circuits, 1e-5, 4e-4, "trap")
+
+
+def test_each_distinct_spec_is_sampled_once_per_run(monkeypatch):
+    # translinear variants, two of one bias, beside a second translinear
+    # amplifier and a memoryless behavioral one: over the run's times, each
+    # distinct spec (by repr) is sampled once, however many circuits hold it
+    circuits = _variants(TRANSLINEAR, "ibval", [20e-6, 50e-6, 50e-6, 90e-6]) + [
+        parse_and_flatten(emit_example("ferri_2cc", AmplifierConfig(conveyor=TranslinearConveyor()))),
+        parse_and_flatten(emit_example("proposed_amp")),
+    ]
+    dt, tstop = 1e-5, 2e-4
+    n_times = int(round(tstop / dt)) + 1
+    sample, calls = mna.source_samples, []
+
+    def counted(spec, times):
+        if np.size(times) == n_times:
+            calls.append(repr(spec))
+        return sample(spec, times)
+
+    monkeypatch.setattr(mna, "source_samples", counted)
+    waves = list(run_transient_stacked(circuits, dt, tstop))
+    assert all(isinstance(w, Waveform) for w in waves)
+    specs = {repr(e.spec) for c in circuits for e in c.elements if isinstance(e, (VSource, ISource))}
+    assert sorted(calls) == sorted(specs)
 
 
 # node b's conductance is 2**-9 S; a capacitance of -2**-29 F cancels it
