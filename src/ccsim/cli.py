@@ -46,15 +46,13 @@ def _error(msg: str):
     print(f"ccsim: {msg}", file=sys.stderr)
 
 
+def _given(**values):
+    """The keyword arguments whose value is not None: the flags given."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
 def _tolerances(args) -> Tolerances:
-    tol = Tolerances()
-    if args.reltol is not None:
-        tol.reltol = args.reltol
-    if args.abstol is not None:
-        tol.abstol = args.abstol
-    if args.vntol is not None:
-        tol.vntol = args.vntol
-    return tol
+    return Tolerances(**_given(reltol=args.reltol, abstol=args.abstol, vntol=args.vntol))
 
 
 def _overrides(pairs) -> dict[str, float]:
@@ -116,35 +114,32 @@ def _write_measures_csv(results: list[Measurement], path):
             writer.writerow([m.name, m.kind, _cell(m.value), m.units])
 
 
-def _execute_directives(c, tol, out_path, probes, waves=None):
+def _measured(wave, d):
+    """The waveform the .measure directive ``d`` reads: the latest .tran's."""
+    if wave is None:
+        raise NetlistError(".measure needs a preceding .tran", d.line)
+    return wave
+
+
+def _execute_directives(c, tol, out_path, probes):
     """Run .op/.dc/.tran/.measure in netlist order, writing each record
     to its own CSV (see :func:`_record_path`); returns the measurement
-    results in netlist order.  ``waves``, when given, makes this a sweep
-    point that keeps only its measurements: it holds the result of each
-    .tran, run beforehand (a waveform, or the error that run raised), and
-    .op and .dc are not run."""
+    results in netlist order."""
     u = mna.index_unknowns(c)
     _validate_probes(u, probes)
     wave: Waveform | None = None
     results: list[Measurement] = []
-    point = waves is not None
-    pending = iter(waves or ())
     kinds = [d.kind for d in c.directives]
     for i, d in enumerate(c.directives):
-        if d.kind == "op" and not point:
+        if d.kind == "op":
             _print_op(u, newton_dc(c, u, tol))
         elif d.kind == "tran":
-            wave = next(pending) if point else run_transient(c, *d.args, tol)
-            if isinstance(wave, Exception):
-                raise wave
-            if not point:
-                write_csv(wave, _record_path(out_path, kinds, i), probes)
-        elif d.kind == "dc" and not point:
+            wave = run_transient(c, *d.args, tol)
+            write_csv(wave, _record_path(out_path, kinds, i), probes)
+        elif d.kind == "dc":
             write_csv(run_dc_sweep(c, *d.args, tol), _record_path(out_path, kinds, i), probes)
         elif d.kind == "measure":
-            if wave is None:
-                raise NetlistError(".measure needs a preceding .tran", d.line)
-            results.append(run_measure(d.args, wave))
+            results.append(run_measure(d.args, _measured(wave, d)))
     return results
 
 
@@ -189,11 +184,21 @@ def cmd_op(args) -> int:
     return EXIT_OK
 
 
-def _sweep_point(c, tol, waves):
+def _sweep_point(c, waves):
     """The row of measurements of one sweep point, from its circuit and
-    the results of its .tran directives; its .op and .dc are not run."""
-    results = _execute_directives(c, tol, None, None, waves)
-    return [(m.name, m.value) for m in results]
+    the result of each of its .tran directives, run beforehand (a
+    waveform, or the error that run raised); its .op and .dc are not run."""
+    pending = iter(waves)
+    wave, row = None, []
+    for d in c.directives:
+        if d.kind == "tran":
+            wave = next(pending)
+            if isinstance(wave, Exception):
+                raise wave
+        elif d.kind == "measure":
+            m = run_measure(d.args, _measured(wave, d))
+            row.append((m.name, m.value))
+    return row
 
 
 def cmd_sweep(args) -> int:
@@ -218,7 +223,7 @@ def cmd_sweep(args) -> int:
     points = []
     for v, c, *waves in zip(values, circuits, *runs):
         try:
-            points.append(_sweep_point(c, tol, waves))
+            points.append(_sweep_point(c, waves))
         except (ConvergenceError, SingularMatrixError) as exc:
             raise ConvergenceError(f"sweep aborted at {name}={format_sci(v)}: {exc}") from exc
     header = ["param_value"] + [n for n, _ in points[0]]
@@ -237,22 +242,17 @@ def cmd_examples(args) -> int:
         for n in library.EXAMPLE_NAMES:
             print(n)
         return EXIT_OK
-    translinear = (
-        args.emit in ("proposed_amp_translinear", "cccii_char")
-        or args.family in ("cccii", "ccii")
-    )
-    if translinear:
-        fam = "ccii" if args.family == "ccii" else "cccii"
-        default_rails = 1.5 if args.emit == "cccii_char" else 1.0
-        rails = args.rails if args.rails is not None else default_rails
-        conv = library.TranslinearConveyor(ib=args.ib, family=fam, rails=rails)
-    elif args.rx is not None:
-        conv = library.BehavioralConveyor(rx=args.rx, controlled=args.emit == "proposed_amp")
-    elif args.emit == "proposed_amp":
-        conv = library.BehavioralConveyor(rx=None, ib=args.ib, beta_n=args.beta)
+    cfg = library.example_config(args.emit)
+    conv = cfg.conveyor
+    if args.family != "behavioral":
+        if isinstance(conv, library.BehavioralConveyor):
+            conv = library.TranslinearConveyor()
+        conv = conv._replace(family=args.family)
+    if isinstance(conv, library.TranslinearConveyor):
+        conv = conv._replace(**_given(ib=args.ib, rails=args.rails))
     else:
-        conv = library.BehavioralConveyor(rx=0.0, controlled=False)
-    cfg = library.AmplifierConfig(r1=args.r1, r2=args.r2, conveyor=conv)
+        conv = conv._replace(**_given(rx=args.rx, ib=args.ib, beta_n=args.beta))
+    cfg = cfg._replace(conveyor=conv, **_given(r1=args.r1, r2=args.r2))
     text = library.emit_example(args.emit, cfg)
     if args.out:
         Path(args.out).write_text(text)
@@ -317,11 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--list", action="store_true")
     p_ex.add_argument("--emit", metavar="NAME")
     p_ex.add_argument("--out", help="write the netlist here instead of stdout")
-    p_ex.add_argument("--r1", type=parse_value, default=1e3)
-    p_ex.add_argument("--r2", type=parse_value, default=100e3)
+    p_ex.add_argument("--r1", type=parse_value, default=None)
+    p_ex.add_argument("--r2", type=parse_value, default=None)
     p_ex.add_argument("--rx", type=parse_value, default=None)
-    p_ex.add_argument("--ib", type=parse_value, default=50e-6)
-    p_ex.add_argument("--beta", type=parse_value, default=1e-3)
+    p_ex.add_argument("--ib", type=parse_value, default=None)
+    p_ex.add_argument("--beta", type=parse_value, default=None)
     p_ex.add_argument("--rails", type=parse_value, default=None,
                       help="rail magnitude in volts (default per circuit)")
     p_ex.add_argument("--family", choices=("behavioral", "cccii", "ccii"),

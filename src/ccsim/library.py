@@ -18,6 +18,12 @@ X-branch currents mirrored to Z.  A lighter class-A follower cell stands
 in for the plain (uncontrolled) conveyor; it spends fewer bias branches,
 so its supply draw is measurably lower at the same rails and bias.
 
+Each example is one entry of a table: its default conveyor, the conveyor
+type of its behavioral form and its stage count.  :func:`example_config`
+reads an entry's configuration and :func:`emit_example` writes the
+netlist of any configuration with one amplifier writer (the
+characterization bench has its own).
+
 The gain grid parses its amplifier once and runs all its points as one
 stack, and the power comparison steps its four amplifiers together as
 one stack (see :func:`ccsim.transient.run_transient_stacked`).
@@ -60,7 +66,6 @@ class AmplifierConfig(Record):
     r2: float = 100e3
     conveyor: BehavioralConveyor | TranslinearConveyor = BehavioralConveyor()
     input: SourceSpec = Sin(0.0, 0.05, 1e3)
-    topology: str = ""  # informative; the emit name picks the topology
 
     def __post_init__(self):
         if self.r1 <= 0.0 or self.r2 <= 0.0:
@@ -143,13 +148,18 @@ mpb3 z bp vdd vdd pmos_mir
 
 _CELL_TEXT = {"cccii": _CCCII_SUBCKT, "ccii": _CCII_SUBCKT}
 
-EXAMPLE_NAMES = (
-    "proposed_amp",
-    "ferri_1cc",
-    "ferri_2cc",
-    "proposed_amp_translinear",
-    "cccii_char",
-)
+# Each example: its default conveyor, the conveyor type its behavioral
+# form instantiates (None where only the transistor-level form exists),
+# and whether a first conveyor buffers the input.
+_EXAMPLES = {
+    "proposed_amp": (BehavioralConveyor(), "cccii+", False),
+    "ferri_1cc": (BehavioralConveyor(rx=0.0, controlled=False), "ccii+", False),
+    "ferri_2cc": (BehavioralConveyor(rx=0.0, controlled=False), "ccii+", True),
+    "proposed_amp_translinear": (TranslinearConveyor(), None, False),
+    "cccii_char": (TranslinearConveyor(rails=1.5), None, False),
+}
+
+EXAMPLE_NAMES = tuple(_EXAMPLES)
 
 
 def _behavioral_u(name: str, nodes: str, conv: BehavioralConveyor, ctype: str) -> str:
@@ -172,70 +182,47 @@ def _default_tran(s: SourceSpec, periods: int = 5, points_per_period: int = 1000
     return f".tran {value_text(dt)} {value_text(periods / freq)} method=trap"
 
 
-def _amp_measures(powered: bool) -> list[str]:
-    out = [
+def _cell_lines(conv: TranslinearConveyor) -> list[str]:
+    """Model cards, the cell definition and the rails of a translinear conveyor."""
+    return [
+        _MODEL_CARDS,
+        _CELL_TEXT[conv.family],
+        f"vdd vdd 0 DC {value_text(conv.rails)}",
+        f"vss vss 0 DC {value_text(-conv.rails)}",
+    ]
+
+
+def _amp(cfg: AmplifierConfig, two_stage: bool, ctype: str | None) -> str:
+    """The amplifier around ``cfg.conveyor``: a ``ctype`` element for a
+    behavioral conveyor, an instance of the MOS cell, with its rails and
+    supply-power measures, for a translinear one."""
+    conv = cfg.conveyor
+    cell = isinstance(conv, TranslinearConveyor)
+    lines = [
+        f"two-resistor tunable voltage amplifier ({'translinear' if cell else 'behavioral'} conveyor)",
+        f".param r1={value_text(cfg.r1)}",
+        f".param r2={value_text(cfg.r2)}",
+    ]
+    if cell:
+        lines += [f".param ibval={value_text(conv.ib)}", *_cell_lines(conv)]
+    lines.append(f"vin in 0 {source_text(cfg.input)}")
+    for k, nodes in enumerate(("in m zf", "m x out") if two_stage else ("in x out",), 1):
+        if cell:
+            lines.append(f"xu{k} {nodes} vdd vss {conv.family}_cell")
+        else:
+            lines.append(_behavioral_u(f"u{k}", nodes, conv, ctype))
+    lines += [
+        "r1 x 0 r1",
+        "r2 out 0 r2",
+        _default_tran(cfg.input, periods=2, points_per_period=100) if cell else _default_tran(cfg.input),
         ".measure g gain v(in) v(out)",
         ".measure outpp pp v(out)",
         ".measure outrms rms v(out)",
         ".measure outhist hist v(out) bins=20",
     ]
-    if powered:
-        out += [
-            ".measure pavg avgpow vdd vss",
-            ".measure ppk peakpow vdd vss",
-        ]
-    return out
-
-
-def _behavioral_amp(cfg: AmplifierConfig, two_stage: bool, ctype: str) -> str:
-    conv = cfg.conveyor
-    lines = [
-        "two-resistor tunable voltage amplifier (behavioral conveyor)",
-        f".param r1={value_text(cfg.r1)}",
-        f".param r2={value_text(cfg.r2)}",
-        f"vin in 0 {source_text(cfg.input)}",
-    ]
-    if two_stage:
-        lines.append(_behavioral_u("u1", "in m zf", conv, ctype))
-        lines.append(_behavioral_u("u2", "m x out", conv, ctype))
-    else:
-        lines.append(_behavioral_u("u1", "in x out", conv, ctype))
-    lines += [
-        "r1 x 0 r1",
-        "r2 out 0 r2",
-        _default_tran(cfg.input),
-        *_amp_measures(powered=False),
-        ".end",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _translinear_amp(cfg: AmplifierConfig, two_stage: bool) -> str:
-    conv = cfg.conveyor
-    cell = f"{conv.family}_cell"
-    lines = [
-        "two-resistor tunable voltage amplifier (translinear conveyor)",
-        f".param r1={value_text(cfg.r1)}",
-        f".param r2={value_text(cfg.r2)}",
-        f".param ibval={value_text(conv.ib)}",
-        _MODEL_CARDS,
-        _CELL_TEXT[conv.family],
-        f"vdd vdd 0 DC {value_text(conv.rails)}",
-        f"vss vss 0 DC {value_text(-conv.rails)}",
-        f"vin in 0 {source_text(cfg.input)}",
-    ]
-    if two_stage:
-        lines.append(f"xu1 in m zf vdd vss {cell}")
-        lines.append(f"xu2 m x out vdd vss {cell}")
-    else:
-        lines.append(f"xu1 in x out vdd vss {cell}")
-    lines += [
-        "r1 x 0 r1",
-        "r2 out 0 r2",
-        _default_tran(cfg.input, periods=2, points_per_period=100),
-        *_amp_measures(powered=True),
-        ".end",
-    ]
+    if cell:
+        lines += [".measure pavg avgpow vdd vss", ".measure ppk peakpow vdd vss"]
+    lines.append(".end")
     return "\n".join(lines) + "\n"
 
 
@@ -248,10 +235,7 @@ def _char_circuit(cfg: AmplifierConfig) -> str:
         "conveyor X-resistance characterization (grounded Y, current probe at X)",
         f".param ibval={value_text(conv.ib)}",
         ".param iprobe=0.0",
-        _MODEL_CARDS,
-        _CELL_TEXT[conv.family],
-        f"vdd vdd 0 DC {value_text(conv.rails)}",
-        f"vss vss 0 DC {value_text(-conv.rails)}",
+        *_cell_lines(conv),
         "it 0 x DC iprobe",
         f"xu1 0 x z vdd vss {cell}",
         "rz z 0 1000.0",
@@ -261,39 +245,34 @@ def _char_circuit(cfg: AmplifierConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def example_config(name: str) -> AmplifierConfig:
+    """The configuration :func:`emit_example` uses for ``name`` when given none."""
+    if name not in _EXAMPLES:
+        raise ValueError(f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}")
+    return AmplifierConfig(conveyor=_EXAMPLES[name][0])
+
+
 def emit_example(name: str, cfg: AmplifierConfig | None = None) -> str:
-    """Produce a complete, parseable netlist for one library circuit.
+    """Produce a complete, parseable netlist for one library circuit,
+    from ``cfg`` or else :func:`example_config`.
 
     ``proposed_amp`` is the single-conveyor amplifier with a controlled
     (bias-tunable) conveyor; ``ferri_1cc`` is the same resistor
     arrangement around a plain conveyor; ``ferri_2cc`` buffers the input
     through a first conveyor whose Z terminal is deliberately left
-    floating.  The ``_translinear`` variant expands the conveyor into the
-    MOS cell, and ``cccii_char`` is the X-resistance test bench.
+    floating.  Each of the three expands its conveyor into the MOS cell
+    when ``cfg`` holds a :class:`TranslinearConveyor`.
+    ``proposed_amp_translinear`` exists only in that form, and
+    ``cccii_char`` is the X-resistance test bench.
     """
-    if name == "proposed_amp":
-        cfg = cfg or AmplifierConfig()
-        if isinstance(cfg.conveyor, TranslinearConveyor):
-            return _translinear_amp(cfg, two_stage=False)
-        return _behavioral_amp(cfg, two_stage=False, ctype="cccii+")
-    if name == "ferri_1cc":
-        cfg = cfg or AmplifierConfig(conveyor=BehavioralConveyor(rx=0.0, controlled=False))
-        if isinstance(cfg.conveyor, TranslinearConveyor):
-            return _translinear_amp(cfg, two_stage=False)
-        return _behavioral_amp(cfg, two_stage=False, ctype="ccii+")
-    if name == "ferri_2cc":
-        cfg = cfg or AmplifierConfig(conveyor=BehavioralConveyor(rx=0.0, controlled=False))
-        if isinstance(cfg.conveyor, TranslinearConveyor):
-            return _translinear_amp(cfg, two_stage=True)
-        return _behavioral_amp(cfg, two_stage=True, ctype="ccii+")
-    if name == "proposed_amp_translinear":
-        cfg = cfg or AmplifierConfig(conveyor=TranslinearConveyor())
-        if not isinstance(cfg.conveyor, TranslinearConveyor):
-            raise ValueError("proposed_amp_translinear needs a translinear conveyor config")
-        return _translinear_amp(cfg, two_stage=False)
+    default = example_config(name)  # raises for an unknown name
+    _, ctype, two_stage = _EXAMPLES[name]
+    cfg = cfg or default
     if name == "cccii_char":
-        return _char_circuit(cfg or AmplifierConfig(conveyor=TranslinearConveyor(rails=1.5)))
-    raise ValueError(f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}")
+        return _char_circuit(cfg)
+    if ctype is None and not isinstance(cfg.conveyor, TranslinearConveyor):
+        raise ValueError(f"{name} needs a translinear conveyor config")
+    return _amp(cfg, two_stage, ctype)
 
 
 # --------------------------------------------------------------------------

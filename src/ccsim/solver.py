@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import mna
+from .devices import Record
 from .netlist import FlatCircuit
 
 PIVOT_TOL = 1e-13
@@ -53,12 +54,12 @@ class ConvergenceError(Exception):
         super().__init__(message)
 
 
-class Tolerances:
-    __slots__ = ("reltol", "vntol", "abstol", "maxiter", "gmin_floor")
-
-    def __init__(self, reltol=1e-6, vntol=1e-9, abstol=1e-12, maxiter=100, gmin_floor=mna.GMIN_FLOOR):
-        self.reltol, self.vntol, self.abstol = reltol, vntol, abstol
-        self.maxiter, self.gmin_floor = maxiter, gmin_floor
+class Tolerances(Record):
+    reltol: float = 1e-6
+    vntol: float = 1e-9
+    abstol: float = 1e-12
+    maxiter: int = 100
+    gmin_floor: float = mna.GMIN_FLOOR
 
 
 class OperatingPoint:

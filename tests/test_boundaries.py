@@ -49,3 +49,17 @@ def test_the_check_sees_both_kinds_of_breach(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from . import mna\nfrom .netlist import _fmt_source, __all__\nmna._linear_stamp\n")
     assert sorted(_breaches(probe)) == ["probe imports netlist._fmt_source", "probe reads mna._linear_stamp"]
+
+
+def test_each_example_name_lives_in_the_library():
+    # an example's configuration is defined once, in library.py: no other
+    # module may name an example and so hold its own idea of one
+    from ccsim.library import EXAMPLE_NAMES
+
+    found = [
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "library.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Constant) and node.value in EXAMPLE_NAMES
+    ]
+    assert found == []

@@ -3,6 +3,9 @@ import sys
 
 import pytest
 
+from ccsim import cli
+from ccsim.library import AmplifierConfig, BehavioralConveyor, TranslinearConveyor, emit_example
+
 CMD = [sys.executable, "-m", "ccsim.cli"]
 
 AMP = """single-conveyor amplifier
@@ -206,6 +209,35 @@ def test_examples_list_and_emit(tmp_path):
     run = ccsim("run", str(out), "--out", str(tmp_path / "w.csv"))
     assert run.returncode == 0
     assert ccsim("examples", "--emit", "bogus").returncode == 2
+
+
+def _emitted(name, conveyor=None, **config):
+    if conveyor is not None:
+        config["conveyor"] = conveyor
+    return emit_example(name, AmplifierConfig(**config) if config else None)
+
+
+EMIT_CASES = [
+    *[((name,), lambda name=name: _emitted(name))
+      for name in ("proposed_amp", "ferri_1cc", "ferri_2cc", "proposed_amp_translinear", "cccii_char")],
+    (("proposed_amp", "--family", "ccii", "--ib", "25e-6", "--rails", "1.2"),
+     lambda: _emitted("proposed_amp", TranslinearConveyor(ib=25e-6, family="ccii", rails=1.2))),
+    (("ferri_2cc", "--rx", "500", "--r1", "2k"),
+     lambda: _emitted("ferri_2cc", BehavioralConveyor(rx=500.0, controlled=False), r1=2e3)),
+    (("cccii_char", "--family", "ccii"),
+     lambda: _emitted("cccii_char", TranslinearConveyor(family="ccii", rails=1.5))),
+    (("ferri_1cc", "--ib", "25u", "--beta", "2m"), lambda: _emitted("ferri_1cc")),
+    (("proposed_amp", "--ib", "25e-6", "--beta", "2m"),
+     lambda: _emitted("proposed_amp", BehavioralConveyor(ib=25e-6, beta_n=2e-3))),
+]
+
+
+@pytest.mark.parametrize("flags, want", EMIT_CASES, ids=[" ".join(f) for f, _ in EMIT_CASES])
+def test_examples_emit_applies_only_given_flags(flags, want, capsys):
+    # each example starts from its own configuration; a flag changes only
+    # what it names, and only where that example's conveyor has it
+    assert cli.main(["examples", "--emit", *flags]) == cli.EXIT_OK
+    assert capsys.readouterr().out == want()
 
 
 def test_measure_subcommand_recomputes(amp_file, tmp_path):

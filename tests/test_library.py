@@ -8,6 +8,7 @@ from ccsim.library import (
     BehavioralConveyor,
     TranslinearConveyor,
     emit_example,
+    example_config,
     expected_rx,
     gain_grid,
     loaded_gain,
@@ -64,9 +65,16 @@ def test_emitted_netlists_parse(name):
     parse_and_flatten(text)
 
 
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_example_config_is_the_default(name):
+    assert emit_example(name) == emit_example(name, example_config(name))
+
+
 def test_unknown_example_rejected():
     with pytest.raises(ValueError):
         emit_example("nosuch")
+    with pytest.raises(ValueError, match="unknown example 'nosuch'"):
+        example_config("nosuch")
 
 
 def test_two_conveyor_amplifier_structure():

@@ -15,6 +15,7 @@ from ccsim import mna
 from ccsim.devices import ConveyorParams, Dc, MosfetBank, MosfetParams, Pulse, Sin
 from ccsim.library import AmplifierConfig, BehavioralConveyor, TranslinearConveyor
 from ccsim.measure import Histogram, Measurement
+from ccsim.solver import Tolerances
 from ccsim.netlist import (
     Capacitor,
     Conveyor,
@@ -55,6 +56,7 @@ FROZEN = [
     BehavioralConveyor(),
     TranslinearConveyor(),
     AmplifierConfig(),
+    Tolerances(),
 ]
 
 
@@ -138,7 +140,7 @@ def test_defaults_and_keyword_construction():
     assert AmplifierConfig() == AmplifierConfig(
         conveyor=BehavioralConveyor(), input=Sin(0.0, 0.05, 1e3)
     )
-    assert AmplifierConfig().r2 == 100e3 and AmplifierConfig().topology == ""
+    assert AmplifierConfig().r2 == 100e3
     u = Conveyor(name="u1", y="y", x="x", z="z", params=CCII, vmax=1.0)
     assert u == Conveyor("u1", "y", "x", "z", CCII, None, 1.0)
     assert (u.vmin, u.vmax) == (None, 1.0)
