@@ -1,5 +1,28 @@
 """ccsim: a compact nonlinear analog circuit simulator with first-class
-current-conveyor support."""
+current-conveyor support.
+
+Importing ccsim before numpy loads OpenBLAS with one thread, unless one of
+the thread counts OpenBLAS reads is already set.  ccsim's BLAS and LAPACK
+work is small (stacks of dense solves with a few dozen unknowns), so
+OpenBLAS's worker threads would only spin.  The environment is left as it
+was found."""
+
+
+def _import_numpy_single_threaded():
+    import os
+    import sys
+
+    counts = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if "numpy" in sys.modules or any(k in os.environ for k in counts):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy_single_threaded()
 
 from .devices import (
     ConveyorParams,

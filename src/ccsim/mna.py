@@ -278,7 +278,9 @@ def _pad(p: StampPlan, u: UnknownMap, n_nodes: int, n: int, n_mos: int, n_cap: i
     row = np.append(col, big)  # a buffer is m+1 rows of m: the last one is the right-hand side
     static = np.zeros((big + 1, big))
     static[np.ix_(row, col)] = p.static.reshape(m + 1, m)
-    pad = np.setdiff1d(np.arange(n), col)
+    unused = np.ones(big, bool)
+    unused[col] = False
+    pad = np.flatnonzero(unused)
     static[pad, pad] = 1.0
 
     def moved(a):

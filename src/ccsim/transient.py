@@ -26,9 +26,11 @@ is that loop too, over a stack of one, with the swept values as its
 axis and its capacitors open.
 
 CSV export writes each cell as the text of :func:`format_sci`, byte for
-byte.  A vectorized kernel formats a block of rows at a time in numpy;
-the few cells it cannot settle exactly (near a rounding tie, non-finite,
-subnormal or beyond 1e+-280) go through :func:`format_sci` itself.
+byte.  A vectorized kernel formats a block of rows at a time in numpy,
+in one workspace per CSV that every block reuses, so a block allocates
+only the bytes it writes; the few cells it cannot settle exactly (near a
+rounding tie, non-finite, subnormal or beyond 1e+-280) go through
+:func:`format_sci` itself.
 """
 
 from __future__ import annotations
@@ -372,8 +374,8 @@ _EXP_MIN = -300
 @functools.cache
 def _format_tables() -> tuple[np.ndarray, np.ndarray]:
     """For each k in [_EXP_MIN, -_EXP_MIN]: 10**k, correctly rounded
-    (Python's decimal parse), and the exponent text, one row per slot
-    byte 12-15.  Built on first use, off the import path."""
+    (Python's decimal parse), and the exponent text, slot bytes 12-15, as
+    one native uint32 word.  Built on first use, off the import path."""
     k = np.arange(_EXP_MIN, 1 - _EXP_MIN)
     pow10 = np.array([float(f"1e{j}") for j in k.tolist()])
     text = np.array([
@@ -382,7 +384,7 @@ def _format_tables() -> tuple[np.ndarray, np.ndarray]:
         abs(k) // 10 % 10 + ord("0"),
         abs(k) % 10 + ord("0"),
     ], np.uint8)
-    return pow10, text
+    return pow10, text.T.copy().view(np.uint32).ravel()
 
 
 # Cells whose s lies within this of a .5 tie go to format_sci.  s is
@@ -395,9 +397,30 @@ def _format_tables() -> tuple[np.ndarray, np.ndarray]:
 _TIE_MARGIN = 1e-6
 
 
-def _csv_block(block: np.ndarray) -> bytes:
+class _CsvWork:
+    """Every array :func:`_csv_block` works in, for blocks of up to
+    ``rows`` rows of ``cols`` cells: the row-major block itself, one array
+    per per-cell quantity and the cells' byte slots.  One is made per CSV
+    and reused by each block, so formatting allocates only the bytes it
+    returns."""
+
+    __slots__ = ("block", "a", "s", "m", "e", "at", "zero", "gated", "fast", "carry",
+                 "digits", "q", "tens", "slots")
+
+    def __init__(self, rows: int, cols: int):
+        cells = rows * cols
+        self.block = np.empty((rows, cols))
+        self.a, self.s, self.m = np.empty(cells), np.empty(cells), np.empty(cells)
+        self.e, self.at = np.empty(cells, np.intp), np.empty(cells, np.intp)
+        self.zero, self.gated, self.fast, self.carry = (np.empty(cells, bool) for _ in range(4))
+        self.digits, self.q, self.tens = (np.empty(cells, np.uint32) for _ in range(3))
+        self.slots = np.empty((cells, _SLOT), np.uint8)
+
+
+def _csv_block(block: np.ndarray, work: _CsvWork | None = None) -> bytes:
     """Rows of ``block`` as CSV lines whose cells are :func:`format_sci`
-    text, byte for byte, formatted as whole arrays.
+    text, byte for byte, formatted as whole arrays in the arrays of
+    ``work`` (one made for ``block`` when not given).
 
     Each finite cell in the gate gets e = floor(log10|v|) and the 9-digit
     mantissa m = rint(|v| * 10**(8-e)), with e moved by one where the
@@ -407,41 +430,57 @@ def _csv_block(block: np.ndarray) -> bytes:
     formatted by :func:`format_sci` itself.
     """
     pow10, exp_text = _format_tables()
+    if work is None:
+        work = _CsvWork(*block.shape)
     v = block.ravel()
-    a = np.abs(v)
-    zero = a == 0.0
-    gated = (a > 1.0 / _GATE) & (a < _GATE)  # False for NaN
-    a[~gated] = 1.0  # no log10 of 0, inf or NaN; e comes out 0 there
-    e = np.floor(np.log10(a)).astype(np.intp)
-    s = a * pow10[8 - _EXP_MIN - e]
-    e += s >= 1e9
-    e -= s < 1e8
-    s = a * pow10[8 - _EXP_MIN - e]
-    m = np.rint(s)
+    n = len(v)
+    a, s, m, e, at = work.a[:n], work.s[:n], work.m[:n], work.e[:n], work.at[:n]
+    zero, gated, fast, carry = work.zero[:n], work.gated[:n], work.fast[:n], work.carry[:n]
+    digits, q, tens, buf = work.digits[:n], work.q[:n], work.tens[:n], work.slots[:n]
+    # ``fast`` and ``carry`` hold scratch tests until their own turn; every
+    # index taken is in range, and mode "clip" spares ``take`` a buffer
+    np.abs(v, out=a)
+    np.equal(a, 0.0, out=zero)
+    np.greater(a, 1.0 / _GATE, out=gated)
+    gated &= np.less(a, _GATE, out=fast)  # False for NaN
+    # no log10 of 0, inf or NaN; e comes out 0 there
+    np.copyto(a, 1.0, where=np.logical_not(gated, out=fast))
+    np.copyto(e, np.floor(np.log10(a, out=s), out=s), casting="unsafe")
+    np.multiply(a, pow10.take(np.subtract(8 - _EXP_MIN, e, out=at), out=s, mode="clip"), out=s)
+    e += np.greater_equal(s, 1e9, out=fast)
+    e -= np.less(s, 1e8, out=fast)
+    np.multiply(a, pow10.take(np.subtract(8 - _EXP_MIN, e, out=at), out=s, mode="clip"), out=s)
+    np.rint(s, out=m)
     # the range test trusts log10 to land within one decade, no further
-    fast = gated & (np.abs(s - m) < 0.5 - _TIE_MARGIN) & (m >= 1e8) & (m <= 1e9)
-    carry = m == 1e9
-    m[carry] = 1e8
+    np.less(np.abs(np.subtract(s, m, out=s), out=s), 0.5 - _TIE_MARGIN, out=fast)
+    fast &= gated
+    fast &= np.greater_equal(m, 1e8, out=carry)
+    fast &= np.less_equal(m, 1e9, out=carry)
+    np.equal(m, 1e9, out=carry)
+    np.copyto(m, 1e8, where=carry)
     e += carry
-    m[zero] = 0.0
+    np.copyto(m, 0.0, where=zero)
 
-    buf = np.zeros((len(v), _SLOT), np.uint8)
-    buf[:, 0] = np.signbit(v) * np.uint8(ord("-"))
-    digits = m.astype(np.uint32)
+    np.multiply(np.signbit(v, out=carry).view(np.uint8), np.uint8(ord("-")), out=buf[:, 0])
+    np.copyto(digits, m, casting="unsafe")
     for col in range(10, 2, -1):
-        q = digits // 10
-        buf[:, col] = digits - 10 * q + ord("0")
-        digits = q
-    buf[:, 1] = digits + ord("0")
+        np.floor_divide(digits, 10, out=q)
+        digits -= np.multiply(q, 10, out=tens)
+        digits += ord("0")
+        np.copyto(buf[:, col], digits, casting="unsafe")
+        digits, q = q, digits
+    digits += ord("0")
+    np.copyto(buf[:, 1], digits, casting="unsafe")
     buf[:, 2] = ord(".")
     buf[:, 11] = ord("e")
-    e -= _EXP_MIN
-    for col, row in enumerate(exp_text, 12):
-        buf[:, col] = row[e]
+    # the four exponent bytes move as one unaligned word per slot
+    exp_text.take(np.subtract(e, _EXP_MIN, out=at), out=q, mode="clip")
+    np.copyto(buf[:, 12:16].view(np.uint32)[:, 0], q)
     cells = buf.reshape(block.shape + (_SLOT,))
     cells[:, :, _SLOT - 1] = ord(",")
     cells[:, -1, _SLOT - 1] = ord("\n")
-    for i in np.flatnonzero(~fast & ~zero):
+    fast |= zero
+    for i in np.flatnonzero(np.logical_not(fast, out=fast)):
         text = format_sci(float(v[i])).encode()
         buf[i, : _SLOT - 1] = np.frombuffer(text.ljust(_SLOT - 1, b"\0"), np.uint8)
     return buf.tobytes().translate(None, b"\0")
@@ -450,13 +489,18 @@ def _csv_block(block: np.ndarray) -> bytes:
 def write_csv(wave: Waveform, path, probes: list[str] | None = None):
     """Waveform CSV: header row, first column time, LF line endings; cells
     are :func:`format_sci` text, byte for byte, formatted a block of rows
-    at a time by a vectorized kernel, so memory stays flat."""
+    at a time by a vectorized kernel in one workspace per CSV, so memory
+    stays flat and no block allocates its own arrays."""
     names = probes if probes is not None else list(wave.columns)
     cols = [wave.times] + [wave.column(n) for n in names]
+    work = _CsvWork(min(len(wave.times), CSV_BLOCK), len(cols))
     with open(path, "wb") as fh:
         fh.write((",".join([wave.time_label] + names) + "\n").encode())
         for k in range(0, len(wave.times), CSV_BLOCK):
-            fh.write(_csv_block(np.column_stack([col[k : k + CSV_BLOCK] for col in cols])))
+            block = work.block[: min(CSV_BLOCK, len(wave.times) - k)]
+            for j, col in enumerate(cols):
+                block[:, j] = col[k : k + CSV_BLOCK]
+            fh.write(_csv_block(block, work))
 
 
 def read_csv(path) -> Waveform:

@@ -5,6 +5,7 @@ round trip through :func:`read_csv`."""
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from ccsim.netlist import parse_and_flatten
 from ccsim.transient import (
+    CSV_BLOCK,
     Waveform,
     _csv_block,
+    _CsvWork,
     format_sci,
     read_csv,
     run_dc_sweep,
@@ -53,6 +56,45 @@ def test_block_formatter_matches_format_sci(data):
     values = data.draw(st.lists(cells, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
     block = np.array(values, dtype=np.float64).reshape(n_rows, n_cols)
     assert _csv_block(block) == per_cell(block)
+
+
+# cells within the kernel's tie margin, which format_sci settles
+near_ties = st.sampled_from([100000000.5, 100000001.5, 0.5000000025, 0.5000000075, 1.234567895e-5,
+                             7.959493085e-15, 5.069139925e-64, 4.875652185e96, 9.999999995])
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reused_workspace_carries_nothing_between_blocks(data):
+    # as write_csv does: full blocks, 1-row blocks and a short last block
+    # through one workspace, each block's text its own cells' alone
+    n_rows = data.draw(st.integers(2, 24))
+    n_cols = data.draw(st.integers(1, 6))
+    counts = [n_rows, 1, *data.draw(st.lists(st.integers(1, n_rows), max_size=5)), n_rows - 1]
+    work = _CsvWork(n_rows, n_cols)
+    for count in counts:
+        values = data.draw(st.lists(st.one_of(cells, near_ties, st.just(0.0)),
+                                    min_size=count * n_cols, max_size=count * n_cols))
+        block = work.block[:count]
+        block[:] = np.array(values, dtype=np.float64).reshape(count, n_cols)
+        assert _csv_block(block, work) == per_cell(block)
+
+
+def test_warm_workspace_allocates_only_the_returned_bytes():
+    # a 4096 x 6 block in a warmed workspace: its slots' bytes and the
+    # text left after dropping pad bytes, plus 64 KiB for numpy's own
+    # buffers and the odd small object
+    rng = np.random.default_rng(5)
+    work = _CsvWork(CSV_BLOCK, 6)
+    work.block[:] = rng.normal(size=(CSV_BLOCK, 6)) * 10.0 ** rng.integers(-9, 3, size=6)
+    _csv_block(work.block, work)
+    tracemalloc.start()
+    try:
+        _csv_block(work.block, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 17 * work.block.size + 64 * 1024
 
 
 def _pinned_values():
