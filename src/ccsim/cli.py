@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import os
 import sys
 from pathlib import Path
@@ -351,6 +352,13 @@ def main(argv=None) -> int:
 
 
 def entry():
+    """The ``ccsim`` command (and ``python -m ccsim``): :func:`main` on the
+    process's arguments, then exit with its code.  Every object alive
+    here, numpy's and ccsim's import-time heap, is frozen first
+    (``gc.freeze``), so the full collections at interpreter exit skip it
+    and the OS reclaims it with the process.  :func:`main` leaves the
+    collector as it finds it."""
+    gc.freeze()
     sys.exit(main())
 
 

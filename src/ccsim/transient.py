@@ -26,11 +26,13 @@ is that loop too, over a stack of one, with the swept values as its
 axis and its capacitors open.
 
 CSV export writes each cell as the text of :func:`format_sci`, byte for
-byte.  A vectorized kernel formats a block of rows at a time in numpy,
-in one workspace per CSV that every block reuses, so a block allocates
-only the bytes it writes; the few cells it cannot settle exactly (near a
-rounding tie, non-finite, subnormal or beyond 1e+-280) go through
-:func:`format_sci` itself.
+byte.  A vectorized kernel formats a block of rows at a time in numpy
+into fixed-width byte slots, the fraction digits four at a time from a
+table, in one workspace per CSV that every block reuses.  The slots are
+backed by a bytearray whose pad bytes are dropped straight from it, so a
+full block allocates only the text it writes; the few cells the kernel
+cannot settle exactly (near a rounding tie, non-finite, subnormal or
+beyond 1e+-280) go through :func:`format_sci` itself.
 """
 
 from __future__ import annotations
@@ -372,10 +374,12 @@ _EXP_MIN = -300
 
 
 @functools.cache
-def _format_tables() -> tuple[np.ndarray, np.ndarray]:
+def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each k in [_EXP_MIN, -_EXP_MIN]: 10**k, correctly rounded
     (Python's decimal parse), and the exponent text, slot bytes 12-15, as
-    one native uint32 word.  Built on first use, off the import path."""
+    one native uint32 word; and for each i in [0, 10000) the four digits
+    of i, zero-padded, as one native uint32 word.  Built on first use, off
+    the import path."""
     k = np.arange(_EXP_MIN, 1 - _EXP_MIN)
     pow10 = np.array([float(f"1e{j}") for j in k.tolist()])
     text = np.array([
@@ -384,7 +388,9 @@ def _format_tables() -> tuple[np.ndarray, np.ndarray]:
         abs(k) // 10 % 10 + ord("0"),
         abs(k) % 10 + ord("0"),
     ], np.uint8)
-    return pow10, text.T.copy().view(np.uint32).ravel()
+    i = np.arange(10_000)
+    words = np.array([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], np.uint8) + np.uint8(ord("0"))
+    return pow10, text.T.copy().view(np.uint32).ravel(), words.T.copy().view(np.uint32).ravel()
 
 
 # Cells whose s lies within this of a .5 tie go to format_sci.  s is
@@ -400,12 +406,16 @@ _TIE_MARGIN = 1e-6
 class _CsvWork:
     """Every array :func:`_csv_block` works in, for blocks of up to
     ``rows`` rows of ``cols`` cells: the row-major block itself, one array
-    per per-cell quantity and the cells' byte slots.  One is made per CSV
-    and reused by each block, so formatting allocates only the bytes it
-    returns."""
+    per per-cell quantity and the cells' byte slots, a (cells, 17) view of
+    the bytearray ``text``.  The slots' constant bytes, the point, the "e"
+    and each cell's separator (a comma, or a newline ending a row), are
+    written here once; a block writes the rest of each slot and puts the
+    point and the "e" back where a :func:`format_sci` fallback covered
+    them.  One is made per CSV and reused by each block, so formatting
+    allocates only the text it returns."""
 
     __slots__ = ("block", "a", "s", "m", "e", "at", "zero", "gated", "fast", "carry",
-                 "digits", "q", "tens", "slots")
+                 "digits", "lead", "hi", "lo", "text", "slots")
 
     def __init__(self, rows: int, cols: int):
         cells = rows * cols
@@ -413,30 +423,42 @@ class _CsvWork:
         self.a, self.s, self.m = np.empty(cells), np.empty(cells), np.empty(cells)
         self.e, self.at = np.empty(cells, np.intp), np.empty(cells, np.intp)
         self.zero, self.gated, self.fast, self.carry = (np.empty(cells, bool) for _ in range(4))
-        self.digits, self.q, self.tens = (np.empty(cells, np.uint32) for _ in range(3))
-        self.slots = np.empty((cells, _SLOT), np.uint8)
+        self.digits, self.lead = np.empty(cells, np.uint32), np.empty(cells, np.uint32)
+        self.hi, self.lo = np.empty(cells, np.intp), np.empty(cells, np.intp)
+        self.text = bytearray(cells * _SLOT)
+        self.slots = np.frombuffer(self.text, np.uint8).reshape(cells, _SLOT)
+        self.slots[:, 2] = ord(".")
+        self.slots[:, 11] = ord("e")
+        ends = self.slots.reshape(rows, cols, _SLOT)[:, :, _SLOT - 1]
+        ends[:] = ord(",")
+        ends[:, -1] = ord("\n")
 
 
-def _csv_block(block: np.ndarray, work: _CsvWork | None = None) -> bytes:
+def _csv_block(block: np.ndarray, work: _CsvWork | None = None) -> bytearray:
     """Rows of ``block`` as CSV lines whose cells are :func:`format_sci`
     text, byte for byte, formatted as whole arrays in the arrays of
-    ``work`` (one made for ``block`` when not given).
+    ``work`` (one made for ``block`` when not given; ``block`` has the
+    workspace's columns).  The text is bytes-like: a bytearray translated
+    straight from the workspace's slots for a full block, from a copy of
+    the slots in use for a shorter one.
 
     Each finite cell in the gate gets e = floor(log10|v|) and the 9-digit
     mantissa m = rint(|v| * 10**(8-e)), with e moved by one where the
     product falls outside [1e8, 1e9) and a carry to 1e9 taken as 1e8 with
-    e + 1.  Zeros are m = 0, e = 0 with the sign bit's sign.  Cells near a
-    rounding tie, NaN, infinities, subnormals and |v| outside the gate are
-    formatted by :func:`format_sci` itself.
+    e + 1.  Zeros are m = 0, e = 0 with the sign bit's sign.  The eight
+    fraction digits go into the slot as two 4-digit words of a table.
+    Cells near a rounding tie, NaN, infinities, subnormals and |v| outside
+    the gate are formatted by :func:`format_sci` itself.
     """
-    pow10, exp_text = _format_tables()
+    pow10, exp_text, words = _format_tables()
     if work is None:
         work = _CsvWork(*block.shape)
     v = block.ravel()
     n = len(v)
     a, s, m, e, at = work.a[:n], work.s[:n], work.m[:n], work.e[:n], work.at[:n]
     zero, gated, fast, carry = work.zero[:n], work.gated[:n], work.fast[:n], work.carry[:n]
-    digits, q, tens, buf = work.digits[:n], work.q[:n], work.tens[:n], work.slots[:n]
+    digits, lead, hi, lo = work.digits[:n], work.lead[:n], work.hi[:n], work.lo[:n]
+    buf = work.slots[:n]
     # ``fast`` and ``carry`` hold scratch tests until their own turn; every
     # index taken is in range, and mode "clip" spares ``take`` a buffer
     np.abs(v, out=a)
@@ -463,27 +485,29 @@ def _csv_block(block: np.ndarray, work: _CsvWork | None = None) -> bytes:
 
     np.multiply(np.signbit(v, out=carry).view(np.uint8), np.uint8(ord("-")), out=buf[:, 0])
     np.copyto(digits, m, casting="unsafe")
-    for col in range(10, 2, -1):
-        np.floor_divide(digits, 10, out=q)
-        digits -= np.multiply(q, 10, out=tens)
-        digits += ord("0")
-        np.copyto(buf[:, col], digits, casting="unsafe")
-        digits, q = q, digits
-    digits += ord("0")
-    np.copyto(buf[:, 1], digits, casting="unsafe")
-    buf[:, 2] = ord(".")
-    buf[:, 11] = ord("e")
-    # the four exponent bytes move as one unaligned word per slot
-    exp_text.take(np.subtract(e, _EXP_MIN, out=at), out=q, mode="clip")
-    np.copyto(buf[:, 12:16].view(np.uint32)[:, 0], q)
-    cells = buf.reshape(block.shape + (_SLOT,))
-    cells[:, :, _SLOT - 1] = ord(",")
-    cells[:, -1, _SLOT - 1] = ord("\n")
+    # floor_divide by a scalar is libdivide's; intp indices spare ``take`` a cast
+    np.floor_divide(digits, 100_000_000, out=lead)
+    np.add(lead, ord("0"), out=buf[:, 1], casting="unsafe")
+    lead *= 100_000_000
+    digits -= lead
+    np.floor_divide(digits, 10_000, out=hi)
+    np.subtract(digits, np.multiply(hi, 10_000, out=lo), out=lo)
+    # the fraction digits and the exponent text move as unaligned words
+    np.copyto(buf[:, 3:7].view(np.uint32)[:, 0], words.take(hi, out=digits, mode="clip"))
+    np.copyto(buf[:, 7:11].view(np.uint32)[:, 0], words.take(lo, out=digits, mode="clip"))
+    exp_text.take(np.subtract(e, _EXP_MIN, out=at), out=digits, mode="clip")
+    np.copyto(buf[:, 12:16].view(np.uint32)[:, 0], digits)
     fast |= zero
-    for i in np.flatnonzero(np.logical_not(fast, out=fast)):
+    slow = np.flatnonzero(np.logical_not(fast, out=fast))
+    for i in slow:
         text = format_sci(float(v[i])).encode()
         buf[i, : _SLOT - 1] = np.frombuffer(text.ljust(_SLOT - 1, b"\0"), np.uint8)
-    return buf.tobytes().translate(None, b"\0")
+    used = work.text if n == len(work.slots) else work.text[: n * _SLOT]
+    out = used.translate(None, b"\0")
+    # a fallback's text covered its slot's point and "e": put them back
+    buf[slow, 2] = ord(".")
+    buf[slow, 11] = ord("e")
+    return out
 
 
 def write_csv(wave: Waveform, path, probes: list[str] | None = None):

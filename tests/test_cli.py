@@ -1,3 +1,4 @@
+import gc
 import subprocess
 import sys
 
@@ -209,6 +210,28 @@ def test_examples_list_and_emit(tmp_path):
     run = ccsim("run", str(out), "--out", str(tmp_path / "w.csv"))
     assert run.returncode == 0
     assert ccsim("examples", "--emit", "bogus").returncode == 2
+
+
+FROZEN_AT_EXIT = """
+import atexit, gc, sys
+from ccsim import cli
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+sys.argv = ["ccsim", "examples", "--list"]
+cli.entry()
+"""
+
+
+def test_only_the_command_freezes_the_collector(capsys):
+    # the ccsim command freezes its import-time heap, so the collections
+    # at exit skip it; main, as tests and embedders call it, does not
+    r = subprocess.run([sys.executable, "-c", FROZEN_AT_EXIT], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert "proposed_amp" in r.stdout
+    assert "frozen at exit: True" in r.stderr
+    before = gc.get_freeze_count()
+    assert cli.main(["examples", "--list"]) == cli.EXIT_OK
+    assert gc.get_freeze_count() == before
+    assert "proposed_amp" in capsys.readouterr().out
 
 
 def _emitted(name, conveyor=None, **config):

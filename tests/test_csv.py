@@ -18,6 +18,7 @@ from ccsim.transient import (
     Waveform,
     _csv_block,
     _CsvWork,
+    _format_tables,
     format_sci,
     read_csv,
     run_dc_sweep,
@@ -80,10 +81,30 @@ def test_reused_workspace_carries_nothing_between_blocks(data):
         assert _csv_block(block, work) == per_cell(block)
 
 
+def test_fallback_bytes_are_restored_for_the_next_block():
+    # a fallback text covers a slot's point and "e" bytes, which the
+    # workspace writes only once; ordinary cells that follow in the same
+    # slots must get them back
+    work = _CsvWork(2, 3)
+    odd = [[np.nan, np.inf, 100000000.5], [-np.inf, 0.5000000025, np.copysign(np.nan, -1.0)]]
+    plain = [[1.5, -2.25e-7, 3.0e12], [123456789.0, -9.87654321e-100, 4.0]]
+    for values in (odd, plain, odd, plain[:1]):
+        block = work.block[: len(values)]
+        block[:] = values
+        assert _csv_block(block, work) == per_cell(block)
+
+
+def test_digit_word_table_spells_each_group_of_four():
+    words = _format_tables()[2]
+    assert words.dtype == np.uint32 and len(words) == 10_000
+    assert words.tobytes() == "".join(f"{i:04d}" for i in range(10_000)).encode()
+
+
 def test_warm_workspace_allocates_only_the_returned_bytes():
-    # a 4096 x 6 block in a warmed workspace: its slots' bytes and the
-    # text left after dropping pad bytes, plus 64 KiB for numpy's own
-    # buffers and the odd small object
+    # a 4096 x 6 block in a warmed workspace: the text left after
+    # dropping pad bytes, translated straight from the workspace's slots
+    # (at most 17 bytes a cell), plus 64 KiB for numpy's own buffers and
+    # the odd small object
     rng = np.random.default_rng(5)
     work = _CsvWork(CSV_BLOCK, 6)
     work.block[:] = rng.normal(size=(CSV_BLOCK, 6)) * 10.0 ** rng.integers(-9, 3, size=6)
@@ -94,7 +115,7 @@ def test_warm_workspace_allocates_only_the_returned_bytes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 17 * work.block.size + 64 * 1024
+    assert peak <= 17 * work.block.size + 64 * 1024
 
 
 def _pinned_values():
@@ -105,6 +126,9 @@ def _pinned_values():
     vals += [100000000.5, 100000001.5, 0.5000000025, 0.5000000075]
     vals += [float(f"{m}5e{k}") for m in (123456789, 830354086, 987654321) for k in range(-40, 41)]
     vals += [7.959493085e-15, 5.069139925e-64, 4.875652185e96, 3.634486735e254]
+    # the edges of the two 4-digit fraction groups, and a carry to 1e9
+    vals += [float(f"{m}e{k}") for m in ("1.00009999", "1.00010000", "9.99999999", "9.9999999996")
+             for k in (-200, -5, 0, 7, 150)]
     # decade carry and the 2-to-3-digit exponent edge
     vals += [9.9999999996, 9.999999995, 9.999999996e99, 1e100, 1e-100, 9.999999996e-101]
     # both sides of the kernel's 1e+-280 gate
