@@ -43,7 +43,6 @@ from .netlist import (
     parse_and_flatten,
     parse_netlist,
     parse_value,
-    print_netlist,
 )
 from .mna import MnaSystem, UnknownMap, index_unknowns
 from .solver import (

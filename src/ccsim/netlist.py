@@ -26,7 +26,12 @@ Grammar (self-defined dialect, intentionally small):
 Numeric fields accept engineering suffixes (f p n u m k meg g; ``meg``
 matched before ``m``) with optional trailing unit letters, or a bare
 parameter name resolved against ``.param`` definitions during flattening.
+A suffixed number reads as the nearest double of its decimal value.
 Exponent notation cannot be combined with a suffix ("1e3k" is an error).
+
+:func:`value_text` and :func:`source_text` give the text of one value and
+one built source to the library's netlist writer (:mod:`ccsim.library`),
+the one place that writes netlist text.
 """
 
 from __future__ import annotations
@@ -56,15 +61,15 @@ class NetlistError(Exception):
         super().__init__(message)
 
 
-_SUFFIXES = (
-    ("meg", 1e6),
-    ("f", 1e-15),
-    ("p", 1e-12),
-    ("n", 1e-9),
-    ("u", 1e-6),
-    ("m", 1e-3),
-    ("k", 1e3),
-    ("g", 1e9),
+_SUFFIXES = (  # each suffix's power of ten
+    ("meg", 6),
+    ("f", -15),
+    ("p", -12),
+    ("n", -9),
+    ("u", -6),
+    ("m", -3),
+    ("k", 3),
+    ("g", 9),
 )
 
 _NUM_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+))(e[+-]?\d+)?([a-z]*)$")
@@ -74,25 +79,22 @@ _IDENT_RE = re.compile(r"^[a-z_][a-z0-9_.]*$")
 def parse_value(token: str, line: int | None = None) -> float:
     """Parse one numeric token with SI engineering suffixes.
 
-    Trailing unit letters after the suffix are ignored ("100kohm" is 1e5).
+    A suffixed number reads as the nearest double of its decimal value
+    ("25u" is ``float("25e-6")``).  Trailing unit letters after the suffix
+    are ignored ("100kohm" is 1e5).
     """
     t = token.strip().lower()
     m = _NUM_RE.match(t)
     if m is None:
         raise NetlistError(f"malformed number {token!r}", line)
     mantissa, exponent, tail = m.groups()
-    scale = 1.0
-    if tail:
-        for suf, sc in _SUFFIXES:
-            if tail.startswith(suf):
-                if exponent:
-                    raise NetlistError(
-                        f"exponent cannot be combined with suffix in {token!r}", line
-                    )
-                scale = sc
-                break
-        # any remaining letters are a unit label and are ignored
-    return float(mantissa + (exponent or "")) * scale
+    for suf, power in _SUFFIXES:
+        if tail.startswith(suf):
+            if exponent:
+                raise NetlistError(f"exponent cannot be combined with suffix in {token!r}", line)
+            return float(f"{mantissa}e{power}")
+    # no suffix; any letters left are a unit label and are ignored
+    return float(mantissa + (exponent or ""))
 
 
 def _value_or_symbol(token: str, line: int | None = None) -> float | str:
@@ -459,7 +461,7 @@ def parse_netlist(text: str) -> NetlistAst:
 
 
 # --------------------------------------------------------------------------
-# Printing (parse -> print -> parse is a fixed point)
+# Value text for the library's netlist writer
 # --------------------------------------------------------------------------
 
 def value_text(v: float | str) -> str:
@@ -467,80 +469,13 @@ def value_text(v: float | str) -> str:
     return v if isinstance(v, str) else repr(float(v))
 
 
-def _fmt_source(src) -> str:
-    kind, args = src
-    if kind == "dc":
-        return f"DC {value_text(args[0])}"
-    return f"{kind.upper()}({' '.join(value_text(a) for a in args)})"
-
-
 def source_text(spec: SourceSpec) -> str:
-    """The netlist text of a built source, as :func:`print_netlist` writes a parsed one."""
-    return _fmt_source((type(spec).__name__.lower(), [getattr(spec, f) for f in spec._fields]))
-
-
-def _fmt_probe(p) -> str:
-    return f"{p[0]}({p[1]})"
-
-
-def _print_element(el: ElementSpec) -> str:
-    parts = [el.name, *el.nodes]
-    if el.kind in ("r", "c"):
-        parts.append(value_text(el.param("value")))
-    elif el.kind in ("v", "i"):
-        parts.append(_fmt_source(el.param("source")))
-    elif el.kind == "m":
-        parts.append(el.param("model"))
-    elif el.kind == "x":
-        parts.append(el.param("subckt"))
-    else:
-        parts.append(el.param("ctype"))
-        for k, v in el.params:
-            if k != "ctype":
-                parts.append(f"{k}={value_text(v)}")
-    return " ".join(parts)
-
-
-def _print_directive(d: Directive) -> str:
-    if d.kind in ("op", "end"):
-        return f".{d.kind}"
-    if d.kind == "dc":
-        return f".dc {d.args[0]} " + " ".join(value_text(a) for a in d.args[1:])
-    if d.kind == "tran":
-        return f".tran {value_text(d.args[0])} {value_text(d.args[1])} method={d.args[2]}"
-    if d.kind == "param":
-        return f".param {d.args[0]}={value_text(d.args[1])}"
-    mname, mkind, margs = d.args
-    if mkind in ("rms", "pp"):
-        body = _fmt_probe(margs[0])
-    elif mkind == "gain":
-        body = f"{_fmt_probe(margs[0])} {_fmt_probe(margs[1])}"
-    elif mkind == "hist":
-        body = f"{_fmt_probe(margs[0])} bins={margs[1]}"
-    else:
-        body = " ".join(margs)
-    return f".measure {mname} {mkind} {body}"
-
-
-def print_netlist(ast: NetlistAst) -> str:
-    """Render an AST back to netlist text in canonical form."""
-    out = [ast.title]
-    for card in ast.models:
-        parts = [f".model {card.name} {card.polarity}", f"vth={value_text(card.vth)}"]
-        if card.beta is not None:
-            parts.append(f"beta={value_text(card.beta)}")
-        else:
-            parts += [f"un_cox={value_text(card.un_cox)}", f"w={value_text(card.w)}", f"l={value_text(card.l)}"]
-        if not (isinstance(card.lam, float) and card.lam == 0.0):
-            parts.append(f"lambda={value_text(card.lam)}")
-        out.append(" ".join(parts))
-    for sub in ast.subckt_defs:
-        out.append(f".subckt {sub.name} " + " ".join(sub.ports))
-        out.extend(_print_element(el) for el in sub.elements)
-        out.append(".ends")
-    out.extend(_print_element(el) for el in ast.elements)
-    out.extend(_print_directive(d) for d in ast.directives)
-    return "\n".join(out) + "\n"
+    """The netlist text of a built source (``DC <v>``, ``SIN(...)`` or
+    ``PULSE(...)``), which :func:`parse_netlist` reads back as ``spec``."""
+    args = [value_text(getattr(spec, f)) for f in spec._fields]
+    if isinstance(spec, Dc):
+        return f"DC {args[0]}"
+    return f"{type(spec).__name__.upper()}({' '.join(args)})"
 
 
 # --------------------------------------------------------------------------

@@ -252,6 +252,9 @@ EMIT_CASES = [
     (("ferri_1cc", "--ib", "25u", "--beta", "2m"), lambda: _emitted("ferri_1cc")),
     (("proposed_amp", "--ib", "25e-6", "--beta", "2m"),
      lambda: _emitted("proposed_amp", BehavioralConveyor(ib=25e-6, beta_n=2e-3))),
+    # a suffixed flag is written as the nearest double of its value: ibval=2.5e-05
+    (("proposed_amp_translinear", "--ib", "25u"),
+     lambda: _emitted("proposed_amp_translinear", TranslinearConveyor(ib=25e-6))),
 ]
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccsim.library import (
+    CORE_BETA,
     EXAMPLE_NAMES,
     AmplifierConfig,
     BehavioralConveyor,
@@ -16,7 +17,7 @@ from ccsim.library import (
     simulated_gain,
     tuning_case,
 )
-from ccsim.devices import Sin
+from ccsim.devices import Dc, Pulse, Sin
 from ccsim.measure import gain
 from ccsim.netlist import Conveyor, Resistor, expand_hierarchy, parse_and_flatten, parse_netlist
 from ccsim.transient import run_transient
@@ -63,6 +64,56 @@ def test_emitted_netlists_parse(name):
     ast = parse_netlist(text)  # must not raise
     assert ast.elements or ast.subckt_defs
     parse_and_flatten(text)
+
+
+# every example with each conveyor family that `ccsim examples --family` applies to it
+WRITER_CASES = [
+    (name, family)
+    for name in EXAMPLE_NAMES
+    for family in (("behavioral",) if isinstance(example_config(name).conveyor, BehavioralConveyor)
+                   else ()) + ("cccii", "ccii")
+]
+CORE_DEVICES = {"cccii": ("mn1", "mn2", "mp1", "mp2"), "ccii": ("mnf", "mpf")}
+finite = st.floats(-1e6, 1e6)
+positive = st.floats(1e-12, 1e9)
+sources = st.one_of(
+    st.builds(Dc, finite),
+    st.builds(Sin, finite, finite, positive),
+    st.builds(Pulse, finite, finite, finite, st.floats(0.0, 1.0), st.floats(0.0, 1.0), finite, positive),
+)
+
+
+@pytest.mark.parametrize("name, family", WRITER_CASES)
+@settings(max_examples=20, deadline=None)
+@given(r1=positive, r2=positive, rx=st.floats(0.0, 1e6), explicit_rx=st.booleans(), ib=positive,
+       beta=positive, rails=positive, clamp=st.tuples(st.floats(-10.0, 0.0), st.floats(0.0, 10.0)),
+       source=sources)
+def test_writer_numbers_read_back_exactly(name, family, r1, r2, rx, explicit_rx, ib, beta, rails,
+                                          clamp, source):
+    # the library's writer is the one code that writes netlist text: every
+    # number it writes reads back as the same double once flattened
+    conv = example_config(name).conveyor
+    if family == "behavioral":
+        conv = conv._replace(rx=rx if explicit_rx or not conv.controlled else None, ib=ib, beta_n=beta,
+                             vmin=clamp[0], vmax=clamp[1])
+    else:
+        conv = TranslinearConveyor(ib=ib, family=family, rails=rails)
+    c = parse_and_flatten(emit_example(name, AmplifierConfig(r1=r1, r2=r2, conveyor=conv, input=source)))
+    els = {e.name: e for e in c.elements}
+    if name != "cccii_char":
+        assert (els["r1"].ohms, els["r2"].ohms) == (r1, r2)
+        assert els["vin"].spec == source
+    if family == "behavioral":
+        for u in (e for e in c.elements if isinstance(e, Conveyor)):
+            if conv.rx is None:
+                assert (u.params.ib, u.params.beta_n) == (ib, beta)
+            else:
+                assert u.params.rx == rx
+            assert (u.vmin, u.vmax) == clamp
+    else:
+        assert (els["vdd"].spec, els["vss"].spec, els["xu1.ibias"].spec) == (Dc(rails), Dc(-rails), Dc(ib))
+        # the model cards' suffixed numbers read as written: un_cox * w / l is CORE_BETA exactly
+        assert {els[f"xu1.{m}"].params.beta for m in CORE_DEVICES[family]} == {CORE_BETA}
 
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)

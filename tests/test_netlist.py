@@ -13,7 +13,7 @@ from ccsim.netlist import (
     parse_and_flatten,
     parse_netlist,
     parse_value,
-    print_netlist,
+    value_text,
 )
 
 # every suffix from the dialect's table, exercised one by one
@@ -31,7 +31,7 @@ SUFFIX_TABLE = [
 
 @pytest.mark.parametrize("token,expected", SUFFIX_TABLE)
 def test_parse_value_suffix_table(token, expected):
-    assert parse_value(token) == pytest.approx(expected, rel=1e-12)
+    assert parse_value(token) == expected
 
 
 @pytest.mark.parametrize(
@@ -46,10 +46,17 @@ def test_parse_value_suffix_table(token, expected):
         ("10uF", 1e-5),
         ("2.2megohm", 2.2e6),
         ("5ohm", 5.0),
+        # the nearest double, where mantissa times scale rounds twice (25 * 1e-6 is 2.4999999999999998e-05)
+        ("25u", 2.5e-05),
+        ("10u", 1e-05),
+        ("100n", 1e-07),
+        ("3.3p", 3.3e-12),
+        ("1meg", 1e6),
+        (".5n", 5e-10),
     ],
 )
 def test_parse_value_forms(token, expected):
-    assert parse_value(token) == pytest.approx(expected, rel=1e-12)
+    assert parse_value(token) == expected
 
 
 @pytest.mark.parametrize("token", ["1e3k", "abc(", "1.2.3", "", "--5", "1k2"])
@@ -60,7 +67,22 @@ def test_parse_value_rejects(token):
 
 @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
 def test_parse_value_roundtrips_repr(x):
-    assert parse_value(repr(x)) == x
+    # value_text writes a number as its repr
+    assert parse_value(value_text(x)) == x
+
+
+POWERS = {"f": -15, "p": -12, "n": -9, "u": -6, "m": -3, "k": 3, "meg": 6, "g": 9}
+
+
+@given(
+    st.from_regex(r"[+-]?([0-9]{1,8}(\.[0-9]{0,8})?|\.[0-9]{1,8})", fullmatch=True),
+    st.sampled_from(sorted(POWERS)),
+    st.sampled_from(["", "ohm", "V", "Hz"]),
+    st.booleans(),
+)
+def test_parse_value_suffix_is_one_literal(mantissa, suffix, unit, upper):
+    token = mantissa + (suffix.upper() if upper else suffix) + unit
+    assert parse_value(token) == float(f"{mantissa}e{POWERS[suffix]}")
 
 
 def test_minimal_netlist():
@@ -77,7 +99,6 @@ def test_conveyor_parse_roundtrip():
     assert el.param("ctype") == "cccii+"
     assert el.param("ib") == pytest.approx(5e-5)
     assert el.param("beta") == pytest.approx(1e-3)
-    assert parse_netlist(print_netlist(ast)) == ast
     c = expand_hierarchy(ast)
     conv = next(e for e in c.elements if isinstance(e, Conveyor))
     assert conv.params.polarity == 1
@@ -87,7 +108,6 @@ def test_conveyor_parse_roundtrip():
 def test_mosfet_binds_model():
     text = "t\n.model nmos_a nmos vth=0.4 beta=2e-4 lambda=0.05\nM1 d g s b nmos_a\nR1 d 0 1k\n.end\n"
     ast = parse_netlist(text)
-    assert parse_netlist(print_netlist(ast)) == ast
     c = expand_hierarchy(ast)
     m = next(e for e in c.elements if isinstance(e, Mosfet))
     assert m.params.vth == 0.4
@@ -176,7 +196,6 @@ def test_directive_kinds_recorded():
     kinds = [d.kind for d in ast.directives]
     assert kinds == ["param", "op", "tran", "dc", "measure", "end"]
     assert ast.params == {"foo": 2000.0}
-    assert parse_netlist(print_netlist(ast)) == ast
 
 
 # ----------------------------------------------------------------------
@@ -189,12 +208,6 @@ R1 inp n1 1k
 R2 n1 outp 2k
 .ends
 """
-
-
-def test_subckt_print_roundtrip():
-    text = SUB + "XA in out amp2\nV1 in 0 DC 1\nR9 out 0 1k\n.tran 1u 1m\n.end\n"
-    ast = parse_netlist(text)
-    assert parse_netlist(print_netlist(ast)) == ast
 
 
 def test_expand_identity_without_instances():
@@ -288,16 +301,3 @@ def test_source_specs():
     assert specs["v1"] == Dc(1.0)
     assert specs["v2"] == Sin(0.0, 0.05, 1000.0)
 
-
-names = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
-values = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
-
-
-@given(st.lists(st.tuples(names, values), min_size=1, max_size=6, unique_by=lambda t: t[0]))
-def test_print_parse_fixed_point_random_resistors(pairs):
-    lines = ["generated"]
-    for i, (node, val) in enumerate(pairs):
-        lines.append(f"r{i} {node} 0 {val!r}")
-    lines.append(".end")
-    ast = parse_netlist("\n".join(lines) + "\n")
-    assert parse_netlist(print_netlist(ast)) == ast

@@ -1,7 +1,9 @@
 """The benchmark's tracer binds ccsim functions by name: this pins that
 every function it names exists, that each of its hooks reads its count
-from a real call's arguments or result, and that its own rebinding
-mechanism sees the operating points of a stacked sweep."""
+from a real call's arguments or result, that its own rebinding
+mechanism sees the operating points of a stacked sweep, and that the
+paper's experiments flatten only ASTs they parsed, as its netlist
+capture assumes."""
 
 import importlib
 import importlib.util
@@ -50,6 +52,36 @@ def test_sweep_enters_newton_dc_once_per_point(tracer, tmp_path, monkeypatch):
             "--out", str(tmp_path / "sweep.csv")]
     assert cli.main(argv) == cli.EXIT_OK
     assert len(calls) >= len(points)
+
+
+def test_the_paper_flattens_only_what_it_parsed(tracer, monkeypatch):
+    # the benchmark's capture records each netlist the paper's experiments
+    # parse, and finds each flattened AST among them by identity; the
+    # library must keep writing text that it parses, not build ASTs itself
+    from ccsim import library, netlist
+
+    parse, expand = netlist.parse_netlist, netlist.expand_hierarchy
+    parsed, flattened = [], []
+
+    def recording_parse(*args, **kwargs):
+        parsed.append(parse(*args, **kwargs))
+        return parsed[-1]
+
+    def recording_expand(ast, *args, **kwargs):
+        flattened.append(ast)
+        return expand(ast, *args, **kwargs)
+
+    bindings = tracer.find_bindings({id(parse): (parse, recording_parse),
+                                     id(expand): (expand, recording_expand)})
+    for module, name, _, replacement in bindings:
+        monkeypatch.setattr(module, name, replacement)
+    for experiment in (lambda: list(library.gain_grid((1e3,), (1e3, 100e3), (0.0, 500.0), periods=1)),
+                       lambda: library.measure_rx_emergent(50e-6),
+                       library.power_comparison):
+        before = len(flattened)
+        experiment()
+        assert len(flattened) > before
+    assert all(any(ast is p for p in parsed) for ast in flattened)
 
 
 def test_every_hook_reads_a_real_call(tracer, tmp_path, capsys):
