@@ -56,14 +56,20 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(**_given(reltol=args.reltol, abstol=args.abstol, vntol=args.vntol))
 
 
-def _overrides(pairs) -> dict[str, float]:
+def _parse(args):
+    """The netlist's AST and its ``--param`` overrides, each of which must
+    name a ``.param`` of the netlist."""
+    ast = parse_netlist(Path(args.netlist).read_text())
     out = {}
-    for p in pairs or ():
+    for p in args.param or ():
         if "=" not in p:
             raise NetlistError(f"--param expects NAME=VALUE, got {p!r}")
         k, v = p.split("=", 1)
-        out[k.strip().lower()] = parse_value(v)
-    return out
+        k = k.strip().lower()
+        if k not in ast.params:
+            raise NetlistError(f"--param {k!r} is not a .param of the netlist")
+        out[k] = parse_value(v)
+    return ast, out
 
 
 def _validate_probes(u, probes):
@@ -107,12 +113,12 @@ def _cell(value) -> str:
     return format_sci(value)
 
 
-def _write_measures_csv(results: list[Measurement], path):
+def _write_table(path, header: list[str], rows):
+    """A CSV of ``header`` and ``rows``, LF line endings."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", "kind", "value", "units"])
-        for m in results:
-            writer.writerow([m.name, m.kind, _cell(m.value), m.units])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _measured(wave, d):
@@ -157,8 +163,7 @@ def _record_path(out_path, kinds: list[str], i: int):
 
 
 def _load_circuit(args):
-    ast = parse_netlist(Path(args.netlist).read_text())
-    return expand_hierarchy(ast, _overrides(args.param))
+    return expand_hierarchy(*_parse(args))
 
 
 def cmd_run(args) -> int:
@@ -173,7 +178,8 @@ def cmd_run(args) -> int:
     results = _execute_directives(c, tol, out_path, args.probes)
     _measure_report(results)
     if results:
-        _write_measures_csv(results, Path(out_path).with_suffix(".measures.csv"))
+        _write_table(Path(out_path).with_suffix(".measures.csv"), ["name", "kind", "value", "units"],
+                     ([m.name, m.kind, _cell(m.value), m.units] for m in results))
     return EXIT_OK
 
 
@@ -203,7 +209,7 @@ def _sweep_point(c, waves):
 
 
 def cmd_sweep(args) -> int:
-    text = Path(args.netlist).read_text()
+    ast, overrides = _parse(args)
     if "=" not in args.sweep:
         raise NetlistError(f"--sweep expects NAME=v1,v2,..., got {args.sweep!r}")
     name, raw = args.sweep.split("=", 1)
@@ -211,10 +217,8 @@ def cmd_sweep(args) -> int:
     values = [parse_value(v) for v in raw.split(",") if v.strip()]
     if not values:
         raise NetlistError("--sweep needs at least one value")
-    ast = parse_netlist(text)
     if name not in ast.params:
         raise NetlistError(f"sweep parameter {name!r} is not a .param of the netlist")
-    overrides = _overrides(args.param)
     tol = _tolerances(args)
     circuits = [expand_hierarchy(ast, {**overrides, name: v}) for v in values]
     runs = [
@@ -227,13 +231,9 @@ def cmd_sweep(args) -> int:
             points.append(_sweep_point(c, waves))
         except (ConvergenceError, SingularMatrixError) as exc:
             raise ConvergenceError(f"sweep aborted at {name}={format_sci(v)}: {exc}") from exc
-    header = ["param_value"] + [n for n, _ in points[0]]
     out_path = args.out or str(Path(args.netlist).with_suffix(".sweep.csv").name)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for v, row in zip(values, points):
-            writer.writerow([format_sci(v)] + [_cell(val) for _, val in row])
+    _write_table(out_path, ["param_value"] + [n for n, _ in points[0]],
+                 ([format_sci(v)] + [_cell(val) for _, val in row] for v, row in zip(values, points)))
     print(f"sweep of {name} over {len(values)} points -> {out_path}")
     return EXIT_OK
 
@@ -263,10 +263,8 @@ def cmd_examples(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    text = Path(args.netlist).read_text()
+    c = _load_circuit(args)
     wave = read_csv(args.csv)
-    ast = parse_netlist(text)
-    c = expand_hierarchy(ast, _overrides(args.param))
     wave.vsource_nodes = transient.vsource_nodes(c)
     results = []
     for d in c.directives:

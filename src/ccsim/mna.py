@@ -11,14 +11,16 @@ convention a plus-polarity conveyor satisfies
 and the single-conveyor amplifier (input at Y, R1 from X to ground, R2
 from Z to ground) comes out non-inverting with gain R2 / (R1 + R_X).
 
-:func:`compile` stamps a topology once into a :class:`StampPlan`;
+:func:`compile` stamps a topology once into a :class:`StampPlan`, which
+keeps its unknown map and is the one handle the layers below it take;
 :func:`assemble` turns the plan into one Newton iterate, with all MOSFETs
 linearized by one vectorized :func:`mosfet_eval` call, and its sources
 stamped from one column of the run's :meth:`SourceTable.samples`, whose
-memo is the one place where equal source specs are merged.
-:func:`stack` joins the plans of K circuits, padded to one size, so that
-one :func:`assemble` call builds all K systems; their source tables are
-joined as they are, for the positions, and a run samples each plan's own.
+memo is the one place where equal source specs are merged.  :func:`stack`
+joins the plans of K circuits, padded to one size, into one plan with
+the stack's map, so that one :func:`assemble` call builds all K systems;
+their source tables are joined as they are, for the positions, and a run
+samples each plan's own.
 
 Matrices are dense; the circuits this simulator targets stay well under a
 couple hundred unknowns.  A system under assembly is exclusively owned by
@@ -168,7 +170,7 @@ class SourceTable:
 
 
 class StampPlan:
-    """A topology stamped once.
+    """A topology stamped once for its unknown map ``u``.
 
     A system is one flat buffer: the (n+1)x(n+1) matrix row by row, then
     n+1 right-hand-side entries.  Row and column n (index -1 too) stand
@@ -177,16 +179,18 @@ class StampPlan:
     ``cap_ab`` and ``mos_dgs`` index the solution with a zero (ground)
     appended, so ground is unknown n there too.
 
-    A plan made by :func:`stack` holds K circuits of one size: its
-    static buffer gains a leading K axis and its capacitor values and
-    terminal rows a trailing one.  Its MOSFET values and terminal rows
-    are flat, each device's K entries in a row, and its positions index
-    the flattened stack, each entry's K positions in a row.  Terminal
-    rows index the flattened (K, n) solution with one zero appended:
-    circuit k's unknown i is k*n + i and ground is K*n.  So a stack of
-    one is the plan's own arrays, viewed with a K axis where it has one.
+    A plan made by :func:`stack` holds K circuits of one size, and ``u``
+    is the stack's map: its static buffer gains a leading K axis and its
+    capacitor values and terminal rows a trailing one.  Its MOSFET
+    values and terminal rows are flat, each device's K entries in a row,
+    and its positions index the flattened stack, each entry's K
+    positions in a row.  Terminal rows index the flattened (K, n)
+    solution with one zero appended: circuit k's unknown i is k*n + i
+    and ground is K*n.  So a stack of one is the plan's own arrays,
+    viewed with a K axis where it has one.
     """
 
+    u: UnknownMap
     static: np.ndarray  # R, V and conveyor entries plus the gmin floor
     sources: SourceTable
     cap_ab: np.ndarray  # (2, capacitors) terminal rows
@@ -195,10 +199,10 @@ class StampPlan:
     mos_dgs: np.ndarray  # (3, MOSFETs) terminal rows
     mos: MosfetBank
     mos_at: np.ndarray
-    __slots__ = ("static", "sources", "cap_ab", "farads", "cap_at", "mos_dgs", "mos", "mos_at")
+    __slots__ = ("u", "static", "sources", "cap_ab", "farads", "cap_at", "mos_dgs", "mos", "mos_at")
 
-    def __init__(self, static, sources, cap_ab, farads, cap_at, mos_dgs, mos, mos_at):
-        self.static, self.sources, self.cap_ab, self.farads = static, sources, cap_ab, farads
+    def __init__(self, u, static, sources, cap_ab, farads, cap_at, mos_dgs, mos, mos_at):
+        self.u, self.static, self.sources, self.cap_ab, self.farads = u, static, sources, cap_ab, farads
         self.cap_at, self.mos_dgs, self.mos, self.mos_at = cap_at, mos_dgs, mos, mos_at
 
     @property
@@ -220,7 +224,8 @@ def _with_ground(x: np.ndarray) -> np.ndarray:
 
 def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> StampPlan:
     """Stamp the fixed part of ``c`` once: the static matrix, the source
-    table and the capacitor and MOSFET index arrays of a :class:`StampPlan`."""
+    table and the capacitor and MOSFET index arrays of a :class:`StampPlan`
+    that keeps ``u``."""
     m = u.size + 1
     rhs = m * m
     static = np.zeros(rhs + m)
@@ -248,7 +253,7 @@ def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> St
     d, g, s = mos_dgs = rows(mos, "d", "g", "s")
     sources = SourceTable(np.array(at, dtype=np.intp), np.array(sign, dtype=float), specs)
     return StampPlan(
-        static, sources, cap_ab, np.array([e.farads for e in caps]),
+        u, static, sources, cap_ab, np.array([e.farads for e in caps]),
         # +geq, +geq and +ieq, then the same entries negated
         np.concatenate([a * m + a, b * m + b, rhs + a, a * m + b, b * m + a, rhs + b]),
         mos_dgs, MosfetBank.of([e.params for e in mos]),
@@ -263,14 +268,15 @@ def padded_rows(u: UnknownMap, n_nodes: int) -> np.ndarray:
     return np.concatenate([np.arange(u.n_nodes), np.arange(n_nodes, n_nodes + u.size - u.n_nodes)])
 
 
-def _pad(p: StampPlan, u: UnknownMap, n_nodes: int, n: int, n_mos: int, n_cap: int) -> StampPlan:
-    """``p``, compiled for ``u``, grown to ``n`` unknowns of which
-    ``n_nodes`` are nodes, ``n_mos`` MOSFETs and ``n_cap`` capacitors;
-    ``p`` itself when it has them all.
+def _pad(p: StampPlan, to: UnknownMap, n_mos: int, n_cap: int) -> StampPlan:
+    """``p`` grown to the stack map ``to``'s unknowns, node rows before
+    branch rows, and to ``n_mos`` MOSFETs and ``n_cap`` capacitors; ``p``
+    itself when it has them all.
 
     A pad unknown has a unit diagonal and a zero right-hand side, so it
     solves to 0.  Pad MOSFETs (beta 0) and capacitors (0 F) have every
     terminal and every position on the spare ground row."""
+    u, n_nodes, n = p.u, to.n_nodes, to.size
     if (u.n_nodes, u.size, p.mos_dgs.shape[1], p.farads.size) == (n_nodes, n, n_mos, n_cap):
         return p
     m, big = u.size + 1, n + 1
@@ -298,7 +304,7 @@ def _pad(p: StampPlan, u: UnknownMap, n_nodes: int, n: int, n_mos: int, n_cap: i
 
     src = p.sources
     return StampPlan(
-        static.ravel(), SourceTable(moved(src.at), src.sign, src.specs),
+        to, static.ravel(), SourceTable(moved(src.at), src.sign, src.specs),
         terminals(p.cap_ab, n_cap), grown(p.farads, n_cap), at(p.cap_at, 6, n_cap),
         terminals(p.mos_dgs, n_mos),
         MosfetBank(grown(p.mos.sign, n_mos, 1.0), grown(p.mos.vth, n_mos), grown(p.mos.beta, n_mos),
@@ -307,31 +313,32 @@ def _pad(p: StampPlan, u: UnknownMap, n_nodes: int, n: int, n_mos: int, n_cap: i
     )
 
 
-def stack(plans: list[StampPlan], maps: list[UnknownMap]) -> tuple[StampPlan, UnknownMap]:
-    """One plan for K circuits, plan k compiled for map k, each circuit's
-    buffer a row of the stack, and the unknown map of the stack.
+def stack(plans: list[StampPlan]) -> StampPlan:
+    """One plan for K circuits, each circuit's buffer a row of the stack,
+    whose ``u`` is the stack's unknown map.
 
     Circuits of different sizes are padded (see :func:`_pad`) to the
     largest node, branch, MOSFET and capacitor counts, node rows before
-    branch rows: circuit k's unknowns sit at ``padded_rows(maps[k],
+    branch rows: circuit k's unknowns sit at ``padded_rows(plans[k].u,
     n_nodes)`` of the stack's rows, and its node rows stay below the
     stack's ``n_nodes``.  A plan already at those counts is used as it
     is, so a stack of variants of one circuit (the same netlist with
-    other element values) keeps each plan's arrays.  When the maps
-    differ, the stack's map names its rows by position (``#i``).
+    other element values) keeps each plan's arrays.  Its map is the first
+    plan's, or names its rows by position (``#i``) when the names differ.
     """
+    maps = [p.u for p in plans]
     n_nodes = max(u.n_nodes for u in maps)
     n = n_nodes + max(u.size - u.n_nodes for u in maps)
-    n_mos = max(p.mos_dgs.shape[1] for p in plans)
-    n_cap = max(p.farads.size for p in plans)
-    plans = [_pad(p, u, n_nodes, n, n_mos, n_cap) for p, u in zip(plans, maps)]
     u = maps[0]
     if any(v.names != u.names for v in maps):
         u = UnknownMap(n_nodes, {f"#{i}": i for i in range(n_nodes, n)}, [f"#{i}" for i in range(n)])
+    n_mos = max(p.mos_dgs.shape[1] for p in plans)
+    n_cap = max(p.farads.size for p in plans)
+    plans = [_pad(p, u, n_mos, n_cap) for p in plans]
     first = plans[0]
     if len(plans) == 1:  # the plan's own arrays, viewed as a stack
-        return StampPlan(first.static[None], first.sources, first.cap_ab[..., None], first.farads[:, None],
-                         first.cap_at, first.mos_dgs, first.mos, first.mos_at), u
+        return StampPlan(u, first.static[None], first.sources, first.cap_ab[..., None], first.farads[:, None],
+                         first.cap_at, first.mos_dgs, first.mos, first.mos_at)
     n_var, size = len(plans), first.static.size
     offset = np.arange(n_var) * size
 
@@ -350,10 +357,10 @@ def stack(plans: list[StampPlan], maps: list[UnknownMap]) -> tuple[StampPlan, Un
     sources = SourceTable(np.concatenate([k * size + t.at for k, t in enumerate(tables)]),
                           np.concatenate([t.sign for t in tables]), [s for t in tables for s in t.specs])
     return StampPlan(
-        np.array([p.static for p in plans]), sources,
+        u, np.array([p.static for p in plans]), sources,
         rows("cap_ab"), values([p.farads for p in plans]), positions("cap_at"),
         rows("mos_dgs").reshape(3, -1), MosfetBank(*bank), positions("mos_at"),
-    ), u
+    )
 
 
 def stamp_sources(p: StampPlan, column: np.ndarray) -> np.ndarray:
@@ -365,59 +372,53 @@ def stamp_sources(p: StampPlan, column: np.ndarray) -> np.ndarray:
     return buf
 
 
-def unit_sources(p: StampPlan, n: int) -> np.ndarray:
+def unit_sources(p: StampPlan) -> np.ndarray:
     """Each source-table entry's right-hand side at unit value, one column
-    per entry, in a plan of ``n`` unknowns; an entry on ground is zero."""
+    per entry, over the plan's unknowns; an entry on ground is zero."""
+    n = p.u.size
     return (np.arange(n)[:, None] == p.sources.at - (n + 1) ** 2).astype(float)
 
 
 def assemble(
-    c: FlatCircuit,
-    u: UnknownMap,
-    t: float,
+    plan: StampPlan,
+    base: np.ndarray,
     x_est: np.ndarray | None = None,
     companions: tuple[np.ndarray, np.ndarray] | None = None,
     gmin_extra: float = 0.0,
-    gmin_floor: float = GMIN_FLOOR,
-    plan: StampPlan | None = None,
-    base: np.ndarray | None = None,
 ) -> MnaSystem:
-    """Build the full system at time ``t`` linearized around ``x_est``.
+    """Build the full system of ``plan`` linearized around ``x_est``.
 
-    ``companions`` is the (geq, ieq) pair of :func:`companion_values`
-    arrays over the plan's capacitors; without it capacitors are open
-    circuits (the DC operating-point convention).  ``gmin_extra`` adds a
-    homotopy conductance on top of the permanent floor.  ``plan`` is
-    ``compile(c, u, gmin_floor)``, passed by repeated callers, and
-    ``base`` is the plan's buffer with its sources stamped
-    (:func:`stamp_sources`), passed by callers that assemble with one
-    source column repeatedly.  ``c`` is read only without ``plan``, and
-    ``t`` only without ``base``.
+    ``base`` is the plan's buffer with one column of its sources stamped
+    (:func:`stamp_sources`), or ``plan.static`` for none; it is copied,
+    not changed.  ``companions`` is the (geq, ieq) pair of
+    :func:`companion_values` arrays over the plan's capacitors; without
+    it capacitors are open circuits (the DC operating-point convention).
+    ``gmin_extra`` adds a homotopy conductance on top of the permanent
+    floor the plan was compiled with.
 
-    With a stacked plan (see :func:`stack`) ``u`` is the stack's map,
-    ``x_est`` has one row per circuit, the companion arrays one column per circuit, and the
+    With a stacked plan (see :func:`stack`) ``x_est`` has one row per
+    circuit, the companion arrays one column per circuit, and the
     returned ``a`` and ``b`` a leading K axis.
     """
-    p = plan if plan is not None else compile(c, u, gmin_floor)
-    n, m = u.size, u.size + 1
-    buf = stamp_sources(p, p.sources.values(t)) if base is None else base.copy()
+    n, m = plan.u.size, plan.u.size + 1
+    buf = base.copy()
     flat = buf.reshape(-1)
-    if companions is not None and p.farads.size:
+    if companions is not None and plan.farads.size:
         geq, ieq = companions
         pos = np.concatenate([geq, geq, ieq])
-        np.add.at(flat, p.cap_at, np.concatenate([pos, -pos], axis=None))
-    if not p.linear:
+        np.add.at(flat, plan.cap_at, np.concatenate([pos, -pos], axis=None))
+    if not plan.linear:
         # id + gm*(vgs - vgs0) + gds*(vds - vds0): gm and gds go into the
         # matrix, the constant ieq = id - gm*vgs0 - gds*vds0 into b
         if x_est is None:
-            vgs = vds = np.zeros(p.mos_dgs.shape[1])
+            vgs = vds = np.zeros(plan.mos_dgs.shape[1])
         else:
-            vd, vg, vs = _with_ground(x_est)[p.mos_dgs]
+            vd, vg, vs = _with_ground(x_est)[plan.mos_dgs]
             vgs, vds = vg - vs, vd - vs
-        i_d, gm, gds = mosfet_eval(vgs, vds, p.mos)
+        i_d, gm, gds = mosfet_eval(vgs, vds, plan.mos)
         row_d = np.concatenate([gm, gds, -(gm + gds), -(i_d - gm * vgs - gds * vds)])
-        np.add.at(flat, p.mos_at, np.concatenate([row_d, -row_d]))
+        np.add.at(flat, plan.mos_at, np.concatenate([row_d, -row_d]))
     if gmin_extra:
-        buf[..., : u.n_nodes * (m + 1) : m + 1] += gmin_extra  # the node-voltage diagonal
+        buf[..., : plan.u.n_nodes * (m + 1) : m + 1] += gmin_extra  # the node-voltage diagonal
     a = buf[..., : m * m].reshape(buf.shape[:-1] + (m, m))
     return MnaSystem(a[..., :n, :n], buf[..., m * m : m * m + n])

@@ -167,40 +167,33 @@ def node_residual_norm(sys: mna.MnaSystem, x: np.ndarray, n_nodes: int) -> np.nd
 _ONE = np.ones(1, dtype=bool)  # the live mask of a stack of one
 
 
-def _stack_of_one(plan: mna.StampPlan, u: mna.UnknownMap, x0: np.ndarray):
-    """A single circuit's plan and start as a stack of one."""
-    return mna.stack([plan], [u])[0], x0[None]
-
-
 def gmin_stepped_dc(
-    c: FlatCircuit,
-    u: mna.UnknownMap,
+    plan: mna.StampPlan,
     tol: Tolerances,
-    column: np.ndarray | None = None,
-    x0: np.ndarray | None = None,
+    column: np.ndarray,
+    x0: np.ndarray,
     companions=None,
     gmin_start: float = 1e-3,
-    plan: mna.StampPlan | None = None,
 ) -> OperatingPoint:
-    """Homotopy fallback: extra conductances from every node to ground,
-    stepped down by decades from ``gmin_start`` to 1e-12 S, reusing each
+    """Homotopy fallback for one circuit's own ``plan``: extra
+    conductances from every node to ground, stepped down by decades from
+    ``gmin_start`` to 1e-12 S, starting from ``x0`` and reusing each
     rung's solution as the next initial guess, then a final solve with
     only the permanent floor.  Each rung is :func:`newton_stack` over a
     stack of one that stamps ``column``, the rescued point's own column
-    of the plan's source samples (t = 0 when not given)."""
-    x0 = np.zeros(u.size) if x0 is None else x0
-    plan, x = _stack_of_one(plan or mna.compile(c, u, tol.gmin_floor), u, x0)
+    of the plan's source samples; ``companions`` are the circuit's own
+    (geq, ieq) arrays, as in :func:`mna.assemble`."""
+    one, x = mna.stack([plan]), x0[None]
     if companions is not None:
         companions = tuple(np.reshape(v, (-1, 1)) for v in companions)
-    column = plan.sources.values(0.0) if column is None else column
     total_iters = 0
     g = gmin_start
     while g >= 1e-12 * 0.999:
-        x_g, _, its, errors = newton_stack(u, tol, column, x, companions, plan, _ONE, g)
+        x_g, _, its, errors = newton_stack(one, tol, column, x, companions, _ONE, g)
         if not errors:  # a failed rung keeps the previous rung's solution
             x, total_iters = x_g, total_iters + int(its[0])
         g /= 10.0
-    x, resid, its, errors = newton_stack(u, tol, column, x, companions, plan, _ONE)
+    x, resid, its, errors = newton_stack(one, tol, column, x, companions, _ONE)
     if not errors:
         return OperatingPoint(x[0], float(resid[0]), total_iters + int(its[0]))
     if isinstance(errors[0], ConvergenceError):
@@ -218,41 +211,41 @@ def newton_dc(
     x0: np.ndarray | None = None,
     plan: mna.StampPlan | None = None,
 ) -> OperatingPoint:
-    """Find the DC solution at time ``t`` (sources evaluated there).
+    """Find the DC solution of ``c``, whose unknown map is ``u``, at time
+    ``t`` (sources evaluated there).
 
     Plain damped Newton first (:func:`newton_stack` over a stack of
-    one), restarting with :func:`gmin_stepped_dc` when it fails.
-    ``plan`` is as in :func:`mna.assemble`; it is compiled here when not
-    given.  ``iterations`` counts the linear
-    solves.
+    one), restarting with :func:`gmin_stepped_dc` from the same start
+    when it fails.  ``plan`` is ``mna.compile(c, u, tol.gmin_floor)``,
+    passed by callers that hold it; it is compiled here when not given.
+    ``iterations`` counts the linear solves.
     """
     tol = tol or Tolerances()
     plan = plan or mna.compile(c, u, tol.gmin_floor)
     x0 = np.zeros(u.size) if x0 is None else x0
-    one, x = _stack_of_one(plan, u, x0)
+    one = mna.stack([plan])
     column = one.sources.values(t)
-    x, resid, its, errors = newton_stack(u, tol, column, x, None, one, _ONE)
+    x, resid, its, errors = newton_stack(one, tol, column, x0[None], None, _ONE)
     if not errors:
         return OperatingPoint(x[0], float(resid[0]), int(its[0]))
-    return gmin_stepped_dc(c, u, tol, column, x0, plan=plan)
+    return gmin_stepped_dc(plan, tol, column, x0)
 
 
 def newton_stack(
-    u: mna.UnknownMap,
+    plan: mna.StampPlan,
     tol: Tolerances,
     column: np.ndarray,
     x0: np.ndarray,
     companions,
-    plan: mna.StampPlan,
     live: np.ndarray,
     gmin_extra: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
-    """The plain damped Newton, on a stacked plan and its map ``u`` (see
-    :func:`mna.stack`) over the circuits marked in ``live``; a single
-    circuit is a stack of one.  ``column`` is the stack's sources at the
-    solve's time, one column of ``plan.sources.samples``; the loop
-    evaluates no source itself.  ``companions`` and ``gmin_extra`` are as
-    in :func:`mna.assemble`.
+    """The plain damped Newton, on a stacked plan (see :func:`mna.stack`)
+    over the circuits marked in ``live``; a single circuit is a stack of
+    one.  ``column`` is the stack's sources at the solve's time, one
+    column of ``plan.sources.samples``; the loop evaluates no source
+    itself.  ``companions`` and ``gmin_extra`` are as in
+    :func:`mna.assemble`, and errors name unknowns by ``plan.u``.
 
     ``x0`` holds one start row per circuit.  A circuit stops iterating
     once it has converged, so each row comes out as its own run would:
@@ -275,12 +268,12 @@ def newton_stack(
     its = np.zeros(n_var, dtype=np.intp)
     errors = {}
     base = mna.stamp_sources(plan, column)
-    nv = u.n_nodes
+    nv = plan.u.n_nodes
     linear = plan.linear
     last = tol.maxiter - 1  # its residual is the one a non-converged circuit reports
     # np.count_nonzero and .nonzero() cost less than .any() and np.flatnonzero
     for it in range(1 if linear else tol.maxiter):
-        sys = mna.assemble(None, u, None, None if linear else x, companions, gmin_extra, plan=plan, base=base)
+        sys = mna.assemble(plan, base, None if linear else x, companions, gmin_extra)
         if it == last or np.count_nonzero(dx_ok):
             resid = node_residual_norm(sys, x, nv)
             done = dx_ok & (resid < tol.abstol)
@@ -293,7 +286,7 @@ def newton_stack(
                 idx = todo.nonzero()[0]
                 dx_ok &= todo
         full = len(idx) == n_var
-        x_new, bad = _solve_stack(sys.a if full else sys.a[idx], sys.b if full else sys.b[idx], u.names)
+        x_new, bad = _solve_stack(sys.a if full else sys.a[idx], sys.b if full else sys.b[idx], plan.u.names)
         if linear:
             x[idx], its[idx] = x_new, 1
             resid = node_residual_norm(sys, x, nv)

@@ -158,36 +158,35 @@ def run_transient_stacked(
     """
     _check_step(dt, tstop, method)
     tol = tol or Tolerances()
-    maps = [mna.index_unknowns(c) for c in circuits]
-    plans = [mna.compile(c, u, tol.gmin_floor) for c, u in zip(circuits, maps)]
+    plans = [mna.compile(c, mna.index_unknowns(c), tol.gmin_floor) for c in circuits]
     stacks = {}
-    for k, (u, p) in enumerate(zip(maps, plans)):
+    for k, p in enumerate(plans):
         # a memoryless stack holds the circuits of one unknown map and one
         # entry count, so none is padded: LAPACK's answer for one
         # right-hand side can change in its last bit with the number
         # solved beside it
         memoryless = p.linear and not p.farads.size
-        key = ("memoryless", tuple(u.names), p.sources.at.size) if memoryless else ("stepped", p.linear)
+        key = ("memoryless", tuple(p.u.names), p.sources.at.size) if memoryless else ("stepped", p.linear)
         stacks.setdefault(key, []).append(k)
     times = np.arange(int(round(tstop / dt)) + 1) * dt
     sampled = {}  # each spec's samples, shared by every circuit
     runs = {}
     for key, ks in stacks.items():
-        members = ([seq[k] for k in ks] for seq in (circuits, maps, plans))
+        members = ([seq[k] for k in ks] for seq in (circuits, plans))
         if key[0] == "stepped":
             samples = [plans[k].sources.samples(times, sampled) for k in ks]
             runs.update(zip(ks, _run_stack(*members, times, samples, dt, method, tol)))
         else:
             runs.update(zip(ks, _superpose(*members, tol)))
-    return _in_order(circuits, maps, plans, runs, times, sampled, dt, method)
+    return _in_order(circuits, plans, runs, times, sampled, dt, method)
 
 
-def _in_order(circuits, maps, plans, runs, times, sampled, dt, method):
+def _in_order(circuits, plans, runs, times, sampled, dt, method):
     """Yield each circuit's result from ``runs`` in order; a memoryless
     circuit's is formed here, as its response (see :func:`_superpose`)
     times its own samples, each spec's taken from ``sampled``, with its
     operating point as column 0 and its clamps applied."""
-    for k, (c, u, p) in enumerate(zip(circuits, maps, plans)):
+    for k, (c, p) in enumerate(zip(circuits, plans)):
         run = runs.pop(k)
         if not isinstance(run, tuple):
             yield run
@@ -195,9 +194,9 @@ def _in_order(circuits, maps, plans, runs, times, sampled, dt, method):
         op, response = run
         data = response @ p.sources.samples(times, sampled)
         data[:, 0] = op
-        for r, lo, hi in _clip_rows(c, u):
+        for r, lo, hi in _clip_rows(c, p.u):
             np.clip(data[r], lo, hi, out=data[r])
-        yield _waveform(c, u, times, data, dt, method)
+        yield _waveform(c, p.u, times, data, dt, method)
 
 
 def _waveform(c, u, times, data, dt, method, rows=None, label="time"):
@@ -207,7 +206,7 @@ def _waveform(c, u, times, data, dt, method, rows=None, label="time"):
     return Waveform(times, columns, dt, method, vsource_nodes(c), label)
 
 
-def _superpose(circuits, maps, plans, tol):
+def _superpose(circuits, plans, tol):
     """Each of K memoryless linear circuits of one unknown map and one
     source-table entry count: its operating point and its response to
     each source-table entry at unit value, or the error it raised.
@@ -216,36 +215,36 @@ def _superpose(circuits, maps, plans, tol):
     of the circuits that have one are one stacked :func:`solve_linear`
     call (see :func:`mna.stack`).  If that call refuses a circuit, each is
     solved again alone, so that the error stays with its circuit."""
-    out = [_or_error(newton_dc, c, u, tol, t=0.0, plan=p) for c, u, p in zip(circuits, maps, plans)]
+    out = [_or_error(newton_dc, c, p.u, tol, t=0.0, plan=p) for c, p in zip(circuits, plans)]
     live = [k for k, op in enumerate(out) if not isinstance(op, Exception)]
     if live:
-        plan, u = mna.stack([plans[k] for k in live], [maps[k] for k in live])
-        units = np.array([mna.unit_sources(plans[k], u.size) for k in live])
-        a = mna.assemble(None, u, None, plan=plan, base=plan.static).a
+        plan = mna.stack([plans[k] for k in live])
+        units = np.array([mna.unit_sources(plans[k]) for k in live])
+        a = mna.assemble(plan, plan.static).a
         try:
-            responses = solve_linear(a, units, u.names)
+            responses = solve_linear(a, units, plan.u.names)
         except SingularMatrixError:
-            responses = [_or_error(solve_linear, a_k, b_k, u.names) for a_k, b_k in zip(a, units)]
+            responses = [_or_error(solve_linear, a_k, b_k, plan.u.names) for a_k, b_k in zip(a, units)]
         for k, response in zip(live, responses):
             out[k] = response if isinstance(response, Exception) else (out[k].x, response)
     return out
 
 
-def _run_stack(circuits, maps, plans, axis, samples, dt, method, tol, label="time"):
-    """The stepped loop over K circuits with index maps ``maps`` and
-    compiled plans ``plans``, as one stack (see :func:`mna.stack`).
-    Point k of ``axis`` (a transient's times, or the values of a ``.dc``
-    sweep, ``method`` "dc", of the source ``label``) starts from point
-    k - 1 and stamps column k of each circuit's (entries x points) matrix
-    in ``samples``; point 0 is each circuit's :func:`newton_dc`.  Returns
-    each circuit's waveform, or the error its run raised."""
-    plan, u = mna.stack(plans, maps)
-    rows = [mna.padded_rows(m, u.n_nodes) for m in maps]
+def _run_stack(circuits, plans, axis, samples, dt, method, tol, label="time"):
+    """The stepped loop over K circuits with compiled plans ``plans``, as
+    one stack (see :func:`mna.stack`).  Point k of ``axis`` (a transient's
+    times, or the values of a ``.dc`` sweep, ``method`` "dc", of the
+    source ``label``) starts from point k - 1 and stamps column k of each
+    circuit's (entries x points) matrix in ``samples``; point 0 is each
+    circuit's :func:`newton_dc`.  Returns each circuit's waveform, or the
+    error its run raised."""
+    plan = mna.stack(plans)
+    rows = [mna.padded_rows(p.u, plan.u.n_nodes) for p in plans]
     n_var = len(circuits)
     # each clamped Z as one (circuit, row) index into the stack of
     # solutions; a Z row is a node row, which padding does not move
-    clips = np.array([(k, r, lo, hi) for k, (c, m) in enumerate(zip(circuits, maps))
-                      for r, lo, hi in _clip_rows(c, m)]).reshape(-1, 4)
+    clips = np.array([(k, r, lo, hi) for k, (c, p) in enumerate(zip(circuits, plans))
+                      for r, lo, hi in _clip_rows(c, p.u)]).reshape(-1, 4)
     at = (clips[:, 0].astype(np.intp), clips[:, 1].astype(np.intp))
     lo, hi = clips[:, 2], clips[:, 3]
 
@@ -254,11 +253,11 @@ def _run_stack(circuits, maps, plans, axis, samples, dt, method, tol, label="tim
             x[at] = np.minimum(np.maximum(x[at], lo), hi)
         return x
 
-    data = np.zeros((n_var, u.size, len(axis)))
+    data = np.zeros((n_var, plan.u.size, len(axis)))
     errors = [None] * n_var
     for k, c in enumerate(circuits):
         try:
-            data[k, rows[k], 0] = newton_dc(c, maps[k], tol, t=0.0, plan=plans[k]).x
+            data[k, rows[k], 0] = newton_dc(c, plans[k].u, tol, t=0.0, plan=plans[k]).x
         except (ConvergenceError, SingularMatrixError) as exc:
             errors[k] = _step_failure(exc, label, axis[0], 0)
 
@@ -274,13 +273,12 @@ def _run_stack(circuits, maps, plans, axis, samples, dt, method, tol, label="tim
     for k in range(1, len(axis)):
         meth = "be" if method == "trap" and k == 1 else method
         geq, ieq = mna.companion_values(plan.farads, meth, dt, v_prev, i_prev)
-        x_new, _, _, failed = newton_stack(u, tol, stacked[:, k], x, (geq, ieq), plan, live)
+        x_new, _, _, failed = newton_stack(plan, tol, stacked[:, k], x, (geq, ieq), live)
         for j in failed:
             own = plans[j].farads.size  # the stack's capacitors of circuit j are its own, then pads
             try:
                 x_new[j, rows[j]] = gmin_stepped_dc(
-                    circuits[j], maps[j], tol, samples[j][:, k], x[j, rows[j]],
-                    (geq[:own, j], ieq[:own, j]), plan=plans[j],
+                    plans[j], tol, samples[j][:, k], x[j, rows[j]], (geq[:own, j], ieq[:own, j])
                 ).x
             except (ConvergenceError, SingularMatrixError) as exc:
                 errors[j] = _step_failure(exc, label, axis[k], k)
@@ -291,8 +289,8 @@ def _run_stack(circuits, maps, plans, axis, samples, dt, method, tol, label="tim
         v_prev = plan.cap_voltages(x)
         i_prev = geq * v_prev - ieq
         data[:, :, k] = x
-    return [e or _waveform(c, m, axis, d, dt, method, r, label)
-            for c, m, d, r, e in zip(circuits, maps, data, rows, errors)]
+    return [e or _waveform(c, p.u, axis, d, dt, method, r, label)
+            for c, p, d, r, e in zip(circuits, plans, data, rows, errors)]
 
 
 def _or_error(run, *args, **kwargs):
@@ -338,12 +336,11 @@ def run_dc_sweep(
     first = Dc(float(values[0]))
     elems = [*c.elements[:idx], c.elements[idx]._replace(spec=first), *c.elements[idx + 1:]]
     c = FlatCircuit(c.nodes, c.node_names, elems, c.directives, c.params)
-    u = mna.index_unknowns(c)
-    plan = mna.compile(c, u, tol.gmin_floor)
+    plan = mna.compile(c, mna.index_unknowns(c), tol.gmin_floor)
     swept = np.array([spec is first for spec in plan.sources.specs], dtype=bool)
     samples = np.repeat(plan.sources.values(0.0)[:, None], len(values), axis=1)
     samples[swept] = plan.sources.sign[swept, None] * values
-    (wave,) = _run_stack([c], [u], [plan], values, [samples], float(step), "dc", tol, name)
+    (wave,) = _run_stack([c], [plan], values, [samples], float(step), "dc", tol, name)
     if isinstance(wave, Waveform):
         return wave
     raise wave

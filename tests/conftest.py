@@ -1,4 +1,7 @@
-"""Shared circuit builders and the conveyor port-equation checker."""
+"""Shared circuit builders, the conveyor port-equation checker and the
+exact references for KCL and the compiled static matrix."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,6 +110,16 @@ def conveyor_port_residuals(c, wave):
     return out
 
 
+def assembled(c, u, t=0.0, x_est=None, companions=None, gmin_floor=mna.GMIN_FLOOR, gmin_extra=0.0,
+              plan=None):
+    """:func:`mna.assemble` of ``c`` at time ``t``: compiled for ``u``
+    with ``gmin_floor`` unless ``plan`` is given, and its sources stamped
+    at ``t``."""
+    plan = plan or mna.compile(c, u, gmin_floor)
+    base = mna.stamp_sources(plan, plan.sources.values(t))
+    return mna.assemble(plan, base, x_est, companions, gmin_extra)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
@@ -181,6 +194,60 @@ def node_kcl_residuals(c, wave):
         else:
             raise AssertionError(f"KCL oracle has no law for {type(e).__name__}")
     return net, scale
+
+
+def exact_mna(c, u, gmin):
+    """The static MNA system of a capacitor- and MOSFET-free circuit,
+    stamped in exact rationals from the element laws as
+    :func:`node_kcl_residuals` reads them, without :func:`mna.compile`.
+
+    A node's row is its KCL: the current each element draws from the
+    node, on the left, equals what its sources force in, on the right;
+    ``gmin`` draws ``gmin * v`` from every node.  A voltage source's
+    row is ``v(p) - v(n)`` = its value, and a conveyor's is
+    ``v(x) - v(y) - rx * i(x)`` = 0, its branch current drawn from X and,
+    times its polarity, from Z.  Returns ``(terms, sources)``: the
+    (n, n) nested list of each matrix entry's exact terms, in element
+    order, and each source's right-hand-side entries in element order,
+    as ``(row, sign, spec)`` with ground as row ``None``.
+    """
+    n = u.size
+    terms = [[[] for _ in range(n)] for _ in range(n)]
+    sources = []
+
+    def row(node):
+        return None if node == "0" else u.node_row(c.nodes[node])
+
+    def add(r, col, coef):  # row r's equation holds coef times unknown col
+        if r is not None and col is not None:
+            terms[r][col].append(Fraction(coef))
+
+    for node in c.node_names[1:]:
+        add(row(node), row(node), gmin)
+    for e in c.elements:
+        if isinstance(e, Resistor):
+            g = 1 / Fraction(e.ohms)
+            for a, b in ((e.a, e.b), (e.b, e.a)):
+                add(row(a), row(a), g)
+                add(row(a), row(b), -g)
+        elif isinstance(e, VSource):
+            br = u.branch_row(e.name)
+            for node, sign in ((e.p, 1), (e.n, -1)):
+                add(row(node), br, sign)  # i(v) drawn from p, returned to n
+                add(br, row(node), sign)
+            sources.append((br, 1.0, e.spec))
+        elif isinstance(e, ISource):
+            sources += [(row(e.p), -1.0, e.spec), (row(e.n), 1.0, e.spec)]
+        elif isinstance(e, Conveyor):
+            br = u.branch_row(e.name)
+            add(row(e.x), br, 1)
+            add(row(e.z), br, e.params.polarity)
+            add(br, row(e.x), 1)
+            add(br, row(e.y), -1)
+            add(br, br, -e.params.rx)
+        else:
+            raise AssertionError(f"exact MNA has no law for {type(e).__name__}")
+    return terms, sources
 
 
 @st.composite

@@ -141,6 +141,19 @@ def test_sweep_unknown_param(amp_file):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("run", []), ("op", []), ("sweep", ["--sweep", "r1=1k,2k"]), ("measure", ["--csv", "wave.csv"]),
+])
+def test_param_must_be_a_declared_param(amp_file, tmp_path, monkeypatch, capsys, command, extra):
+    # a misspelt name (r22 for r2) is refused, not run with the default r2
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wave.csv").write_text("time,v(in),v(out)\n0,0,0\n1e-6,0,0\n")
+    argv = [command, str(amp_file), "--param", "r2=5k", "--param", "r22=5k", *extra]
+    assert cli.main(argv) == cli.EXIT_PARSE
+    assert "--param 'r22' is not a .param of the netlist" in capsys.readouterr().err
+    assert not (tmp_path / "amp.csv").exists() and not (tmp_path / "amp.sweep.csv").exists()
+
+
 def test_sweep_failure_names_value(tmp_path):
     p = tmp_path / "tl.cir"
     assert ccsim("examples", "--emit", "proposed_amp_translinear", "--out", str(p)).returncode == 0

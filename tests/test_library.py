@@ -22,6 +22,8 @@ from ccsim.measure import gain
 from ccsim.netlist import Conveyor, Resistor, expand_hierarchy, parse_and_flatten, parse_netlist
 from ccsim.transient import run_transient
 
+from conftest import assembled
+
 
 def test_loaded_gain_values():
     assert loaded_gain(1e3, 100e3, 0.0) == pytest.approx(100.0, rel=1e-12)
@@ -222,7 +224,7 @@ def test_rx_converges_to_the_jacobian_rx_at_second_order(family, ib):
     ))
     c = expand_hierarchy(ast, {"iprobe": 0.0})
     u = mna.index_unknowns(c)
-    a = mna.assemble(c, u, 0.0, x_est=newton_dc(c, u).x).a
+    a = assembled(c, u, 0.0, x_est=newton_dc(c, u).x).a
     x = u.node_row(c.nodes["x"])
     jacobian_rx = np.linalg.solve(a, np.eye(u.size)[x])[x]
     gaps = [abs(measure_rx_emergent(ib, family=family, delta_frac=d) - jacobian_rx)

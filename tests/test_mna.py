@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from ccsim.netlist import (
 )
 from ccsim.solver import solve_linear
 
-from conftest import behavioral_amp
+from conftest import assembled, behavioral_amp, exact_mna, memoryless_or_rc_netlists
 
 
 def circuit_of(elements, directives=()):
@@ -48,7 +50,7 @@ def test_index_unknowns_counts():
 def test_resistor_stamp_pattern():
     c = circuit_of([Resistor("r1", "a", "b", 1e3), Resistor("rg", "b", "0", 1.0)])
     u = index_unknowns(c)
-    sys = assemble(c, u, 0.0, gmin_floor=0.0)
+    sys = assembled(c, u, 0.0, gmin_floor=0.0)
     a_row, b_row = u.node_row(c.nodes["a"]), u.node_row(c.nodes["b"])
     g = 1e-3
     assert sys.a[a_row, a_row] == pytest.approx(g)
@@ -74,7 +76,7 @@ def test_conveyor_hand_solved_system():
     # hand elimination of the 5x5: V_X = 0.1 V, i_x = -1e-4 A, V_out = +10 V
     c = hand_amp(rx=0.0)
     u = index_unknowns(c)
-    sys = assemble(c, u, 0.0, gmin_floor=0.0)
+    sys = assembled(c, u, 0.0, gmin_floor=0.0)
     x = solve_linear(sys.a, sys.b, u.names)
     sol = dict(zip(u.names, x))
     assert sol["v(x)"] == pytest.approx(0.1, rel=1e-12)
@@ -85,7 +87,7 @@ def test_conveyor_hand_solved_system():
 def test_conveyor_loaded_solution():
     c = hand_amp(rx=1581.0)
     u = index_unknowns(c)
-    sys = assemble(c, u, 0.0, gmin_floor=0.0)
+    sys = assembled(c, u, 0.0, gmin_floor=0.0)
     x = solve_linear(sys.a, sys.b, u.names)
     v_out = x[u.node_row(c.nodes["out"])]
     assert v_out == pytest.approx(0.1 * 1e5 / (1e3 + 1581.0), rel=1e-9)
@@ -104,7 +106,7 @@ def test_minus_polarity_inverts_output():
         ]
     )
     u = index_unknowns(c)
-    sys = assemble(c, u, 0.0, gmin_floor=0.0)
+    sys = assembled(c, u, 0.0, gmin_floor=0.0)
     x = solve_linear(sys.a, sys.b, u.names)
     assert x[u.node_row(c.nodes["out"])] == pytest.approx(-10.0, rel=1e-12)
 
@@ -120,7 +122,7 @@ def test_floating_subnetwork_rows_sum_to_zero():
         ]
     )
     u = index_unknowns(c)
-    sys = assemble(c, u, 0.0, gmin_floor=0.0)
+    sys = assembled(c, u, 0.0, gmin_floor=0.0)
     rows = [u.node_row(c.nodes[n]) for n in "abc"]
     row_sums = sys.a[rows].sum(axis=1)
     assert np.allclose(row_sums, 0.0, atol=1e-18)
@@ -134,8 +136,8 @@ def test_stamp_order_invariance():
     shuffled.node_names = c1.node_names
     u1, u2 = index_unknowns(c1), index_unknowns(shuffled)
     assert u1.branch_rows == u2.branch_rows
-    s1 = assemble(c1, u1, 0.0)
-    s2 = assemble(shuffled, u2, 0.0)
+    s1 = assembled(c1, u1, 0.0)
+    s2 = assembled(shuffled, u2, 0.0)
     assert np.array_equal(s1.a, s2.a)
     assert np.array_equal(s1.b, s2.b)
 
@@ -162,7 +164,7 @@ def test_dc_treats_capacitor_open():
         ]
     )
     u = index_unknowns(c)
-    sys = assemble(c, u, 0.0)  # no cap_state: open circuit
+    sys = assembled(c, u, 0.0)  # no cap_state: open circuit
     x = solve_linear(sys.a, sys.b, u.names)
     # no DC path from b except the gmin floor: node follows a
     assert x[u.node_row(c.nodes["b"])] == pytest.approx(1.0, rel=1e-6)
@@ -173,9 +175,9 @@ def test_mosfet_stamp_cutoff_is_empty():
         "t\n.model nm nmos vth=0.4 beta=2e-4\nM1 d g 0 0 nm\nV1 d 0 DC 1\nR1 g 0 1k\n.end\n"
     )
     u = index_unknowns(c)
-    sys_all = assemble(c, u, 0.0, x_est=np.zeros(u.size), gmin_floor=0.0)
+    sys_all = assembled(c, u, 0.0, x_est=np.zeros(u.size), gmin_floor=0.0)
     lin = FlatCircuit(c.nodes, c.node_names, [e for e in c.elements if not isinstance(e, Mosfet)], (), {})
-    sys_lin = assemble(lin, u, 0.0, gmin_floor=0.0)
+    sys_lin = assembled(lin, u, 0.0, gmin_floor=0.0)
     assert np.array_equal(sys_all.a, sys_lin.a)
     assert np.array_equal(sys_all.b, sys_lin.b)
 
@@ -190,11 +192,11 @@ def test_two_mosfets_superpose():
     x_est = np.zeros(u.size)
     x_est[u.node_row(c.nodes["d"])] = 1.0
     x_est[u.node_row(c.nodes["g"])] = 1.0
-    both = assemble(c, u, 0.0, x_est=x_est, gmin_floor=0.0)
+    both = assembled(c, u, 0.0, x_est=x_est, gmin_floor=0.0)
     single = FlatCircuit(c.nodes, c.node_names, [c.elements[0]] + list(c.elements[2:]), (), {})
-    one = assemble(single, u, 0.0, x_est=x_est, gmin_floor=0.0)
+    one = assembled(single, u, 0.0, x_est=x_est, gmin_floor=0.0)
     lin_only = FlatCircuit(c.nodes, c.node_names, list(c.elements[2:]), (), {})
-    none = assemble(lin_only, u, 0.0, gmin_floor=0.0)
+    none = assembled(lin_only, u, 0.0, gmin_floor=0.0)
     assert np.allclose(both.a - none.a, 2 * (one.a - none.a))
     assert np.allclose(both.b - none.b, 2 * (one.b - none.b))
 
@@ -228,8 +230,8 @@ def test_port_equations_hold_at_dc():
 def test_gmin_floor_applied_to_every_node():
     c = hand_amp(rx=0.0)
     u = index_unknowns(c)
-    with_floor = assemble(c, u, 0.0, gmin_floor=1e-9)
-    without = assemble(c, u, 0.0, gmin_floor=0.0)
+    with_floor = assembled(c, u, 0.0, gmin_floor=1e-9)
+    without = assembled(c, u, 0.0, gmin_floor=0.0)
     d = with_floor.a - without.a
     assert np.allclose(np.diag(d)[: u.n_nodes], 1e-9)
     assert np.count_nonzero(d) == u.n_nodes
@@ -261,15 +263,16 @@ def test_stack_assembles_each_variant_as_alone():
     for circuits in (variants, ragged):
         maps = [index_unknowns(c) for c in circuits]
         plans = [mna.compile(c, u) for c, u in zip(circuits, maps)]
-        plan, u = mna.stack(plans, maps)
+        plan = mna.stack(plans)
+        u = plan.u
         assert (u is maps[0]) == (circuits is variants)  # a ragged stack names rows by position
         x = rng.normal(size=(2, u.size))
         geq, ieq = rng.normal(size=(2, plan.farads.shape[0], 2))
-        both = assemble(circuits[0], u, 3e-4, x, (geq, ieq), gmin_extra=1e-6, plan=plan)
+        both = assembled(None, None, 3e-4, x, (geq, ieq), gmin_extra=1e-6, plan=plan)
         for k, (c, m) in enumerate(zip(circuits, maps)):
             rows = mna.padded_rows(m, u.n_nodes)
             own = plans[k].farads.size
-            alone = assemble(c, m, 3e-4, x[k, rows], (geq[:own, k], ieq[:own, k]),
+            alone = assembled(c, m, 3e-4, x[k, rows], (geq[:own, k], ieq[:own, k]),
                              gmin_extra=1e-6, plan=plans[k])
             pad = np.setdiff1d(np.arange(u.size), rows)
             a = np.zeros((u.size, u.size))
@@ -320,14 +323,15 @@ def test_assembled_matrix_is_the_residual_jacobian(members, seed):
     # difference, for each circuit alone and in a padded stack
     circuits = [TRANSLINEAR_NETLISTS[k] for k in members]
     maps = [index_unknowns(c) for c in circuits]
-    plan, u = mna.stack([mna.compile(c, m) for c, m in zip(circuits, maps)], maps)
+    plan = mna.stack([mna.compile(c, m) for c, m in zip(circuits, maps)])
+    u = plan.u
     base = mna.stamp_sources(plan, plan.sources.values(0.0))
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.5, 1.5, (len(circuits), u.size))
     x[:, u.n_nodes:] *= 1e-3  # branch currents
 
     def residual(x):
-        sys = assemble(None, u, None, x, plan=plan, base=base)
+        sys = assemble(plan, base, x)
         return (sys.a @ x[..., None])[..., 0] - sys.b, sys.a
 
     a = residual(x)[1]
@@ -338,3 +342,40 @@ def test_assembled_matrix_is_the_residual_jacobian(members, seed):
         slope = (residual(x + step)[0] - residual(x - step)[0]) / (2 * h)
         # a MOSFET region boundary inside the step costs up to beta*h/2 (5e-9 S)
         assert np.abs(slope - a[:, :, j]).max() <= 5e-8, j
+
+
+
+def assert_exact_stamp(c, gmin):
+    """Each entry of the compiled matrix is the exact sum of its terms to
+    the round-off of rounding k terms and adding them (within k * 2**-52
+    of their magnitudes' sum), the right-hand side is left to the source
+    table, and the table holds the exact stamp's rows, signs and specs in
+    element order."""
+    u = index_unknowns(c)
+    n, m = u.size, u.size + 1
+    plan = mna.compile(c, u, gmin)
+    terms, sources = exact_mna(c, u, gmin)
+    matrix = plan.static[: m * m].reshape(m, m)
+    for i in range(n):
+        for j in range(n):
+            t = terms[i][j]
+            bound = len(t) * Fraction(1, 2**52) * sum(abs(v) for v in t)
+            assert abs(Fraction(matrix[i, j]) - sum(t, Fraction(0))) <= bound, (i, j)
+    assert not plan.static[m * m :].any()
+    rows = [None if r == n else r for r in (plan.sources.at - m * m).tolist()]
+    assert list(zip(rows, plan.sources.sign.tolist())) == [(r, s) for r, s, _ in sources]
+    assert all(a is b for a, (_, _, b) in zip(plan.sources.specs, sources))
+
+
+@given(data=st.data(), gmin=st.sampled_from([0.0, mna.GMIN_FLOOR, 1e-3]))
+@settings(max_examples=60, deadline=None)
+def test_compiled_static_matrix_is_the_exact_stamp(data, gmin):
+    assert_exact_stamp(parse_and_flatten(data.draw(memoryless_or_rc_netlists(with_cap=False))), gmin)
+
+
+def test_compiled_floating_sources_are_the_exact_stamp():
+    # the generator's voltage source is grounded: here one is floating,
+    # and a conveyor's Z drives the node of a voltage source
+    c = parse_and_flatten("t\nv1 a 0 SIN(0 1 1k)\nv2 a b DC 2\ni1 b c DC 1m\nr1 b 0 1k\n"
+                          "r2 c 0 3k\nu1 c x a ccii- rx=5\nr3 x 0 2k\n.end\n")
+    assert_exact_stamp(c, mna.GMIN_FLOOR)

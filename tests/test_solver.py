@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ccsim import mna, solver
-from ccsim.mna import assemble, index_unknowns
+from ccsim.mna import index_unknowns
 from ccsim.netlist import parse_and_flatten
 from ccsim.solver import (
     PIVOT_TOL,
@@ -18,7 +18,7 @@ from ccsim.solver import (
     solve_linear,
 )
 
-from conftest import behavioral_amp
+from conftest import assembled, behavioral_amp
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +147,7 @@ def test_converged_residual_reassembles_small():
     u = index_unknowns(c)
     tol = Tolerances()
     op = newton_dc(c, u, tol)
-    sys = assemble(c, u, 0.0, x_est=op.x)
+    sys = assembled(c, u, 0.0, x_est=op.x)
     resid = np.max(np.abs((sys.a @ op.x - sys.b)[: u.n_nodes]))
     assert resid < tol.abstol
     assert op.residual_norm < tol.abstol
@@ -164,7 +164,9 @@ def test_gmin_ladder_start_independent():
         )
         c = parse_and_flatten(text)
         u = index_unknowns(c)
-        xs = [gmin_stepped_dc(c, u, tol, gmin_start=start).x for start in (1e-3, 1e-4)]
+        plan = mna.compile(c, u)
+        column, x0 = plan.sources.values(0.0), np.zeros(u.size)
+        xs = [gmin_stepped_dc(plan, tol, column, x0, gmin_start=start).x for start in (1e-3, 1e-4)]
         dv = np.max(np.abs(xs[0][: u.n_nodes] - xs[1][: u.n_nodes]))
         assert dv < 10 * tol.vntol
 
@@ -207,10 +209,10 @@ def plain_newton_error(c, tol):
     rescue of ``newton_dc``: ``newton_stack``'s error dict over a stack
     of one."""
     u = index_unknowns(c)
-    plan, stacked = mna.stack([mna.compile(c, u)], [u])
+    plan = mna.stack([mna.compile(c, u)])
     live = np.ones(1, dtype=bool)
     column = plan.sources.values(0.0)
-    _, _, _, errors = newton_stack(stacked, tol, column, np.zeros((1, u.size)), None, plan, live)
+    _, _, _, errors = newton_stack(plan, tol, column, np.zeros((1, u.size)), None, live)
     assert list(errors) == [0]
     return errors[0]
 

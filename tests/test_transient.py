@@ -29,7 +29,7 @@ from ccsim.transient import (
     write_csv,
 )
 
-from conftest import behavioral_amp, memoryless_or_rc_netlists, node_kcl_residuals, run_amp
+from conftest import assembled, behavioral_amp, memoryless_or_rc_netlists, node_kcl_residuals, run_amp
 from test_csv import DC as CONVEYOR_DC
 
 RC = """rc charging step response
@@ -108,7 +108,7 @@ def test_memoryless_run_is_the_responses_times_the_samples():
     u = index_unknowns(c)
     plan = mna.compile(c, u)
     w = run_transient(c, 1e-6, 2e-4)
-    response = np.linalg.solve(mna.assemble(c, u, 0.0, plan=plan).a, mna.unit_sources(plan, u.size))
+    response = np.linalg.solve(assembled(c, u, 0.0, plan=plan).a, mna.unit_sources(plan))
     samples = plan.sources.samples(w.times)
     assert np.signbit(response * samples).any()
     want = response @ samples
