@@ -110,13 +110,11 @@ def histogram(samples, nbins: int = 20) -> Histogram:
     if nbins < 1:
         raise MeasureError("histogram needs nbins >= 1")
     lo, hi = float(s.min()), float(s.max())
-    counts = np.zeros(nbins, dtype=int)
-    if hi == lo:
-        counts[0] = s.size
-    else:
+    idx = np.zeros(s.size, dtype=int)
+    if hi != lo:
         idx = np.floor((s - lo) / (hi - lo) * nbins).astype(int)
         np.clip(idx, 0, nbins - 1, out=idx)
-        np.add.at(counts, idx, 1)
+    counts = np.bincount(idx, minlength=nbins)
     return Histogram(lo, hi, nbins, tuple(int(v) for v in counts))
 
 

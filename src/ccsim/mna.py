@@ -12,15 +12,16 @@ and the single-conveyor amplifier (input at Y, R1 from X to ground, R2
 from Z to ground) comes out non-inverting with gain R2 / (R1 + R_X).
 
 :func:`compile` stamps a topology once into a :class:`StampPlan`, which
-keeps its unknown map and is the one handle the layers below it take;
-:func:`assemble` turns the plan into one Newton iterate, with all MOSFETs
-linearized by one vectorized :func:`mosfet_eval` call, and its sources
-stamped from one column of the run's :meth:`SourceTable.samples`, whose
-memo is the one place where equal source specs are merged.  :func:`stack`
-joins the plans of K circuits, padded to one size, into one plan with
-the stack's map, so that one :func:`assemble` call builds all K systems;
-their source tables are joined as they are, for the positions, and a run
-samples each plan's own.
+keeps its unknown map and is the one handle the layers below it take.
+Every plan is a stack: a compiled one holds one circuit, and
+:func:`stack` joins the plans of K circuits, padded to one size, into
+one plan with the stack's map, so that one :func:`assemble` call builds
+all K systems.  :func:`assemble` turns a plan into one Newton iterate,
+with all MOSFETs linearized by one vectorized :func:`mosfet_eval` call,
+and its sources stamped from one column of the run's
+:meth:`SourceTable.samples`, whose memo is the one place where equal
+source specs are merged; a stack's source tables are joined as they
+are, for the positions, and a run samples each plan's own.
 
 Matrices are dense; the circuits this simulator targets stay well under a
 couple hundred unknowns.  A system under assembly is exclusively owned by
@@ -170,24 +171,20 @@ class SourceTable:
 
 
 class StampPlan:
-    """A topology stamped once for its unknown map ``u``.
+    """A stack of K circuits of one size, stamped once for the stack's
+    unknown map ``u``; :func:`compile` makes a stack of one.
 
     A system is one flat buffer: the (n+1)x(n+1) matrix row by row, then
     n+1 right-hand-side entries.  Row and column n (index -1 too) stand
-    for ground, so no stamp needs a ground test.  ``cap_at``, ``mos_at``
-    and the source table hold positions in the flattened buffer.
-    ``cap_ab`` and ``mos_dgs`` index the solution with a zero (ground)
-    appended, so ground is unknown n there too.
-
-    A plan made by :func:`stack` holds K circuits of one size, and ``u``
-    is the stack's map: its static buffer gains a leading K axis and its
-    capacitor values and terminal rows a trailing one.  Its MOSFET
-    values and terminal rows are flat, each device's K entries in a row,
-    and its positions index the flattened stack, each entry's K
-    positions in a row.  Terminal rows index the flattened (K, n)
-    solution with one zero appended: circuit k's unknown i is k*n + i
-    and ground is K*n.  So a stack of one is the plan's own arrays,
-    viewed with a K axis where it has one.
+    for ground, so no stamp needs a ground test.  ``static`` holds one
+    buffer per circuit, shape (K, buffer).  Every per-device array is
+    flat, each device's K entries in a row: device d of circuit k is
+    entry d*K + k of the capacitor and MOSFET values, of each terminal
+    row of ``cap_ab`` and ``mos_dgs``, and of each group of positions in
+    ``cap_at`` and ``mos_at``.  Positions, the source table's too, index
+    the flattened (K, buffer) stack.  Terminal rows index the flattened
+    (K, n) solution with one zero (ground) appended: circuit k's unknown
+    i is k*n + i and ground is K*n.
     """
 
     u: UnknownMap
@@ -228,8 +225,8 @@ def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> St
     that keeps ``u``."""
     m = u.size + 1
     rhs = m * m
-    static = np.zeros(rhs + m)
-    matrix = static[:rhs].reshape(m, m)
+    static = np.zeros((1, rhs + m))
+    matrix = static[0, :rhs].reshape(m, m)
     at, sign, specs, caps, mos = [], [], [], [], []  # at, sign and specs: the source entries
     for e in c.elements:
         if isinstance(e, Capacitor):
@@ -243,7 +240,7 @@ def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> St
             at += [rhs + r % m for r, _ in rows]
             sign += [row_sign for _, row_sign in rows]
             specs += [e.spec for _ in rows]
-    static[: u.n_nodes * (m + 1) : m + 1] += gmin_floor  # the node-voltage diagonal
+    static[0, : u.n_nodes * (m + 1) : m + 1] += gmin_floor  # the node-voltage diagonal
 
     def rows(elements, *terminals):
         idx = [[u.node_row(c.nodes[getattr(e, t)]) % m for e in elements] for t in terminals]
@@ -269,9 +266,9 @@ def padded_rows(u: UnknownMap, n_nodes: int) -> np.ndarray:
 
 
 def _pad(p: StampPlan, to: UnknownMap, n_mos: int, n_cap: int) -> StampPlan:
-    """``p`` grown to the stack map ``to``'s unknowns, node rows before
-    branch rows, and to ``n_mos`` MOSFETs and ``n_cap`` capacitors; ``p``
-    itself when it has them all.
+    """The compiled plan ``p`` grown to the stack map ``to``'s unknowns,
+    node rows before branch rows, and to ``n_mos`` MOSFETs and ``n_cap``
+    capacitors; ``p`` itself when it has them all.
 
     A pad unknown has a unit diagonal and a zero right-hand side, so it
     solves to 0.  Pad MOSFETs (beta 0) and capacitors (0 F) have every
@@ -304,7 +301,7 @@ def _pad(p: StampPlan, to: UnknownMap, n_mos: int, n_cap: int) -> StampPlan:
 
     src = p.sources
     return StampPlan(
-        to, static.ravel(), SourceTable(moved(src.at), src.sign, src.specs),
+        to, static.reshape(1, -1), SourceTable(moved(src.at), src.sign, src.specs),
         terminals(p.cap_ab, n_cap), grown(p.farads, n_cap), at(p.cap_at, 6, n_cap),
         terminals(p.mos_dgs, n_mos),
         MosfetBank(grown(p.mos.sign, n_mos, 1.0), grown(p.mos.vth, n_mos), grown(p.mos.beta, n_mos),
@@ -314,8 +311,9 @@ def _pad(p: StampPlan, to: UnknownMap, n_mos: int, n_cap: int) -> StampPlan:
 
 
 def stack(plans: list[StampPlan]) -> StampPlan:
-    """One plan for K circuits, each circuit's buffer a row of the stack,
-    whose ``u`` is the stack's unknown map.
+    """One plan for the K circuits of compiled ``plans``, each circuit's
+    buffer a row of the stack, whose ``u`` is the stack's unknown map;
+    the stack of one plan is that plan.
 
     Circuits of different sizes are padded (see :func:`_pad`) to the
     largest node, branch, MOSFET and capacitor counts, node rows before
@@ -326,6 +324,8 @@ def stack(plans: list[StampPlan]) -> StampPlan:
     other element values) keeps each plan's arrays.  Its map is the first
     plan's, or names its rows by position (``#i``) when the names differ.
     """
+    if len(plans) == 1:
+        return plans[0]
     maps = [p.u for p in plans]
     n_nodes = max(u.n_nodes for u in maps)
     n = n_nodes + max(u.size - u.n_nodes for u in maps)
@@ -335,31 +335,25 @@ def stack(plans: list[StampPlan]) -> StampPlan:
     n_mos = max(p.mos_dgs.shape[1] for p in plans)
     n_cap = max(p.farads.size for p in plans)
     plans = [_pad(p, u, n_mos, n_cap) for p in plans]
-    first = plans[0]
-    if len(plans) == 1:  # the plan's own arrays, viewed as a stack
-        return StampPlan(u, first.static[None], first.sources, first.cap_ab[..., None], first.farads[:, None],
-                         first.cap_at, first.mos_dgs, first.mos, first.mos_at)
-    n_var, size = len(plans), first.static.size
-    offset = np.arange(n_var) * size
+    n_var, size = len(plans), plans[0].static.size
 
-    def values(arrays):
-        return np.array(arrays).T
+    def values(arrays):  # entry d of plan k at d*K + k
+        return np.array(arrays).T.ravel()
 
-    def rows(name):
+    def rows(name):  # unknown i of plan k at k*n + i, and ground at K*n
         r = np.stack([getattr(p, name) for p in plans], axis=-1)
-        return np.where(r == n, n_var * n, r + np.arange(n_var) * n)
+        return np.where(r == n, n_var * n, r + np.arange(n_var) * n).reshape(len(r), -1)
 
-    def positions(name):
-        return (values([getattr(p, name) for p in plans]) + offset).ravel()
-
-    bank = (values([getattr(p.mos, f) for p in plans]).reshape(-1) for f in ("sign", "vth", "beta", "lam"))
+    bank = (values([getattr(p.mos, f) for p in plans]) for f in ("sign", "vth", "beta", "lam"))
     tables = [p.sources for p in plans]  # a run samples each plan's own; the stack's only stamps
     sources = SourceTable(np.concatenate([k * size + t.at for k, t in enumerate(tables)]),
                           np.concatenate([t.sign for t in tables]), [s for t in tables for s in t.specs])
+    # plan k's positions move to its row of the flattened stack
+    cap_at, mos_at = ([k * size + getattr(p, f) for k, p in enumerate(plans)] for f in ("cap_at", "mos_at"))
     return StampPlan(
-        u, np.array([p.static for p in plans]), sources,
-        rows("cap_ab"), values([p.farads for p in plans]), positions("cap_at"),
-        rows("mos_dgs").reshape(3, -1), MosfetBank(*bank), positions("mos_at"),
+        u, np.concatenate([p.static for p in plans]), sources,
+        rows("cap_ab"), values([p.farads for p in plans]), values(cap_at),
+        rows("mos_dgs"), MosfetBank(*bank), values(mos_at),
     )
 
 
@@ -374,7 +368,8 @@ def stamp_sources(p: StampPlan, column: np.ndarray) -> np.ndarray:
 
 def unit_sources(p: StampPlan) -> np.ndarray:
     """Each source-table entry's right-hand side at unit value, one column
-    per entry, over the plan's unknowns; an entry on ground is zero."""
+    per entry, over the unknowns of ``p``, a stack of one; an entry on
+    ground is zero."""
     n = p.u.size
     return (np.arange(n)[:, None] == p.sources.at - (n + 1) ** 2).astype(float)
 
@@ -391,14 +386,14 @@ def assemble(
     ``base`` is the plan's buffer with one column of its sources stamped
     (:func:`stamp_sources`), or ``plan.static`` for none; it is copied,
     not changed.  ``companions`` is the (geq, ieq) pair of
-    :func:`companion_values` arrays over the plan's capacitors; without
-    it capacitors are open circuits (the DC operating-point convention).
+    :func:`companion_values` arrays over the plan's flat capacitor
+    values; without it capacitors are open circuits (the DC
+    operating-point convention).
     ``gmin_extra`` adds a homotopy conductance on top of the permanent
     floor the plan was compiled with.
 
-    With a stacked plan (see :func:`stack`) ``x_est`` has one row per
-    circuit, the companion arrays one column per circuit, and the
-    returned ``a`` and ``b`` a leading K axis.
+    ``x_est`` has one row per circuit of the stack, and the returned
+    ``a`` and ``b`` a leading K axis.
     """
     n, m = plan.u.size, plan.u.size + 1
     buf = base.copy()
@@ -406,7 +401,7 @@ def assemble(
     if companions is not None and plan.farads.size:
         geq, ieq = companions
         pos = np.concatenate([geq, geq, ieq])
-        np.add.at(flat, plan.cap_at, np.concatenate([pos, -pos], axis=None))
+        np.add.at(flat, plan.cap_at, np.concatenate([pos, -pos]))
     if not plan.linear:
         # id + gm*(vgs - vgs0) + gds*(vds - vds0): gm and gds go into the
         # matrix, the constant ieq = id - gm*vgs0 - gds*vds0 into b
@@ -419,6 +414,6 @@ def assemble(
         row_d = np.concatenate([gm, gds, -(gm + gds), -(i_d - gm * vgs - gds * vds)])
         np.add.at(flat, plan.mos_at, np.concatenate([row_d, -row_d]))
     if gmin_extra:
-        buf[..., : plan.u.n_nodes * (m + 1) : m + 1] += gmin_extra  # the node-voltage diagonal
-    a = buf[..., : m * m].reshape(buf.shape[:-1] + (m, m))
-    return MnaSystem(a[..., :n, :n], buf[..., m * m : m * m + n])
+        buf[:, : plan.u.n_nodes * (m + 1) : m + 1] += gmin_extra  # the node-voltage diagonal
+    a = buf[:, : m * m].reshape(-1, m, m)
+    return MnaSystem(a[:, :n, :n], buf[:, m * m : m * m + n])

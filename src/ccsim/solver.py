@@ -175,25 +175,24 @@ def gmin_stepped_dc(
     companions=None,
     gmin_start: float = 1e-3,
 ) -> OperatingPoint:
-    """Homotopy fallback for one circuit's own ``plan``: extra
-    conductances from every node to ground, stepped down by decades from
-    ``gmin_start`` to 1e-12 S, starting from ``x0`` and reusing each
-    rung's solution as the next initial guess, then a final solve with
-    only the permanent floor.  Each rung is :func:`newton_stack` over a
-    stack of one that stamps ``column``, the rescued point's own column
-    of the plan's source samples; ``companions`` are the circuit's own
-    (geq, ieq) arrays, as in :func:`mna.assemble`."""
-    one, x = mna.stack([plan]), x0[None]
-    if companions is not None:
-        companions = tuple(np.reshape(v, (-1, 1)) for v in companions)
+    """Homotopy fallback for one circuit's own compiled ``plan``, a stack
+    of one: extra conductances from every node to ground, stepped down
+    by decades from ``gmin_start`` to 1e-12 S, starting from ``x0`` and
+    reusing each rung's solution as the next initial guess, then a final
+    solve with only the permanent floor.  Each rung is
+    :func:`newton_stack` over ``plan`` that stamps ``column``, the
+    rescued point's own column of the plan's source samples;
+    ``companions`` are the circuit's own (geq, ieq) arrays, as in
+    :func:`mna.assemble`."""
+    x = x0[None]
     total_iters = 0
     g = gmin_start
     while g >= 1e-12 * 0.999:
-        x_g, _, its, errors = newton_stack(one, tol, column, x, companions, _ONE, g)
+        x_g, _, its, errors = newton_stack(plan, tol, column, x, companions, _ONE, g)
         if not errors:  # a failed rung keeps the previous rung's solution
             x, total_iters = x_g, total_iters + int(its[0])
         g /= 10.0
-    x, resid, its, errors = newton_stack(one, tol, column, x, companions, _ONE)
+    x, resid, its, errors = newton_stack(plan, tol, column, x, companions, _ONE)
     if not errors:
         return OperatingPoint(x[0], float(resid[0]), total_iters + int(its[0]))
     if isinstance(errors[0], ConvergenceError):
@@ -214,18 +213,17 @@ def newton_dc(
     """Find the DC solution of ``c``, whose unknown map is ``u``, at time
     ``t`` (sources evaluated there).
 
-    Plain damped Newton first (:func:`newton_stack` over a stack of
-    one), restarting with :func:`gmin_stepped_dc` from the same start
-    when it fails.  ``plan`` is ``mna.compile(c, u, tol.gmin_floor)``,
-    passed by callers that hold it; it is compiled here when not given.
-    ``iterations`` counts the linear solves.
+    Plain damped Newton first (:func:`newton_stack` over ``plan``, a
+    stack of one), restarting with :func:`gmin_stepped_dc` from the same
+    start when it fails.  ``plan`` is ``mna.compile(c, u,
+    tol.gmin_floor)``, passed by callers that hold it; it is compiled
+    here when not given.  ``iterations`` counts the linear solves.
     """
     tol = tol or Tolerances()
     plan = plan or mna.compile(c, u, tol.gmin_floor)
     x0 = np.zeros(u.size) if x0 is None else x0
-    one = mna.stack([plan])
-    column = one.sources.values(t)
-    x, resid, its, errors = newton_stack(one, tol, column, x0[None], None, _ONE)
+    column = plan.sources.values(t)
+    x, resid, its, errors = newton_stack(plan, tol, column, x0[None], None, _ONE)
     if not errors:
         return OperatingPoint(x[0], float(resid[0]), int(its[0]))
     return gmin_stepped_dc(plan, tol, column, x0)

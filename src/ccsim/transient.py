@@ -278,7 +278,7 @@ def _run_stack(circuits, plans, axis, samples, dt, method, tol, label="time"):
             own = plans[j].farads.size  # the stack's capacitors of circuit j are its own, then pads
             try:
                 x_new[j, rows[j]] = gmin_stepped_dc(
-                    plans[j], tol, samples[j][:, k], x[j, rows[j]], (geq[:own, j], ieq[:own, j])
+                    plans[j], tol, samples[j][:, k], x[j, rows[j]], (geq[j::n_var][:own], ieq[j::n_var][:own])
                 ).x
             except (ConvergenceError, SingularMatrixError) as exc:
                 errors[j] = _step_failure(exc, label, axis[k], k)

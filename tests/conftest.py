@@ -114,10 +114,12 @@ def assembled(c, u, t=0.0, x_est=None, companions=None, gmin_floor=mna.GMIN_FLOO
               plan=None):
     """:func:`mna.assemble` of ``c`` at time ``t``: compiled for ``u``
     with ``gmin_floor`` unless ``plan`` is given, and its sources stamped
-    at ``t``."""
+    at ``t``.  A stack of one gives the circuit's own ``a`` and ``b``, a
+    larger stack the stacked system."""
     plan = plan or mna.compile(c, u, gmin_floor)
     base = mna.stamp_sources(plan, plan.sources.values(t))
-    return mna.assemble(plan, base, x_est, companions, gmin_extra)
+    sys = mna.assemble(plan, base, x_est, companions, gmin_extra)
+    return mna.MnaSystem(sys.a[0], sys.b[0]) if len(sys.a) == 1 else sys
 
 
 @pytest.fixture

@@ -267,12 +267,12 @@ def test_stack_assembles_each_variant_as_alone():
         u = plan.u
         assert (u is maps[0]) == (circuits is variants)  # a ragged stack names rows by position
         x = rng.normal(size=(2, u.size))
-        geq, ieq = rng.normal(size=(2, plan.farads.shape[0], 2))
+        geq, ieq = rng.normal(size=(2, plan.farads.size))  # member k's capacitor d at d*2 + k
         both = assembled(None, None, 3e-4, x, (geq, ieq), gmin_extra=1e-6, plan=plan)
         for k, (c, m) in enumerate(zip(circuits, maps)):
             rows = mna.padded_rows(m, u.n_nodes)
             own = plans[k].farads.size
-            alone = assembled(c, m, 3e-4, x[k, rows], (geq[:own, k], ieq[:own, k]),
+            alone = assembled(c, m, 3e-4, x[k, rows], (geq[k::2][:own], ieq[k::2][:own]),
                              gmin_extra=1e-6, plan=plans[k])
             pad = np.setdiff1d(np.arange(u.size), rows)
             a = np.zeros((u.size, u.size))
@@ -281,6 +281,32 @@ def test_stack_assembles_each_variant_as_alone():
             b = np.zeros(u.size)
             b[rows] = alone.b
             assert np.array_equal(both.a[k], a) and np.array_equal(both.b[k], b)
+
+
+def test_every_plan_is_a_stack_with_one_flat_layout():
+    ferri = emit_example("ferri_2cc", AmplifierConfig(conveyor=TranslinearConveyor()))
+    circuits = [parse_and_flatten(RAGGED_RC), parse_and_flatten(ferri)]
+    plans = [mna.compile(c, index_unknowns(c)) for c in circuits]
+    for p in plans:
+        assert mna.stack([p]) is p and p.static.shape[0] == 1
+    plan = mna.stack(plans)
+    n_var, n = len(plans), plan.u.size
+    ground = n_var * n
+    for k, p in enumerate(plans):
+        # the stack's flat arrays hold member k's device d at d*K + k:
+        # its own devices first, then pads with every terminal on ground
+        rows = np.append(mna.padded_rows(p.u, plan.u.n_nodes) + k * n, ground)
+        for values, own, fill in ((plan.farads, p.farads, 0.0), (plan.mos.sign, p.mos.sign, 1.0),
+                                  (plan.mos.vth, p.mos.vth, 0.0), (plan.mos.beta, p.mos.beta, 0.0),
+                                  (plan.mos.lam, p.mos.lam, 0.0)):
+            mine = values[k::n_var]
+            assert np.array_equal(mine[: own.size], own) and (mine[own.size :] == fill).all()
+        for terminals, own in ((plan.cap_ab, p.cap_ab), (plan.mos_dgs, p.mos_dgs)):
+            mine = terminals[:, k::n_var]
+            assert np.array_equal(mine[:, : own.shape[1]], rows[own])
+            assert (mine[:, own.shape[1] :] == ground).all()
+    assert plan.farads.size == n_var * max(p.farads.size for p in plans)
+    assert plan.mos_dgs.shape == (3, n_var * max(p.mos_dgs.shape[1] for p in plans))
 
 
 def test_stamp_sources_adds_in_table_order():
@@ -297,10 +323,10 @@ def test_stamp_sources_adds_in_table_order():
     plan.sources.samples(np.array([0.0]), sampled)
     assert len(sampled) == 5  # the memo samples each distinct spec once
     for t in (0.0, 1.23e-4, 3.7e-4):
-        loop = plan.static.copy()
+        loop = plan.static[0].copy()
         for at, sign, spec in zip(plan.sources.at, plan.sources.sign, plan.sources.specs):
             loop[at] += sign * source_value(spec, t)
-        assert np.array_equal(mna.stamp_sources(plan, plan.sources.values(t)), loop)
+        assert np.array_equal(mna.stamp_sources(plan, plan.sources.values(t))[0], loop)
 
 
 TRANSLINEAR_NETLISTS = [
@@ -355,13 +381,13 @@ def assert_exact_stamp(c, gmin):
     n, m = u.size, u.size + 1
     plan = mna.compile(c, u, gmin)
     terms, sources = exact_mna(c, u, gmin)
-    matrix = plan.static[: m * m].reshape(m, m)
+    matrix = plan.static[0, : m * m].reshape(m, m)
     for i in range(n):
         for j in range(n):
             t = terms[i][j]
             bound = len(t) * Fraction(1, 2**52) * sum(abs(v) for v in t)
             assert abs(Fraction(matrix[i, j]) - sum(t, Fraction(0))) <= bound, (i, j)
-    assert not plan.static[m * m :].any()
+    assert not plan.static[0, m * m :].any()
     rows = [None if r == n else r for r in (plan.sources.at - m * m).tolist()]
     assert list(zip(rows, plan.sources.sign.tolist())) == [(r, s) for r, s, _ in sources]
     assert all(a is b for a, (_, _, b) in zip(plan.sources.specs, sources))

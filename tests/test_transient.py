@@ -249,6 +249,43 @@ def test_kcl_holds_at_every_sample(data, with_cap, method):
         assert np.all(np.abs(net[node]) <= 1e-9 * scale[node] + floor), node
 
 
+def _scaled_sources(c, s):
+    """``c`` with every source's ``Dc`` value, or ``Sin`` offset and
+    amplitude, scaled by ``s``: the specs the KCL generator draws."""
+    def scaled(spec):
+        if isinstance(spec, Dc):
+            return Dc(s * spec.value)
+        return spec._replace(offset=s * spec.offset, amplitude=s * spec.amplitude)
+
+    elems = [e._replace(spec=scaled(e.spec)) if isinstance(e, (VSource, ISource)) else e for e in c.elements]
+    return FlatCircuit(c.nodes, c.node_names, elems, c.directives, c.params)
+
+
+@given(data=st.data(), with_cap=st.booleans(), method=st.sampled_from(["be", "trap"]),
+       s=st.sampled_from([2.0, 0.5, -1.0]))
+@settings(max_examples=60, deadline=None)
+def test_scaling_every_source_scales_every_column_exactly(data, with_cap, method, s):
+    # superposition: these circuits are linear, so every unknown is a sum
+    # of source values times fixed responses.  Scaling by a power of two
+    # or negating is exact in binary floating point and commutes with
+    # every rounding of the run, so each column must be s times the
+    # unscaled one to the last bit; any other s (3, say) rounds the
+    # scaled run differently, by up to the run's own round-off
+    c = parse_and_flatten(data.draw(memoryless_or_rc_netlists(with_cap)))
+    dt = data.draw(st.floats(1e-7, 1e-5))
+    try:
+        w = run_transient(c, dt, 40 * dt, method)
+    except (ConvergenceError, SingularMatrixError) as exc:
+        with pytest.raises(type(exc)) as scaled:
+            run_transient(_scaled_sources(c, s), dt, 40 * dt, method)
+        assert str(scaled.value) == str(exc)
+        return
+    ws = run_transient(_scaled_sources(c, s), dt, 40 * dt, method)
+    assert ws.columns.keys() == w.columns.keys()
+    for name, col in w.columns.items():
+        assert np.array_equal(ws.column(name), s * col), name
+
+
 def assert_stack_matches_runs(circuits, dt, tstop, method):
     """Each stacked waveform equals its own run to 1e-12 of each column's peak."""
     stacked = list(run_transient_stacked(circuits, dt, tstop, method))
