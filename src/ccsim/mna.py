@@ -21,7 +21,9 @@ with all MOSFETs linearized by one vectorized :func:`mosfet_eval` call,
 and its sources stamped from one column of the run's
 :meth:`SourceTable.samples`, whose memo is the one place where equal
 source specs are merged; a stack's source tables are joined as they
-are, for the positions, and a run samples each plan's own.
+are, for the positions, and a run samples each plan's own.  A plan also
+carries its conveyors' output clamps as per-unknown bounds, the one
+place every solve path reads them from.
 
 Matrices are dense; the circuits this simulator targets stay well under a
 couple hundred unknowns.  A system under assembly is exclusively owned by
@@ -185,6 +187,11 @@ class StampPlan:
     the flattened (K, buffer) stack.  Terminal rows index the flattened
     (K, n) solution with one zero (ground) appended: circuit k's unknown
     i is k*n + i and ground is K*n.
+
+    ``bounds[:, k, i]`` is the (lo, hi) that circuit k's unknown i is
+    clamped to after each solve, ``np.minimum(np.maximum(x, lo), hi)``:
+    a conveyor's ``vmin``/``vmax`` at its Z node, -inf and +inf at every
+    unclamped unknown.
     """
 
     u: UnknownMap
@@ -196,11 +203,12 @@ class StampPlan:
     mos_dgs: np.ndarray  # (3, MOSFETs) terminal rows
     mos: MosfetBank
     mos_at: np.ndarray
-    __slots__ = ("u", "static", "sources", "cap_ab", "farads", "cap_at", "mos_dgs", "mos", "mos_at")
+    bounds: np.ndarray  # (2, K, n): each unknown's clamp, lo then hi
+    __slots__ = ("u", "static", "sources", "cap_ab", "farads", "cap_at", "mos_dgs", "mos", "mos_at", "bounds")
 
-    def __init__(self, u, static, sources, cap_ab, farads, cap_at, mos_dgs, mos, mos_at):
+    def __init__(self, u, static, sources, cap_ab, farads, cap_at, mos_dgs, mos, mos_at, bounds):
         self.u, self.static, self.sources, self.cap_ab, self.farads = u, static, sources, cap_ab, farads
-        self.cap_at, self.mos_dgs, self.mos, self.mos_at = cap_at, mos_dgs, mos, mos_at
+        self.cap_at, self.mos_dgs, self.mos, self.mos_at, self.bounds = cap_at, mos_dgs, mos, mos_at, bounds
 
     @property
     def linear(self) -> bool:
@@ -212,6 +220,7 @@ class StampPlan:
 
 
 _GROUND = np.zeros(1)
+_UNBOUNDED = np.array([-np.inf, np.inf]).reshape(2, 1, 1)  # the bounds of an unclamped unknown
 
 
 def _with_ground(x: np.ndarray) -> np.ndarray:
@@ -221,12 +230,14 @@ def _with_ground(x: np.ndarray) -> np.ndarray:
 
 def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> StampPlan:
     """Stamp the fixed part of ``c`` once: the static matrix, the source
-    table and the capacitor and MOSFET index arrays of a :class:`StampPlan`
-    that keeps ``u``."""
+    table, the capacitor and MOSFET index arrays and the bounds of a
+    :class:`StampPlan` that keeps ``u``.  Conveyors that clamp one Z node
+    compose in element order into one (lo, hi), as successive clips do."""
     m = u.size + 1
     rhs = m * m
     static = np.zeros((1, rhs + m))
     matrix = static[0, :rhs].reshape(m, m)
+    bounds = _UNBOUNDED.repeat(m, axis=2)  # the last column is ground's, dropped
     at, sign, specs, caps, mos = [], [], [], [], []  # at, sign and specs: the source entries
     for e in c.elements:
         if isinstance(e, Capacitor):
@@ -240,6 +251,11 @@ def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> St
             at += [rhs + r % m for r, _ in rows]
             sign += [row_sign for _, row_sign in rows]
             specs += [e.spec for _ in rows]
+        if isinstance(e, Conveyor):
+            # clipping to [lo1, hi1] and then by f2 = clip(., lo2, hi2) is
+            # the clip to [f2(lo1), f2(hi1)]
+            z = bounds[:, 0, u.node_row(c.nodes[e.z]) % m]
+            np.clip(z, -np.inf if e.vmin is None else e.vmin, np.inf if e.vmax is None else e.vmax, out=z)
     static[0, : u.n_nodes * (m + 1) : m + 1] += gmin_floor  # the node-voltage diagonal
 
     def rows(elements, *terminals):
@@ -256,6 +272,7 @@ def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> St
         mos_dgs, MosfetBank.of([e.params for e in mos]),
         # row d: +gm, +gds, -(gm+gds) and -ieq; row s: the same negated
         np.concatenate([d * m + g, d * m + d, d * m + s, rhs + d, s * m + g, s * m + d, s * m + s, rhs + s]),
+        bounds[:, :, : u.size],
     )
 
 
@@ -271,8 +288,9 @@ def _pad(p: StampPlan, to: UnknownMap, n_mos: int, n_cap: int) -> StampPlan:
     capacitors; ``p`` itself when it has them all.
 
     A pad unknown has a unit diagonal and a zero right-hand side, so it
-    solves to 0.  Pad MOSFETs (beta 0) and capacitors (0 F) have every
-    terminal and every position on the spare ground row."""
+    solves to 0, and bounds -inf and +inf.  Pad MOSFETs (beta 0) and
+    capacitors (0 F) have every terminal and every position on the spare
+    ground row."""
     u, n_nodes, n = p.u, to.n_nodes, to.size
     if (u.n_nodes, u.size, p.mos_dgs.shape[1], p.farads.size) == (n_nodes, n, n_mos, n_cap):
         return p
@@ -285,6 +303,8 @@ def _pad(p: StampPlan, to: UnknownMap, n_mos: int, n_cap: int) -> StampPlan:
     unused[col] = False
     pad = np.flatnonzero(unused)
     static[pad, pad] = 1.0
+    bounds = _UNBOUNDED.repeat(n, axis=2)
+    bounds[:, :, col[:-1]] = p.bounds
 
     def moved(a):
         return row[a // m] * big + col[a % m]
@@ -306,7 +326,7 @@ def _pad(p: StampPlan, to: UnknownMap, n_mos: int, n_cap: int) -> StampPlan:
         terminals(p.mos_dgs, n_mos),
         MosfetBank(grown(p.mos.sign, n_mos, 1.0), grown(p.mos.vth, n_mos), grown(p.mos.beta, n_mos),
                    grown(p.mos.lam, n_mos)),
-        at(p.mos_at, 8, n_mos),
+        at(p.mos_at, 8, n_mos), bounds,
     )
 
 
@@ -323,6 +343,7 @@ def stack(plans: list[StampPlan]) -> StampPlan:
     is, so a stack of variants of one circuit (the same netlist with
     other element values) keeps each plan's arrays.  Its map is the first
     plan's, or names its rows by position (``#i``) when the names differ.
+    The members' bounds are joined along K.
     """
     if len(plans) == 1:
         return plans[0]
@@ -354,6 +375,7 @@ def stack(plans: list[StampPlan]) -> StampPlan:
         u, np.concatenate([p.static for p in plans]), sources,
         rows("cap_ab"), values([p.farads for p in plans]), values(cap_at),
         rows("mos_dgs"), MosfetBank(*bank), values(mos_at),
+        np.concatenate([p.bounds for p in plans], axis=1),
     )
 
 

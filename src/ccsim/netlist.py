@@ -37,7 +37,6 @@ the one place that writes netlist text.
 from __future__ import annotations
 
 import re
-from operator import attrgetter
 
 from .devices import (
     ConveyorParams,
@@ -618,7 +617,10 @@ def expand_hierarchy(ast: NetlistAst, overrides: dict[str, float] | None = None)
 
     Instance-internal nodes become ``<instance>.<node>``, element names get
     an ``<instance>.`` prefix, ports alias the caller's nodes and ground
-    passes through unprefixed.
+    passes through unprefixed.  Ground is node 0; every other node is
+    numbered as the element that first uses it is emitted, elements in
+    flattened order and each one's terminals in order.  Unknown rows, and
+    so a waveform's columns, follow these numbers.
     """
     params = dict(ast.params)
     if overrides:
@@ -627,6 +629,8 @@ def expand_hierarchy(ast: NetlistAst, overrides: dict[str, float] | None = None)
     models = {m.name: m for m in ast.models}
 
     flat: list[Element] = []
+    index: dict[str, int] = {"0": 0}
+    grounded = False
 
     def map_node(n: str, prefix: str, port_map: dict[str, str]) -> str:
         if n == "0":
@@ -634,6 +638,7 @@ def expand_hierarchy(ast: NetlistAst, overrides: dict[str, float] | None = None)
         return port_map.get(n, prefix + n)
 
     def emit(specs, prefix: str, port_map: dict[str, str], stack: tuple[str, ...]):
+        nonlocal grounded
         for el in specs:
             name = prefix + el.name
             nodes = tuple(map_node(n, prefix, port_map) for n in el.nodes)
@@ -684,40 +689,17 @@ def expand_hierarchy(ast: NetlistAst, overrides: dict[str, float] | None = None)
                         None if vmax is None else _resolve(vmax, params, where, el.line),
                     )
                 )
+            for n in nodes:
+                index.setdefault(n, len(index))
+            grounded = grounded or "0" in nodes
 
     emit(ast.elements, "", {}, ())
 
     if not flat:
         raise NetlistError("circuit has no elements")
-    nodes: dict[str, int] = {"0": 0}
-    touched_ground = False
-    for e in flat:
-        for n in _element_nodes(e):
-            if n == "0":
-                touched_ground = True
-            elif n not in nodes:
-                nodes[n] = len(nodes)
-    if not touched_ground:
+    if not grounded:
         raise NetlistError("no element touches the ground node 0")
-    node_names = [""] * len(nodes)
-    for n, i in nodes.items():
-        node_names[i] = n
-    return FlatCircuit(nodes, node_names, flat, ast.directives, params)
-
-
-# The node names of each element type, in terminal order.
-_NODE_GETTERS = {
-    Resistor: attrgetter("a", "b"),
-    Capacitor: attrgetter("a", "b"),
-    VSource: attrgetter("p", "n"),
-    ISource: attrgetter("p", "n"),
-    Mosfet: attrgetter("d", "g", "s", "b"),
-    Conveyor: attrgetter("y", "x", "z"),
-}
-
-
-def _element_nodes(e: Element) -> tuple[str, ...]:
-    return _NODE_GETTERS[type(e)](e)
+    return FlatCircuit(index, list(index), flat, ast.directives, params)
 
 
 def parse_and_flatten(text: str, overrides: dict[str, float] | None = None) -> FlatCircuit:

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import mna
 from .devices import Dc
-from .netlist import Conveyor, FlatCircuit, ISource, VSource
+from .netlist import FlatCircuit, ISource, VSource
 from .solver import (
     ConvergenceError,
     SingularMatrixError,
@@ -86,19 +86,6 @@ class Waveform:
 def vsource_nodes(c: FlatCircuit) -> dict[str, tuple[str, str]]:
     """Each voltage source's (p, n) nodes, as a :class:`Waveform` keeps them."""
     return {e.name: (e.p, e.n) for e in c.elements if isinstance(e, VSource)}
-
-
-def _clip_rows(c: FlatCircuit, u: mna.UnknownMap):
-    """(row, lo, hi) for every conveyor that asks for output clamping."""
-    out = []
-    for e in c.elements:
-        if isinstance(e, Conveyor) and (e.vmin is not None or e.vmax is not None):
-            r = u.node_row(c.nodes[e.z])
-            if r >= 0:
-                lo = -np.inf if e.vmin is None else e.vmin
-                hi = np.inf if e.vmax is None else e.vmax
-                out.append((r, lo, hi))
-    return out
 
 
 def _check_step(dt: float, tstop: float, method: str):
@@ -185,7 +172,8 @@ def _in_order(circuits, plans, runs, times, sampled, dt, method):
     """Yield each circuit's result from ``runs`` in order; a memoryless
     circuit's is formed here, as its response (see :func:`_superpose`)
     times its own samples, each spec's taken from ``sampled``, with its
-    operating point as column 0 and its clamps applied."""
+    operating point as column 0 and each row clipped to the plan's
+    bounds, when any is finite."""
     for k, (c, p) in enumerate(zip(circuits, plans)):
         run = runs.pop(k)
         if not isinstance(run, tuple):
@@ -194,8 +182,9 @@ def _in_order(circuits, plans, runs, times, sampled, dt, method):
         op, response = run
         data = response @ p.sources.samples(times, sampled)
         data[:, 0] = op
-        for r, lo, hi in _clip_rows(c, p.u):
-            np.clip(data[r], lo, hi, out=data[r])
+        if np.isfinite(p.bounds).any():
+            lo, hi = p.bounds[:, 0]
+            np.clip(data, lo[:, None], hi[:, None], out=data)
         yield _waveform(c, p.u, times, data, dt, method)
 
 
@@ -236,23 +225,14 @@ def _run_stack(circuits, plans, axis, samples, dt, method, tol, label="time"):
     times, or the values of a ``.dc`` sweep, ``method`` "dc", of the
     source ``label``) starts from point k - 1 and stamps column k of each
     circuit's (entries x points) matrix in ``samples``; point 0 is each
-    circuit's :func:`newton_dc`.  Returns each circuit's waveform, or the
-    error its run raised."""
+    circuit's :func:`newton_dc`.  Every point's solutions, the operating
+    points too, are clamped to the stack's bounds, when any is finite.
+    Returns each circuit's waveform, or the error its run raised."""
     plan = mna.stack(plans)
     rows = [mna.padded_rows(p.u, plan.u.n_nodes) for p in plans]
     n_var = len(circuits)
-    # each clamped Z as one (circuit, row) index into the stack of
-    # solutions; a Z row is a node row, which padding does not move
-    clips = np.array([(k, r, lo, hi) for k, (c, p) in enumerate(zip(circuits, plans))
-                      for r, lo, hi in _clip_rows(c, p.u)]).reshape(-1, 4)
-    at = (clips[:, 0].astype(np.intp), clips[:, 1].astype(np.intp))
-    lo, hi = clips[:, 2], clips[:, 3]
-
-    def clamp(x):
-        if len(clips):
-            x[at] = np.minimum(np.maximum(x[at], lo), hi)
-        return x
-
+    lo, hi = plan.bounds
+    clamped = np.isfinite(plan.bounds).any()
     data = np.zeros((n_var, plan.u.size, len(axis)))
     errors = [None] * n_var
     for k, c in enumerate(circuits):
@@ -264,7 +244,9 @@ def _run_stack(circuits, plans, axis, samples, dt, method, tol, label="time"):
     live = np.array([e is None for e in errors])
     if not live.any():
         return errors
-    x = data[:, :, 0] = clamp(data[:, :, 0].copy())
+    x = data[:, :, 0]
+    if clamped:
+        x = data[:, :, 0] = np.minimum(np.maximum(x, lo), hi)
     # capacitor history: voltage from the operating point, current zero
     # (a capacitor is an open circuit at DC, and stays open in a .dc sweep)
     v_prev = plan.cap_voltages(x)
@@ -285,7 +267,7 @@ def _run_stack(circuits, plans, axis, samples, dt, method, tol, label="time"):
                 live[j] = False
         if failed and not live.any():
             break
-        x = clamp(x_new)
+        x = np.minimum(np.maximum(x_new, lo), hi) if clamped else x_new
         v_prev = plan.cap_voltages(x)
         i_prev = geq * v_prev - ieq
         data[:, :, k] = x

@@ -23,15 +23,12 @@ from conftest import assembled, behavioral_amp, exact_mna, memoryless_or_rc_netl
 
 def circuit_of(elements, directives=()):
     nodes = {"0": 0}
-    from ccsim.netlist import _element_nodes
-
     for e in elements:
-        for n in _element_nodes(e):
-            nodes.setdefault(n, len(nodes))
-    names = [""] * len(nodes)
-    for n, i in nodes.items():
-        names[i] = n
-    return FlatCircuit(nodes, names, list(elements), tuple(directives), {})
+        # an element's terminals are its str fields after its name
+        for n in (getattr(e, f) for f in e._fields[1:]):
+            if isinstance(n, str):
+                nodes.setdefault(n, len(nodes))
+    return FlatCircuit(nodes, list(nodes), list(elements), tuple(directives), {})
 
 
 def test_index_unknowns_counts():
@@ -285,17 +282,28 @@ def test_stack_assembles_each_variant_as_alone():
 
 def test_every_plan_is_a_stack_with_one_flat_layout():
     ferri = emit_example("ferri_2cc", AmplifierConfig(conveyor=TranslinearConveyor()))
-    circuits = [parse_and_flatten(RAGGED_RC), parse_and_flatten(ferri)]
+    clamped = RAGGED_RC.replace("rx=10", "rx=10 vmin=-0.2 vmax=0.3")
+    circuits = [parse_and_flatten(clamped), parse_and_flatten(ferri)]
     plans = [mna.compile(c, index_unknowns(c)) for c in circuits]
     for p in plans:
-        assert mna.stack([p]) is p and p.static.shape[0] == 1
+        assert mna.stack([p]) is p and p.static.shape[0] == 1 and p.bounds.shape == (2, 1, p.u.size)
+    lo, hi = plans[0].bounds[:, 0]
+    d = plans[0].u.names.index("v(d)")
+    assert (lo[d], hi[d]) == (-0.2, 0.3) and np.isfinite(plans[0].bounds).sum() == 2
+    assert not np.isfinite(plans[1].bounds).any()
     plan = mna.stack(plans)
     n_var, n = len(plans), plan.u.size
     ground = n_var * n
+    assert plan.bounds.shape == (2, n_var, n) and plans[0].u.size < n  # the RC circuit is padded
     for k, p in enumerate(plans):
+        # member k's bounds sit at its padded rows; pad unknowns are unclamped
+        own = mna.padded_rows(p.u, plan.u.n_nodes)
+        assert np.array_equal(plan.bounds[:, k, own], p.bounds[:, 0])
+        pad = np.setdiff1d(np.arange(n), own)
+        assert (plan.bounds[:, k, pad] == [[-np.inf], [np.inf]]).all()
         # the stack's flat arrays hold member k's device d at d*K + k:
         # its own devices first, then pads with every terminal on ground
-        rows = np.append(mna.padded_rows(p.u, plan.u.n_nodes) + k * n, ground)
+        rows = np.append(own + k * n, ground)
         for values, own, fill in ((plan.farads, p.farads, 0.0), (plan.mos.sign, p.mos.sign, 1.0),
                                   (plan.mos.vth, p.mos.vth, 0.0), (plan.mos.beta, p.mos.beta, 0.0),
                                   (plan.mos.lam, p.mos.lam, 0.0)):

@@ -496,6 +496,51 @@ def test_dc_sweep_clamps_the_conveyor_output():
     assert (out.min(), out.max()) == (-0.5, 0.5)
 
 
+def _two_conveyors(clamp1, clamp2, cap=""):
+    # u1 and u2 both drive node out (gain 1.5); each clamp is (vmin, vmax) or None
+    def clamp(c):
+        return "" if c is None else f" vmin={c[0]} vmax={c[1]}"
+
+    return parse_and_flatten(f"t\nv1 in 0 SIN(0 1 1k)\nu1 in x1 out ccii+ rx=0{clamp(clamp1)}\n"
+                             f"u2 in x2 out ccii+ rx=0{clamp(clamp2)}\nr1 x1 0 1k\nr2 x2 0 2k\n"
+                             f"r3 out 0 1k\n{cap}.end\n")
+
+
+@pytest.mark.parametrize("clamp1,clamp2,composite", [
+    ((-0.3, 0.6), (-0.5, 0.4), (-0.3, 0.4)),  # nested
+    ((-0.5, -0.1), (0.2, 0.6), (0.2, 0.2)),  # disjoint
+    ((0.4, -0.2), None, (-0.2, -0.2)),  # vmin > vmax
+])
+def test_a_node_clamped_twice_records_the_clips_in_element_order(clamp1, clamp2, composite):
+    def clipped(free):
+        # ``free``, the unclamped run, with v(out) clipped by u1, then by u2
+        out = free.column("v(out)")
+        for c in (clamp1, clamp2):
+            out = out if c is None else np.clip(out, *c)
+        return {**free.columns, "v(out)": out}
+
+    def assert_columns(w, columns):
+        assert w.columns.keys() == columns.keys()
+        for name, col in columns.items():
+            assert np.array_equal(w.columns[name], col), name
+
+    c, free = _two_conveyors(clamp1, clamp2), _two_conveyors(None, None)
+    # memoryless: the clamp is applied to each waveform as it is formed
+    w = run_transient(c, 1e-5, 1e-3)
+    assert_columns(w, clipped(run_transient(free, 1e-5, 1e-3)))
+    assert (w.column("v(out)").min(), w.column("v(out)").max()) == composite
+    # .dc: each point of a linear circuit is one solve, whatever its start
+    sweep = (-1.0, 1.0, 0.05)
+    assert_columns(run_dc_sweep(c, "v1", *sweep), clipped(run_dc_sweep(free, "v1", *sweep)))
+    # stepped: the clamped state is the capacitor's history, so the run
+    # equals one clamp at the composite of the two, written out here
+    cap = "c1 out 0 100n\n"
+    once = _two_conveyors(None, composite, cap)
+    for method in ("be", "trap"):
+        w = run_transient(_two_conveyors(clamp1, clamp2, cap), 1e-5, 1e-3, method)
+        assert_columns(w, run_transient(once, 1e-5, 1e-3, method).columns)
+
+
 def test_dc_sweep_step_must_lead_from_start_to_stop():
     c = parse_and_flatten("t\nv1 a 0 DC 0\nr1 a m 1k\nr2 m 0 1k\n.end\n")
     for step in (0.0, -0.25):
