@@ -79,10 +79,12 @@ def _validate_probes(u, probes):
             raise NetlistError(f"probe {p!r} does not match any node or branch")
 
 
-def _print_op(u, op):
+def _print_op(plan, tol):
+    """Solve and print the operating point of a circuit's compiled ``plan``."""
+    op, names = newton_dc(plan, tol), plan.u.names
     print("operating point:")
-    width = max((len(n) for n in u.names), default=4)
-    for name, val in zip(u.names, op.x):
+    width = max((len(n) for n in names), default=4)
+    for name, val in zip(names, op.x):
         print(f"  {name:<{width}}  {format_sci(val)}")
     print(f"  iterations {op.iterations}, KCL residual {format_sci(op.residual_norm)} A")
 
@@ -132,14 +134,13 @@ def _execute_directives(c, tol, out_path, probes):
     """Run .op/.dc/.tran/.measure in netlist order, writing each record
     to its own CSV (see :func:`_record_path`); returns the measurement
     results in netlist order."""
-    u = mna.index_unknowns(c)
-    _validate_probes(u, probes)
+    _validate_probes(mna.index_unknowns(c), probes)
     wave: Waveform | None = None
     results: list[Measurement] = []
     kinds = [d.kind for d in c.directives]
     for i, d in enumerate(c.directives):
         if d.kind == "op":
-            _print_op(u, newton_dc(c, u, tol))
+            _print_op(mna.compile(c, tol.gmin_floor), tol)
         elif d.kind == "tran":
             wave = run_transient(c, *d.args, tol)
             write_csv(wave, _record_path(out_path, kinds, i), probes)
@@ -184,10 +185,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_op(args) -> int:
-    c = _load_circuit(args)
-    u = mna.index_unknowns(c)
-    op = newton_dc(c, u, _tolerances(args))
-    _print_op(u, op)
+    tol = _tolerances(args)
+    _print_op(mna.compile(_load_circuit(args), tol.gmin_floor), tol)
     return EXIT_OK
 
 

@@ -188,6 +188,8 @@ class Pulse(Record):
     def __post_init__(self):
         if self.rise < 0.0 or self.fall < 0.0:
             raise ValueError("PULSE rise/fall must be non-negative")
+        if self.width < 0.0:  # a negative delay is a phase shift, a negative width nothing
+            raise ValueError("PULSE width must be non-negative")
         if self.period <= 0.0:
             raise ValueError("PULSE period must be positive")
 

@@ -302,8 +302,8 @@ def measure_rx_emergent(
     vx = []
     for sign in (1.0, -1.0):
         c = expand_hierarchy(ast, {"iprobe": sign * delta})
-        u = mna.index_unknowns(c)
-        vx.append(newton_dc(c, u, tol).x[u.node_row(c.nodes["x"])])
+        plan = mna.compile(c, (tol or Tolerances()).gmin_floor)
+        vx.append(newton_dc(plan, tol).x[plan.u.node_row(c.nodes["x"])])
     return (vx[0] - vx[1]) / (2.0 * delta)
 
 

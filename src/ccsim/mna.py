@@ -11,8 +11,8 @@ convention a plus-polarity conveyor satisfies
 and the single-conveyor amplifier (input at Y, R1 from X to ground, R2
 from Z to ground) comes out non-inverting with gain R2 / (R1 + R_X).
 
-:func:`compile` stamps a topology once into a :class:`StampPlan`, which
-keeps its unknown map and is the one handle the layers below it take.
+:func:`compile` builds a circuit's unknown map and stamps its topology
+once into a :class:`StampPlan`, the one handle the layers below it take.
 Every plan is a stack: a compiled one holds one circuit, and
 :func:`stack` joins the plans of K circuits, padded to one size, into
 one plan with the stack's map, so that one :func:`assemble` call builds
@@ -58,9 +58,8 @@ class UnknownMap:
 
     __slots__ = ("n_nodes", "branch_rows", "names")
 
-    def __init__(self, n_nodes: int, branch_rows: dict[str, int], names: list[str] | None = None):
-        self.n_nodes, self.branch_rows = n_nodes, branch_rows
-        self.names = [] if names is None else names
+    def __init__(self, n_nodes: int, branch_rows: dict[str, int], names: list[str]):
+        self.n_nodes, self.branch_rows, self.names = n_nodes, branch_rows, names
 
     @property
     def size(self) -> int:
@@ -74,14 +73,14 @@ class UnknownMap:
 
 
 def index_unknowns(c: FlatCircuit) -> UnknownMap:
-    """One voltage unknown per non-ground node, one branch current per
-    voltage source and per conveyor."""
+    """One voltage unknown per non-ground node, in ``c.nodes`` (index)
+    order, then one branch current per voltage source and per conveyor."""
     branch_elems = sorted(
         (e.name for e in c.elements if isinstance(e, (VSource, Conveyor))),
     )
     n = c.n_nodes
     rows = {name: n + i for i, name in enumerate(branch_elems)}
-    names = [f"v({c.node_names[i]})" for i in range(1, n + 1)]
+    names = [f"v({node})" for node in list(c.nodes)[1:]]
     names += [f"i({name})" for name in branch_elems]
     return UnknownMap(n, rows, names)
 
@@ -228,11 +227,13 @@ def _with_ground(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x.reshape(-1), _GROUND))
 
 
-def compile(c: FlatCircuit, u: UnknownMap, gmin_floor: float = GMIN_FLOOR) -> StampPlan:
+def compile(c: FlatCircuit, gmin_floor: float = GMIN_FLOOR) -> StampPlan:
     """Stamp the fixed part of ``c`` once: the static matrix, the source
     table, the capacitor and MOSFET index arrays and the bounds of a
-    :class:`StampPlan` that keeps ``u``.  Conveyors that clamp one Z node
-    compose in element order into one (lo, hi), as successive clips do."""
+    :class:`StampPlan` that keeps ``c``'s :func:`index_unknowns` map.
+    Conveyors that clamp one Z node compose in element order into one
+    (lo, hi), as successive clips do."""
+    u = index_unknowns(c)
     m = u.size + 1
     rhs = m * m
     static = np.zeros((1, rhs + m))

@@ -370,15 +370,17 @@ def _parse_directive(tokens, tokens_case, line: int) -> Directive:
             if not rest:
                 raise NetlistError("measure hist takes a probe and optional bins=", line)
             probe = _parse_probe(rest[0], rest_case[0], line)
-            nbins = 20
+            nbins = 20.0
             if len(rest) == 2:
                 k, v = _split_kw(rest[1], line)
                 if k != "bins":
                     raise NetlistError("hist option must be bins=<n>", line)
-                nbins = int(parse_value(v, line))
+                nbins = parse_value(v, line)
+                if not nbins.is_integer():
+                    raise NetlistError(f"hist bins must be an integer, got {v!r}", line)
             elif len(rest) > 2:
                 raise NetlistError("measure hist takes a probe and optional bins=", line)
-            margs = (probe, nbins)
+            margs = (probe, int(nbins))
         else:  # avgpow | peakpow
             if not rest:
                 raise NetlistError(f"measure {mkind} needs at least one supply name", line)
@@ -532,20 +534,18 @@ Element = Resistor | Capacitor | VSource | ISource | Mosfet | Conveyor
 
 
 class FlatCircuit:
-    """Fully resolved circuit: dense node indices (``nodes`` maps a node name
-    to its index, ground "0" to 0, and ``node_names`` is its inverse), typed
-    elements, directives."""
+    """Fully resolved circuit: dense node indices, typed elements,
+    directives.  ``nodes`` maps each node name to its index and is in
+    index order, ground "0" first as 0, so its i-th key is node i."""
 
-    __slots__ = ("nodes", "node_names", "elements", "directives", "params")
+    __slots__ = ("nodes", "elements", "directives")
 
-    def __init__(self, nodes: dict[str, int], node_names: list[str], elements: list[Element],
-                 directives: tuple[Directive, ...], params: dict[str, float]):
-        self.nodes, self.node_names, self.elements = nodes, node_names, elements
-        self.directives, self.params = directives, params
+    def __init__(self, nodes: dict[str, int], elements: list[Element], directives: tuple[Directive, ...]):
+        self.nodes, self.elements, self.directives = nodes, elements, directives
 
     @property
     def n_nodes(self) -> int:
-        return len(self.node_names) - 1  # excluding ground
+        return len(self.nodes) - 1  # excluding ground
 
 
 def _resolve(v, params: dict[str, float], where: str, line: int):
@@ -699,7 +699,7 @@ def expand_hierarchy(ast: NetlistAst, overrides: dict[str, float] | None = None)
         raise NetlistError("circuit has no elements")
     if not grounded:
         raise NetlistError("no element touches the ground node 0")
-    return FlatCircuit(index, list(index), flat, ast.directives, params)
+    return FlatCircuit(index, flat, ast.directives)
 
 
 def parse_and_flatten(text: str, overrides: dict[str, float] | None = None) -> FlatCircuit:

@@ -21,7 +21,8 @@ Newton over K circuits at once, padded to one size (see
 :func:`mna.stack`): one assembly and one stacked LAPACK solve per
 iteration for all circuits still iterating.  A single circuit is a
 stack of one, so :func:`newton_dc` and each rung of
-:func:`gmin_stepped_dc` are that loop with K = 1.
+:func:`gmin_stepped_dc` are that loop with K = 1.  Every solve takes a
+compiled plan (see :func:`mna.compile`), never a circuit.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 
 from . import mna
 from .devices import Record
-from .netlist import FlatCircuit
 
 PIVOT_TOL = 1e-13
 RESID_TOL = 1e-9
@@ -203,25 +203,21 @@ def gmin_stepped_dc(
 
 
 def newton_dc(
-    c: FlatCircuit,
-    u: mna.UnknownMap,
+    plan: mna.StampPlan,
     tol: Tolerances | None = None,
     t: float = 0.0,
     x0: np.ndarray | None = None,
-    plan: mna.StampPlan | None = None,
 ) -> OperatingPoint:
-    """Find the DC solution of ``c``, whose unknown map is ``u``, at time
-    ``t`` (sources evaluated there).
+    """Find the DC solution of one circuit's compiled ``plan`` (see
+    :func:`mna.compile`) at time ``t`` (sources evaluated there).
 
     Plain damped Newton first (:func:`newton_stack` over ``plan``, a
     stack of one), restarting with :func:`gmin_stepped_dc` from the same
-    start when it fails.  ``plan`` is ``mna.compile(c, u,
-    tol.gmin_floor)``, passed by callers that hold it; it is compiled
-    here when not given.  ``iterations`` counts the linear solves.
+    start when it fails; the gmin floor is the one ``plan`` was compiled
+    with.  ``iterations`` counts the linear solves.
     """
     tol = tol or Tolerances()
-    plan = plan or mna.compile(c, u, tol.gmin_floor)
-    x0 = np.zeros(u.size) if x0 is None else x0
+    x0 = np.zeros(plan.u.size) if x0 is None else x0
     column = plan.sources.values(t)
     x, resid, its, errors = newton_stack(plan, tol, column, x0[None], None, _ONE)
     if not errors:

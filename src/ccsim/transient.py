@@ -145,7 +145,7 @@ def run_transient_stacked(
     """
     _check_step(dt, tstop, method)
     tol = tol or Tolerances()
-    plans = [mna.compile(c, mna.index_unknowns(c), tol.gmin_floor) for c in circuits]
+    plans = [mna.compile(c, tol.gmin_floor) for c in circuits]
     stacks = {}
     for k, p in enumerate(plans):
         # a memoryless stack holds the circuits of one unknown map and one
@@ -159,12 +159,12 @@ def run_transient_stacked(
     sampled = {}  # each spec's samples, shared by every circuit
     runs = {}
     for key, ks in stacks.items():
-        members = ([seq[k] for k in ks] for seq in (circuits, plans))
         if key[0] == "stepped":
+            members = ([seq[k] for k in ks] for seq in (circuits, plans))
             samples = [plans[k].sources.samples(times, sampled) for k in ks]
             runs.update(zip(ks, _run_stack(*members, times, samples, dt, method, tol)))
         else:
-            runs.update(zip(ks, _superpose(*members, tol)))
+            runs.update(zip(ks, _superpose([plans[k] for k in ks], tol)))
     return _in_order(circuits, plans, runs, times, sampled, dt, method)
 
 
@@ -195,16 +195,16 @@ def _waveform(c, u, times, data, dt, method, rows=None, label="time"):
     return Waveform(times, columns, dt, method, vsource_nodes(c), label)
 
 
-def _superpose(circuits, plans, tol):
-    """Each of K memoryless linear circuits of one unknown map and one
-    source-table entry count: its operating point and its response to
+def _superpose(plans, tol):
+    """Each memoryless linear circuit of ``plans`` (one unknown map, one
+    source-table entry count): its operating point and its response to
     each source-table entry at unit value, or the error it raised.
 
     Each operating point is its own :func:`newton_dc` call; the responses
     of the circuits that have one are one stacked :func:`solve_linear`
     call (see :func:`mna.stack`).  If that call refuses a circuit, each is
     solved again alone, so that the error stays with its circuit."""
-    out = [_or_error(newton_dc, c, p.u, tol, t=0.0, plan=p) for c, p in zip(circuits, plans)]
+    out = [_or_error(newton_dc, p, tol) for p in plans]
     live = [k for k, op in enumerate(out) if not isinstance(op, Exception)]
     if live:
         plan = mna.stack([plans[k] for k in live])
@@ -235,9 +235,9 @@ def _run_stack(circuits, plans, axis, samples, dt, method, tol, label="time"):
     clamped = np.isfinite(plan.bounds).any()
     data = np.zeros((n_var, plan.u.size, len(axis)))
     errors = [None] * n_var
-    for k, c in enumerate(circuits):
+    for k, p in enumerate(plans):
         try:
-            data[k, rows[k], 0] = newton_dc(c, plans[k].u, tol, t=0.0, plan=plans[k]).x
+            data[k, rows[k], 0] = newton_dc(p, tol).x
         except (ConvergenceError, SingularMatrixError) as exc:
             errors[k] = _step_failure(exc, label, axis[0], 0)
 
@@ -317,8 +317,8 @@ def run_dc_sweep(
     idx = sources.index(name)
     first = Dc(float(values[0]))
     elems = [*c.elements[:idx], c.elements[idx]._replace(spec=first), *c.elements[idx + 1:]]
-    c = FlatCircuit(c.nodes, c.node_names, elems, c.directives, c.params)
-    plan = mna.compile(c, mna.index_unknowns(c), tol.gmin_floor)
+    c = FlatCircuit(c.nodes, elems, c.directives)
+    plan = mna.compile(c, tol.gmin_floor)
     swept = np.array([spec is first for spec in plan.sources.specs], dtype=bool)
     samples = np.repeat(plan.sources.values(0.0)[:, None], len(values), axis=1)
     samples[swept] = plan.sources.sign[swept, None] * values

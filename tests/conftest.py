@@ -110,13 +110,12 @@ def conveyor_port_residuals(c, wave):
     return out
 
 
-def assembled(c, u, t=0.0, x_est=None, companions=None, gmin_floor=mna.GMIN_FLOOR, gmin_extra=0.0,
-              plan=None):
-    """:func:`mna.assemble` of ``c`` at time ``t``: compiled for ``u``
-    with ``gmin_floor`` unless ``plan`` is given, and its sources stamped
-    at ``t``.  A stack of one gives the circuit's own ``a`` and ``b``, a
+def assembled(c, t=0.0, x_est=None, companions=None, gmin_floor=mna.GMIN_FLOOR, gmin_extra=0.0, plan=None):
+    """:func:`mna.assemble` of ``c`` at time ``t``: compiled with
+    ``gmin_floor`` unless ``plan`` is given, and its sources stamped at
+    ``t``.  A stack of one gives the circuit's own ``a`` and ``b``, a
     larger stack the stacked system."""
-    plan = plan or mna.compile(c, u, gmin_floor)
+    plan = plan or mna.compile(c, gmin_floor)
     base = mna.stamp_sources(plan, plan.sources.values(t))
     sys = mna.assemble(plan, base, x_est, companions, gmin_extra)
     return mna.MnaSystem(sys.a[0], sys.b[0]) if len(sys.a) == 1 else sys
@@ -224,7 +223,7 @@ def exact_mna(c, u, gmin):
         if r is not None and col is not None:
             terms[r][col].append(Fraction(coef))
 
-    for node in c.node_names[1:]:
+    for node in list(c.nodes)[1:]:
         add(row(node), row(node), gmin)
     for e in c.elements:
         if isinstance(e, Resistor):

@@ -212,6 +212,35 @@ def test_zero_resistance_rejected(tmp_path):
     assert "zero resistance" in r.stderr
 
 
+@pytest.mark.parametrize("old, new, line, message", [
+    ("vin in 0 SIN(0 0.05 1k)", "vin in 0 PULSE(0 1 0 0 0 -1u 10u)", 4, "PULSE width must be non-negative"),
+    (".end", ".measure m hist v(out) bins=2.5\n.end", 11, "hist bins must be an integer, got '2.5'"),
+], ids=["negative_width", "fractional_bins"])
+def test_malformed_input_exits_2_with_its_line(amp_file, capsys, old, new, line, message):
+    # both once ran silently: the negative width held the pulse at v1, and
+    # bins=2.5 was truncated to 2 bins
+    amp_file.write_text(AMP.replace(old, new))
+    assert cli.main(["run", str(amp_file)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"line {line}" in err and message in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--abstol", "1e-10"]])
+def test_op_prints_the_block_a_dot_op_line_prints(tmp_path, monkeypatch, capsys, extra):
+    # ccsim op and a .op line of ccsim run solve and print through one function
+    monkeypatch.chdir(tmp_path)
+    text = emit_example("proposed_amp_translinear")
+    (tmp_path / "amp.cir").write_text(text)
+    (tmp_path / "amp_op.cir").write_text(text.replace("\n.end\n", "\n.op\n.end\n"))
+    assert cli.main(["op", "amp.cir", *extra]) == cli.EXIT_OK
+    op = capsys.readouterr().out
+    assert cli.main(["run", "amp_op.cir", *extra]) == cli.EXIT_OK
+    run = capsys.readouterr().out
+    start = run.index("operating point:")
+    assert op.startswith("operating point:\n") and op.endswith(" A\n")
+    assert run[start : start + len(op)] == op
+
+
 def test_examples_list_and_emit(tmp_path):
     r = ccsim("examples", "--list")
     assert r.returncode == 0

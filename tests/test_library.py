@@ -81,7 +81,7 @@ positive = st.floats(1e-12, 1e9)
 sources = st.one_of(
     st.builds(Dc, finite),
     st.builds(Sin, finite, finite, positive),
-    st.builds(Pulse, finite, finite, finite, st.floats(0.0, 1.0), st.floats(0.0, 1.0), finite, positive),
+    st.builds(Pulse, finite, finite, finite, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1e6), positive),
 )
 
 
@@ -224,7 +224,7 @@ def test_rx_converges_to_the_jacobian_rx_at_second_order(family, ib):
     ))
     c = expand_hierarchy(ast, {"iprobe": 0.0})
     u = mna.index_unknowns(c)
-    a = assembled(c, u, 0.0, x_est=newton_dc(c, u).x).a
+    a = assembled(c, 0.0, x_est=newton_dc(mna.compile(c)).x).a
     x = u.node_row(c.nodes["x"])
     jacobian_rx = np.linalg.solve(a, np.eye(u.size)[x])[x]
     gaps = [abs(measure_rx_emergent(ib, family=family, delta_frac=d) - jacobian_rx)

@@ -28,7 +28,7 @@ def circuit_of(elements, directives=()):
         for n in (getattr(e, f) for f in e._fields[1:]):
             if isinstance(n, str):
                 nodes.setdefault(n, len(nodes))
-    return FlatCircuit(nodes, list(nodes), list(elements), tuple(directives), {})
+    return FlatCircuit(nodes, list(elements), tuple(directives))
 
 
 def test_index_unknowns_counts():
@@ -47,7 +47,7 @@ def test_index_unknowns_counts():
 def test_resistor_stamp_pattern():
     c = circuit_of([Resistor("r1", "a", "b", 1e3), Resistor("rg", "b", "0", 1.0)])
     u = index_unknowns(c)
-    sys = assembled(c, u, 0.0, gmin_floor=0.0)
+    sys = assembled(c, 0.0, gmin_floor=0.0)
     a_row, b_row = u.node_row(c.nodes["a"]), u.node_row(c.nodes["b"])
     g = 1e-3
     assert sys.a[a_row, a_row] == pytest.approx(g)
@@ -73,7 +73,7 @@ def test_conveyor_hand_solved_system():
     # hand elimination of the 5x5: V_X = 0.1 V, i_x = -1e-4 A, V_out = +10 V
     c = hand_amp(rx=0.0)
     u = index_unknowns(c)
-    sys = assembled(c, u, 0.0, gmin_floor=0.0)
+    sys = assembled(c, 0.0, gmin_floor=0.0)
     x = solve_linear(sys.a, sys.b, u.names)
     sol = dict(zip(u.names, x))
     assert sol["v(x)"] == pytest.approx(0.1, rel=1e-12)
@@ -84,7 +84,7 @@ def test_conveyor_hand_solved_system():
 def test_conveyor_loaded_solution():
     c = hand_amp(rx=1581.0)
     u = index_unknowns(c)
-    sys = assembled(c, u, 0.0, gmin_floor=0.0)
+    sys = assembled(c, 0.0, gmin_floor=0.0)
     x = solve_linear(sys.a, sys.b, u.names)
     v_out = x[u.node_row(c.nodes["out"])]
     assert v_out == pytest.approx(0.1 * 1e5 / (1e3 + 1581.0), rel=1e-9)
@@ -103,7 +103,7 @@ def test_minus_polarity_inverts_output():
         ]
     )
     u = index_unknowns(c)
-    sys = assembled(c, u, 0.0, gmin_floor=0.0)
+    sys = assembled(c, 0.0, gmin_floor=0.0)
     x = solve_linear(sys.a, sys.b, u.names)
     assert x[u.node_row(c.nodes["out"])] == pytest.approx(-10.0, rel=1e-12)
 
@@ -119,7 +119,7 @@ def test_floating_subnetwork_rows_sum_to_zero():
         ]
     )
     u = index_unknowns(c)
-    sys = assembled(c, u, 0.0, gmin_floor=0.0)
+    sys = assembled(c, 0.0, gmin_floor=0.0)
     rows = [u.node_row(c.nodes[n]) for n in "abc"]
     row_sums = sys.a[rows].sum(axis=1)
     assert np.allclose(row_sums, 0.0, atol=1e-18)
@@ -130,11 +130,10 @@ def test_stamp_order_invariance():
     shuffled = circuit_of(list(reversed(c1.elements)))
     # same node map required for a meaningful comparison
     shuffled.nodes = c1.nodes
-    shuffled.node_names = c1.node_names
     u1, u2 = index_unknowns(c1), index_unknowns(shuffled)
     assert u1.branch_rows == u2.branch_rows
-    s1 = assembled(c1, u1, 0.0)
-    s2 = assembled(shuffled, u2, 0.0)
+    s1 = assembled(c1, 0.0)
+    s2 = assembled(shuffled, 0.0)
     assert np.array_equal(s1.a, s2.a)
     assert np.array_equal(s1.b, s2.b)
 
@@ -161,7 +160,7 @@ def test_dc_treats_capacitor_open():
         ]
     )
     u = index_unknowns(c)
-    sys = assembled(c, u, 0.0)  # no cap_state: open circuit
+    sys = assembled(c, 0.0)  # no cap_state: open circuit
     x = solve_linear(sys.a, sys.b, u.names)
     # no DC path from b except the gmin floor: node follows a
     assert x[u.node_row(c.nodes["b"])] == pytest.approx(1.0, rel=1e-6)
@@ -172,9 +171,9 @@ def test_mosfet_stamp_cutoff_is_empty():
         "t\n.model nm nmos vth=0.4 beta=2e-4\nM1 d g 0 0 nm\nV1 d 0 DC 1\nR1 g 0 1k\n.end\n"
     )
     u = index_unknowns(c)
-    sys_all = assembled(c, u, 0.0, x_est=np.zeros(u.size), gmin_floor=0.0)
-    lin = FlatCircuit(c.nodes, c.node_names, [e for e in c.elements if not isinstance(e, Mosfet)], (), {})
-    sys_lin = assembled(lin, u, 0.0, gmin_floor=0.0)
+    sys_all = assembled(c, 0.0, x_est=np.zeros(u.size), gmin_floor=0.0)
+    lin = FlatCircuit(c.nodes, [e for e in c.elements if not isinstance(e, Mosfet)], ())
+    sys_lin = assembled(lin, 0.0, gmin_floor=0.0)
     assert np.array_equal(sys_all.a, sys_lin.a)
     assert np.array_equal(sys_all.b, sys_lin.b)
 
@@ -189,11 +188,11 @@ def test_two_mosfets_superpose():
     x_est = np.zeros(u.size)
     x_est[u.node_row(c.nodes["d"])] = 1.0
     x_est[u.node_row(c.nodes["g"])] = 1.0
-    both = assembled(c, u, 0.0, x_est=x_est, gmin_floor=0.0)
-    single = FlatCircuit(c.nodes, c.node_names, [c.elements[0]] + list(c.elements[2:]), (), {})
-    one = assembled(single, u, 0.0, x_est=x_est, gmin_floor=0.0)
-    lin_only = FlatCircuit(c.nodes, c.node_names, list(c.elements[2:]), (), {})
-    none = assembled(lin_only, u, 0.0, gmin_floor=0.0)
+    both = assembled(c, 0.0, x_est=x_est, gmin_floor=0.0)
+    single = FlatCircuit(c.nodes, [c.elements[0]] + list(c.elements[2:]), ())
+    one = assembled(single, 0.0, x_est=x_est, gmin_floor=0.0)
+    lin_only = FlatCircuit(c.nodes, list(c.elements[2:]), ())
+    none = assembled(lin_only, 0.0, gmin_floor=0.0)
     assert np.allclose(both.a - none.a, 2 * (one.a - none.a))
     assert np.allclose(both.b - none.b, 2 * (one.b - none.b))
 
@@ -208,7 +207,7 @@ def test_port_equations_hold_at_dc():
     for rx in (0.0, 1581.0):
         c = behavioral_amp(rx=rx)
         u = index_unknowns(c)
-        op = newton_dc(c, u, t=0.25e-3)  # quarter period, peak drive
+        op = newton_dc(mna.compile(c), t=0.25e-3)  # quarter period, peak drive
         wave = Waveform(
             np.zeros(1),
             {name: np.array([op.x[i]]) for i, name in enumerate(u.names)},
@@ -227,8 +226,8 @@ def test_port_equations_hold_at_dc():
 def test_gmin_floor_applied_to_every_node():
     c = hand_amp(rx=0.0)
     u = index_unknowns(c)
-    with_floor = assembled(c, u, 0.0, gmin_floor=1e-9)
-    without = assembled(c, u, 0.0, gmin_floor=0.0)
+    with_floor = assembled(c, 0.0, gmin_floor=1e-9)
+    without = assembled(c, 0.0, gmin_floor=0.0)
     d = with_floor.a - without.a
     assert np.allclose(np.diag(d)[: u.n_nodes], 1e-9)
     assert np.count_nonzero(d) == u.n_nodes
@@ -258,18 +257,18 @@ def test_stack_assembles_each_variant_as_alone():
     ragged = [parse_and_flatten(RAGGED_RC), parse_and_flatten(ferri)]
     rng = np.random.default_rng(5)
     for circuits in (variants, ragged):
-        maps = [index_unknowns(c) for c in circuits]
-        plans = [mna.compile(c, u) for c, u in zip(circuits, maps)]
+        plans = [mna.compile(c) for c in circuits]
+        maps = [p.u for p in plans]
         plan = mna.stack(plans)
         u = plan.u
         assert (u is maps[0]) == (circuits is variants)  # a ragged stack names rows by position
         x = rng.normal(size=(2, u.size))
         geq, ieq = rng.normal(size=(2, plan.farads.size))  # member k's capacitor d at d*2 + k
-        both = assembled(None, None, 3e-4, x, (geq, ieq), gmin_extra=1e-6, plan=plan)
+        both = assembled(None, 3e-4, x, (geq, ieq), gmin_extra=1e-6, plan=plan)
         for k, (c, m) in enumerate(zip(circuits, maps)):
             rows = mna.padded_rows(m, u.n_nodes)
             own = plans[k].farads.size
-            alone = assembled(c, m, 3e-4, x[k, rows], (geq[k::2][:own], ieq[k::2][:own]),
+            alone = assembled(c, 3e-4, x[k, rows], (geq[k::2][:own], ieq[k::2][:own]),
                              gmin_extra=1e-6, plan=plans[k])
             pad = np.setdiff1d(np.arange(u.size), rows)
             a = np.zeros((u.size, u.size))
@@ -284,7 +283,7 @@ def test_every_plan_is_a_stack_with_one_flat_layout():
     ferri = emit_example("ferri_2cc", AmplifierConfig(conveyor=TranslinearConveyor()))
     clamped = RAGGED_RC.replace("rx=10", "rx=10 vmin=-0.2 vmax=0.3")
     circuits = [parse_and_flatten(clamped), parse_and_flatten(ferri)]
-    plans = [mna.compile(c, index_unknowns(c)) for c in circuits]
+    plans = [mna.compile(c) for c in circuits]
     for p in plans:
         assert mna.stack([p]) is p and p.static.shape[0] == 1 and p.bounds.shape == (2, 1, p.u.size)
     lo, hi = plans[0].bounds[:, 0]
@@ -325,8 +324,7 @@ def test_stamp_sources_adds_in_table_order():
         "t\nv1 a 0 SIN(0.1 0.3 1k)\ni1 a b SIN(1e-3 3e-3 2k)\ni2 a 0 DC 0\ni3 a 0 DC -0\n"
         "i4 0 a PULSE(0 7e-4 1e-4 1e-5 1e-5 2e-4 5e-4)\nr1 a b 1k\nr2 b 0 3k\n.end\n"
     )
-    u = index_unknowns(c)
-    plan = mna.compile(c, u)
+    plan = mna.compile(c)
     sampled = {}
     plan.sources.samples(np.array([0.0]), sampled)
     assert len(sampled) == 5  # the memo samples each distinct spec once
@@ -356,8 +354,7 @@ def test_assembled_matrix_is_the_residual_jacobian(members, seed):
     # assembled A(x) is its Jacobian: column j against a centred
     # difference, for each circuit alone and in a padded stack
     circuits = [TRANSLINEAR_NETLISTS[k] for k in members]
-    maps = [index_unknowns(c) for c in circuits]
-    plan = mna.stack([mna.compile(c, m) for c, m in zip(circuits, maps)])
+    plan = mna.stack([mna.compile(c) for c in circuits])
     u = plan.u
     base = mna.stamp_sources(plan, plan.sources.values(0.0))
     rng = np.random.default_rng(seed)
@@ -387,7 +384,7 @@ def assert_exact_stamp(c, gmin):
     element order."""
     u = index_unknowns(c)
     n, m = u.size, u.size + 1
-    plan = mna.compile(c, u, gmin)
+    plan = mna.compile(c, gmin)
     terms, sources = exact_mna(c, u, gmin)
     matrix = plan.static[0, : m * m].reshape(m, m)
     for i in range(n):

@@ -1,9 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ccsim.devices import Dc, Sin
+from ccsim.library import EXAMPLE_NAMES, AmplifierConfig, TranslinearConveyor, emit_example
 from ccsim.netlist import (
     Conveyor,
     Mosfet,
@@ -15,6 +16,8 @@ from ccsim.netlist import (
     parse_value,
     value_text,
 )
+
+from conftest import memoryless_or_rc_netlists
 
 # every suffix from the dialect's table, exercised one by one
 SUFFIX_TABLE = [
@@ -301,3 +304,26 @@ def test_source_specs():
     assert specs["v1"] == Dc(1.0)
     assert specs["v2"] == Sin(0.0, 0.05, 1000.0)
 
+
+def assert_nodes_in_index_order(c):
+    # index_unknowns names node row i - 1 after the i-th key of c.nodes
+    assert list(c.nodes)[0] == "0"
+    assert all(c.nodes[name] == i for i, name in enumerate(c.nodes))
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_library_examples_keep_nodes_in_index_order(name):
+    for cfg in (None, *(AmplifierConfig(conveyor=TranslinearConveyor(family=f)) for f in ("cccii", "ccii"))):
+        assert_nodes_in_index_order(parse_and_flatten(emit_example(name, cfg)))
+
+
+def test_two_stage_cells_keep_nodes_in_index_order():
+    c = parse_and_flatten(emit_example("ferri_2cc", AmplifierConfig(conveyor=TranslinearConveyor())))
+    assert {n.split(".")[0] for n in c.nodes if "." in n} == {"xu1", "xu2"}  # both cells' nodes are prefixed
+    assert_nodes_in_index_order(c)
+
+
+@given(data=st.data(), with_cap=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_drawn_netlists_keep_nodes_in_index_order(data, with_cap):
+    assert_nodes_in_index_order(parse_and_flatten(data.draw(memoryless_or_rc_netlists(with_cap))))

@@ -127,6 +127,7 @@ def test_frozen_records_copy_and_pickle(record):
     (lambda: ConveyorParams(1, True, 1.0, beta_n=-1.0), "conveyor beta_n must be positive"),
     (lambda: Sin(0.0, 1.0, 0.0), "SIN source frequency must be positive"),
     (lambda: Pulse(0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 2.0), "PULSE rise/fall must be non-negative"),
+    (lambda: Pulse(0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 2.0), "PULSE width must be non-negative"),
     (lambda: Pulse(0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0), "PULSE period must be positive"),
     (lambda: AmplifierConfig(r1=0.0), "amplifier resistors must be positive"),
 ])

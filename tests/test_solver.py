@@ -87,7 +87,7 @@ def test_matches_cramer_oracle(rng):
 def test_linear_divider_single_iteration():
     c = parse_and_flatten("t\nV1 a 0 DC 1\nR1 a m 1k\nR2 m 0 1k\n.end\n")
     u = index_unknowns(c)
-    op = newton_dc(c, u)
+    op = newton_dc(mna.compile(c))
     assert op.iterations == 1
     assert op.x[u.node_row(c.nodes["m"])] == pytest.approx(0.5, rel=1e-9)
     assert op.residual_norm < 1e-12
@@ -113,7 +113,7 @@ def test_diode_connected_nmos_matches_bisection_oracle():
         "t\n.model nm nmos vth=0.4 beta=2e-4\nV1 t 0 DC 1\nR1 t d 10k\nM1 d d 0 0 nm\n.end\n"
     )
     u = index_unknowns(c)
-    op = newton_dc(c, u)
+    op = newton_dc(mna.compile(c))
     assert op.x[u.node_row(c.nodes["d"])] == pytest.approx(v_ref, abs=1e-7)
 
 
@@ -123,7 +123,7 @@ def test_diode_newton_current_closed_form():
         "t\n.model nm nmos vth=0.4 beta=2e-4\nV1 d 0 DC 0.9\nM1 d d 0 0 nm\n.end\n"
     )
     u = index_unknowns(c)
-    op = newton_dc(c, u)
+    op = newton_dc(mna.compile(c))
     i_branch = op.x[u.branch_row("v1")]
     assert -i_branch == pytest.approx(2.5e-5, rel=1e-9)
 
@@ -135,7 +135,7 @@ def test_amplifier_dc_gain_100():
         "t\nvin in 0 DC 0.01\nu1 in x out cccii+ rx=0.0\nr1 x 0 1k\nr2 out 0 100k\n.end\n"
     )
     u = index_unknowns(c)
-    op = newton_dc(c, u)
+    op = newton_dc(mna.compile(c))
     assert op.x[u.node_row(c.nodes["out"])] == pytest.approx(1.0, rel=1e-6)
 
 
@@ -146,8 +146,8 @@ def test_converged_residual_reassembles_small():
     )
     u = index_unknowns(c)
     tol = Tolerances()
-    op = newton_dc(c, u, tol)
-    sys = assembled(c, u, 0.0, x_est=op.x)
+    op = newton_dc(mna.compile(c, tol.gmin_floor), tol)
+    sys = assembled(c, 0.0, x_est=op.x)
     resid = np.max(np.abs((sys.a @ op.x - sys.b)[: u.n_nodes]))
     assert resid < tol.abstol
     assert op.residual_norm < tol.abstol
@@ -163,8 +163,8 @@ def test_gmin_ladder_start_independent():
             name, AmplifierConfig(conveyor=TranslinearConveyor(ib=50e-6, family=family, rails=1.5))
         )
         c = parse_and_flatten(text)
-        u = index_unknowns(c)
-        plan = mna.compile(c, u)
+        plan = mna.compile(c)
+        u = plan.u
         column, x0 = plan.sources.values(0.0), np.zeros(u.size)
         xs = [gmin_stepped_dc(plan, tol, column, x0, gmin_start=start).x for start in (1e-3, 1e-4)]
         dv = np.max(np.abs(xs[0][: u.n_nodes] - xs[1][: u.n_nodes]))
@@ -175,11 +175,10 @@ def test_nonconvergence_reported():
     c = parse_and_flatten(
         "t\n.model nm nmos vth=0.4 beta=2e-4\nV1 d 0 DC 0.9\nM1 d d 0 0 nm\n.end\n"
     )
-    u = index_unknowns(c)
     # one iteration is never enough for a nonlinear circuit: the damped
     # update must be confirmed by a second pass, so the ladder gives up too
     with pytest.raises(ConvergenceError):
-        newton_dc(c, u, Tolerances(maxiter=1))
+        newton_dc(mna.compile(c), Tolerances(maxiter=1))
 
 
 def _translinear(name):
@@ -199,7 +198,7 @@ def _translinear(name):
 def test_newton_iteration_count_is_pinned(circuit, iterations):
     # the number of linear solves the plain damped Newton takes from zero
     c = circuit()
-    op = newton_dc(c, index_unknowns(c))
+    op = newton_dc(mna.compile(c))
     assert type(op.iterations) is int
     assert op.iterations == iterations
 
@@ -208,11 +207,10 @@ def plain_newton_error(c, tol):
     """The error of the plain damped Newton from zero, without the gmin
     rescue of ``newton_dc``: ``newton_stack``'s error dict over a stack
     of one."""
-    u = index_unknowns(c)
-    plan = mna.stack([mna.compile(c, u)])
+    plan = mna.stack([mna.compile(c)])
     live = np.ones(1, dtype=bool)
     column = plan.sources.values(0.0)
-    _, _, _, errors = newton_stack(plan, tol, column, np.zeros((1, u.size)), None, live)
+    _, _, _, errors = newton_stack(plan, tol, column, np.zeros((1, plan.u.size)), None, live)
     assert list(errors) == [0]
     return errors[0]
 
@@ -229,7 +227,7 @@ def test_nonconvergence_message_and_residual(rescue, prefix):
     c = parse_and_flatten(DIODE)
     if rescue:
         with pytest.raises(ConvergenceError) as info:
-            newton_dc(c, index_unknowns(c), Tolerances(maxiter=1))
+            newton_dc(mna.compile(c), Tolerances(maxiter=1))
         err = info.value
     else:
         err = plain_newton_error(c, Tolerances(maxiter=1))
@@ -261,7 +259,7 @@ VSOURCE_LOOP = "t\nV1 a 0 DC 1\nV2 a 0 DC 2\nR1 a 0 1k\n.end\n"
 def test_vsource_loop_names_branch_unknown():
     c = parse_and_flatten(VSOURCE_LOOP)
     with pytest.raises(SingularMatrixError, match=r"i\(v[12]\)"):
-        newton_dc(c, index_unknowns(c))
+        newton_dc(mna.compile(c))
 
 
 def test_vsource_loop_cli_exit_code(tmp_path, capsys):

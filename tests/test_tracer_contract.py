@@ -93,13 +93,14 @@ def test_every_hook_reads_a_real_call(tracer, tmp_path, capsys):
 
     c = parse_and_flatten(emit_example("proposed_amp"))
     u = mna.index_unknowns(c)
-    op = solver.newton_dc(c, u)
+    plan = mna.compile(c)
+    op = solver.newton_dc(plan)
     wave = transient.run_transient(c, 1e-5, 1e-3)
     path = tmp_path / "wave.csv"
     transient.write_csv(wave, path)
     calls = {
         "mna.index_unknowns": (((c,), {}, u), u.size),
-        "solver.newton_dc": (((c, u), {}, op), op.iterations),
+        "solver.newton_dc": (((plan,), {}, op), op.iterations),
         "transient.run_transient": (((c, 1e-5, 1e-3), {}, wave), 100),
         "transient.write_csv": (((wave, str(path)), {}, None), path.stat().st_size),
     }
