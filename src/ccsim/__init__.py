@@ -25,7 +25,6 @@ def _import_numpy_single_threaded():
 _import_numpy_single_threaded()
 
 from .devices import (
-    ConveyorParams,
     Dc,
     MosfetParams,
     Pulse,

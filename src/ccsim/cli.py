@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import library, mna, transient
+from . import library, mna
 from .measure import Histogram, MeasureError, Measurement, run_measure
 from .netlist import NetlistError, expand_hierarchy, parse_netlist, parse_value
 from .solver import ConvergenceError, SingularMatrixError, Tolerances, newton_dc
@@ -264,7 +264,7 @@ def cmd_examples(args) -> int:
 def cmd_measure(args) -> int:
     c = _load_circuit(args)
     wave = read_csv(args.csv)
-    wave.vsource_nodes = transient.vsource_nodes(c)
+    wave.vsource_nodes = mna.index_unknowns(c).vsource_nodes
     results = []
     for d in c.directives:
         if d.kind == "measure":
@@ -280,14 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, netlist=True):
-        if netlist:
-            p.add_argument("netlist", help="netlist file")
+    def common(p, solves=True):
+        p.add_argument("netlist", help="netlist file")
         p.add_argument("--param", action="append", metavar="NAME=VALUE",
                        help="override a .param value (repeatable)")
-        p.add_argument("--reltol", type=float, default=None)
-        p.add_argument("--abstol", type=float, default=None)
-        p.add_argument("--vntol", type=float, default=None)
+        if solves:
+            for flag in ("--reltol", "--abstol", "--vntol"):
+                p.add_argument(flag, type=float, default=None)
 
     p_run = sub.add_parser("run", help="execute a netlist's analysis directives")
     common(p_run)
@@ -327,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.set_defaults(func=cmd_examples)
 
     p_me = sub.add_parser("measure", help="recompute a netlist's measurements from a CSV")
-    common(p_me)
+    common(p_me, solves=False)
     p_me.add_argument("--csv", required=True, help="waveform CSV written by a previous run")
     p_me.set_defaults(func=cmd_measure)
     return ap

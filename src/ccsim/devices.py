@@ -136,32 +136,6 @@ class MosfetBank(Record):
         return cls(col("sign"), col("vth"), col("beta"), col("lam"))
 
 
-class ConveyorParams(Record):
-    """Behavioral second-generation current conveyor parameters.
-
-    ``polarity`` is the sign relating the Z-terminal current to the
-    X-branch current (+1 or -1).  A controlled conveyor (CCCII) derives
-    its X-terminal resistance from a bias current and a per-transistor
-    transconductance factor; a plain CCII carries a fixed rx (possibly 0).
-    """
-
-    polarity: int
-    controlled: bool
-    rx: float
-    ib: float | None = None
-    beta_n: float | None = None
-
-    def __post_init__(self):
-        if self.polarity not in (1, -1):
-            raise ValueError("conveyor polarity must be +1 or -1")
-        if self.rx < 0.0:
-            raise ValueError("conveyor rx must be non-negative")
-        if self.ib is not None and self.ib <= 0.0:
-            raise ValueError("conveyor bias current must be positive")
-        if self.beta_n is not None and self.beta_n <= 0.0:
-            raise ValueError("conveyor beta_n must be positive")
-
-
 class Dc(Record):
     value: float
 

@@ -54,12 +54,16 @@ class UnknownMap:
 
     Branch rows are assigned in sorted element-name order so the map (and
     therefore the assembled matrix) does not depend on element order.
+    ``vsource_nodes`` maps each voltage source to its (p, n) nodes, which
+    a :class:`~ccsim.transient.Waveform` keeps for supply power.
     """
 
-    __slots__ = ("n_nodes", "branch_rows", "names")
+    __slots__ = ("n_nodes", "branch_rows", "names", "vsource_nodes")
 
-    def __init__(self, n_nodes: int, branch_rows: dict[str, int], names: list[str]):
+    def __init__(self, n_nodes: int, branch_rows: dict[str, int], names: list[str],
+                 vsource_nodes: dict[str, tuple[str, str]]):
         self.n_nodes, self.branch_rows, self.names = n_nodes, branch_rows, names
+        self.vsource_nodes = vsource_nodes
 
     @property
     def size(self) -> int:
@@ -74,15 +78,15 @@ class UnknownMap:
 
 def index_unknowns(c: FlatCircuit) -> UnknownMap:
     """One voltage unknown per non-ground node, in ``c.nodes`` (index)
-    order, then one branch current per voltage source and per conveyor."""
-    branch_elems = sorted(
-        (e.name for e in c.elements if isinstance(e, (VSource, Conveyor))),
-    )
+    order, then one branch current per voltage source and per conveyor;
+    the voltage sources' nodes, in element order, go with them."""
+    vsource_nodes = {e.name: (e.p, e.n) for e in c.elements if isinstance(e, VSource)}
+    branch_elems = sorted(e.name for e in c.elements if isinstance(e, (VSource, Conveyor)))
     n = c.n_nodes
     rows = {name: n + i for i, name in enumerate(branch_elems)}
     names = [f"v({node})" for node in list(c.nodes)[1:]]
     names += [f"i({name})" for name in branch_elems]
-    return UnknownMap(n, rows, names)
+    return UnknownMap(n, rows, names, vsource_nodes)
 
 
 class MnaSystem:
@@ -115,8 +119,7 @@ def _linear_stamp(e: Element, c: FlatCircuit, u: UnknownMap):
         return [], [(row(e.p), -1.0), (row(e.n), 1.0)]
     if isinstance(e, Conveyor):
         y, x, z, br = row(e.y), row(e.x), row(e.z), u.branch_row(e.name)
-        pol = float(e.params.polarity)
-        return [(x, br, 1.0), (z, br, pol), (br, x, 1.0), (br, y, -1.0), (br, br, -e.params.rx)], []
+        return [(x, br, 1.0), (z, br, float(e.polarity)), (br, x, 1.0), (br, y, -1.0), (br, br, -e.rx)], []
     raise TypeError(f"no linear stamp for {type(e).__name__}")
 
 
@@ -138,15 +141,17 @@ def companion_values(farads, method: str, dt: float, v_prev, i_prev):
 
 class SourceTable:
     """The independent sources of a plan: entry j adds ``sign[j]`` times
-    a sample of ``specs[j]`` at buffer position ``at[j]``.  :func:`compile`
-    lists the entries in element order, each source's :func:`_linear_stamp`
-    rows.  Specs are not merged here: :meth:`samples` samples each distinct
-    one once, through the run's memo."""
+    a sample of ``specs[j]`` at buffer position ``at[j]``, for the element
+    named ``names[j]`` (an array, so ``names == name`` marks a source's
+    entries).  :func:`compile` lists the entries in element order, each
+    source's :func:`_linear_stamp` rows.  Specs are not merged here:
+    :meth:`samples` samples each distinct one once, through the run's
+    memo."""
 
-    __slots__ = ("at", "sign", "specs")
+    __slots__ = ("at", "sign", "specs", "names")
 
-    def __init__(self, at: np.ndarray, sign: np.ndarray, specs: list[SourceSpec]):
-        self.at, self.sign, self.specs = at, sign, specs
+    def __init__(self, at: np.ndarray, sign: np.ndarray, specs: list[SourceSpec], names: np.ndarray):
+        self.at, self.sign, self.specs, self.names = at, sign, specs, names
 
     def samples(self, times: np.ndarray, sampled: dict | None = None) -> np.ndarray:
         """Each entry's signed value at each of ``times``: an (entries,
@@ -239,7 +244,7 @@ def compile(c: FlatCircuit, gmin_floor: float = GMIN_FLOOR) -> StampPlan:
     static = np.zeros((1, rhs + m))
     matrix = static[0, :rhs].reshape(m, m)
     bounds = _UNBOUNDED.repeat(m, axis=2)  # the last column is ground's, dropped
-    at, sign, specs, caps, mos = [], [], [], [], []  # at, sign and specs: the source entries
+    at, sign, specs, names, caps, mos = [], [], [], [], [], []  # at to names: the source entries
     for e in c.elements:
         if isinstance(e, Capacitor):
             caps.append(e)
@@ -252,6 +257,7 @@ def compile(c: FlatCircuit, gmin_floor: float = GMIN_FLOOR) -> StampPlan:
             at += [rhs + r % m for r, _ in rows]
             sign += [row_sign for _, row_sign in rows]
             specs += [e.spec for _ in rows]
+            names += [e.name for _ in rows]
         if isinstance(e, Conveyor):
             # clipping to [lo1, hi1] and then by f2 = clip(., lo2, hi2) is
             # the clip to [f2(lo1), f2(hi1)]
@@ -265,7 +271,8 @@ def compile(c: FlatCircuit, gmin_floor: float = GMIN_FLOOR) -> StampPlan:
 
     a, b = cap_ab = rows(caps, "a", "b")
     d, g, s = mos_dgs = rows(mos, "d", "g", "s")
-    sources = SourceTable(np.array(at, dtype=np.intp), np.array(sign, dtype=float), specs)
+    sources = SourceTable(np.array(at, dtype=np.intp), np.array(sign, dtype=float), specs,
+                          np.array(names, dtype=str))
     return StampPlan(
         u, static, sources, cap_ab, np.array([e.farads for e in caps]),
         # +geq, +geq and +ieq, then the same entries negated
@@ -322,7 +329,7 @@ def _pad(p: StampPlan, to: UnknownMap, n_mos: int, n_cap: int) -> StampPlan:
 
     src = p.sources
     return StampPlan(
-        to, static.reshape(1, -1), SourceTable(moved(src.at), src.sign, src.specs),
+        to, static.reshape(1, -1), SourceTable(moved(src.at), src.sign, src.specs, src.names),
         terminals(p.cap_ab, n_cap), grown(p.farads, n_cap), at(p.cap_at, 6, n_cap),
         terminals(p.mos_dgs, n_mos),
         MosfetBank(grown(p.mos.sign, n_mos, 1.0), grown(p.mos.vth, n_mos), grown(p.mos.beta, n_mos),
@@ -353,7 +360,7 @@ def stack(plans: list[StampPlan]) -> StampPlan:
     n = n_nodes + max(u.size - u.n_nodes for u in maps)
     u = maps[0]
     if any(v.names != u.names for v in maps):
-        u = UnknownMap(n_nodes, {f"#{i}": i for i in range(n_nodes, n)}, [f"#{i}" for i in range(n)])
+        u = UnknownMap(n_nodes, {f"#{i}": i for i in range(n_nodes, n)}, [f"#{i}" for i in range(n)], {})
     n_mos = max(p.mos_dgs.shape[1] for p in plans)
     n_cap = max(p.farads.size for p in plans)
     plans = [_pad(p, u, n_mos, n_cap) for p in plans]
@@ -369,7 +376,8 @@ def stack(plans: list[StampPlan]) -> StampPlan:
     bank = (values([getattr(p.mos, f) for p in plans]) for f in ("sign", "vth", "beta", "lam"))
     tables = [p.sources for p in plans]  # a run samples each plan's own; the stack's only stamps
     sources = SourceTable(np.concatenate([k * size + t.at for k, t in enumerate(tables)]),
-                          np.concatenate([t.sign for t in tables]), [s for t in tables for s in t.specs])
+                          np.concatenate([t.sign for t in tables]), [s for t in tables for s in t.specs],
+                          np.concatenate([t.names for t in tables]))
     # plan k's positions move to its row of the flattened stack
     cap_at, mos_at = ([k * size + getattr(p, f) for k, p in enumerate(plans)] for f in ("cap_at", "mos_at"))
     return StampPlan(

@@ -39,7 +39,6 @@ from __future__ import annotations
 import re
 
 from .devices import (
-    ConveyorParams,
     Dc,
     MosfetParams,
     Pulse,
@@ -378,6 +377,8 @@ def _parse_directive(tokens, tokens_case, line: int) -> Directive:
                 nbins = parse_value(v, line)
                 if not nbins.is_integer():
                     raise NetlistError(f"hist bins must be an integer, got {v!r}", line)
+                if nbins < 1:
+                    raise NetlistError(f"hist bins must be at least 1, got {v!r}", line)
             elif len(rest) > 2:
                 raise NetlistError("measure hist takes a probe and optional bins=", line)
             margs = (probe, int(nbins))
@@ -521,13 +522,26 @@ class Mosfet(Record):
 
 
 class Conveyor(Record):
+    """Behavioral second-generation current conveyor: I_Y = 0,
+    V_X = V_Y + rx * I_X and I_Z = polarity * I_X, the two numbers its
+    stamp reads (a controlled conveyor's rx is resolved from its bias at
+    flattening, see :func:`conveyor_rx`).  ``vmin``/``vmax`` clamp the
+    Z node."""
+
     name: str
     y: str
     x: str
     z: str
-    params: ConveyorParams
+    polarity: int  # +1 or -1
+    rx: float
     vmin: float | None = None
     vmax: float | None = None
+
+    def __post_init__(self):
+        if self.polarity not in (1, -1):
+            raise ValueError("conveyor polarity must be +1 or -1")
+        if self.rx < 0.0:
+            raise ValueError("conveyor rx must be non-negative")
 
 
 Element = Resistor | Capacitor | VSource | ISource | Mosfet | Conveyor
@@ -588,26 +602,17 @@ def _build_mosfet_params(card: ModelCard, params, line) -> MosfetParams:
         raise NetlistError(f"{where}: {exc}", line) from None
 
 
-def _build_conveyor_params(el: ElementSpec, params) -> ConveyorParams:
-    ctype = el.param("ctype")
-    polarity = 1 if ctype.endswith("+") else -1
-    controlled = ctype.startswith("cccii")
+def _conveyor_rx(el: ElementSpec, params) -> float:
+    """A conveyor's rx: its own, else a cccii's from its (ib, beta), else 0."""
     where = f"conveyor {el.name!r}"
-    rx_raw = el.param("rx")
-    ib = beta_n = None
-    if rx_raw is not None:
-        rx = _resolve(rx_raw, params, where, el.line)
-    elif controlled:
-        ib = _resolve(el.param("ib"), params, where, el.line)
-        beta_n = _resolve(el.param("beta"), params, where, el.line)
-        try:
-            rx = conveyor_rx(beta_n, ib)
-        except ValueError as exc:
-            raise NetlistError(f"{where}: {exc}", el.line) from None
-    else:
-        rx = 0.0
+    if el.param("rx") is not None:
+        return _resolve(el.param("rx"), params, where, el.line)
+    if not el.param("ctype").startswith("cccii"):
+        return 0.0
+    ib = _resolve(el.param("ib"), params, where, el.line)
+    beta_n = _resolve(el.param("beta"), params, where, el.line)
     try:
-        return ConveyorParams(polarity, controlled, rx, ib, beta_n)
+        return conveyor_rx(beta_n, ib)
     except ValueError as exc:
         raise NetlistError(f"{where}: {exc}", el.line) from None
 
@@ -677,18 +682,14 @@ def expand_hierarchy(ast: NetlistAst, overrides: dict[str, float] | None = None)
                     raise NetlistError(f"{where}: undefined model {el.param('model')!r}", el.line)
                 flat.append(Mosfet(name, *nodes, _build_mosfet_params(card, params, el.line)))
             else:
-                cp = _build_conveyor_params(el, params)
-                vmin = el.param("vmin")
-                vmax = el.param("vmax")
-                flat.append(
-                    Conveyor(
-                        name,
-                        *nodes,
-                        cp,
-                        None if vmin is None else _resolve(vmin, params, where, el.line),
-                        None if vmax is None else _resolve(vmax, params, where, el.line),
-                    )
-                )
+                polarity = 1 if el.param("ctype").endswith("+") else -1
+                rx = _conveyor_rx(el, params)
+                vmin, vmax = (None if v is None else _resolve(v, params, where, el.line)
+                              for v in (el.param("vmin"), el.param("vmax")))
+                try:
+                    flat.append(Conveyor(name, *nodes, polarity, rx, vmin, vmax))
+                except ValueError as exc:
+                    raise NetlistError(f"conveyor {el.name!r}: {exc}", el.line) from None
             for n in nodes:
                 index.setdefault(n, len(index))
             grounded = grounded or "0" in nodes

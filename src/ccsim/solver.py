@@ -205,11 +205,12 @@ def gmin_stepped_dc(
 def newton_dc(
     plan: mna.StampPlan,
     tol: Tolerances | None = None,
-    t: float = 0.0,
+    column: np.ndarray | None = None,
     x0: np.ndarray | None = None,
 ) -> OperatingPoint:
     """Find the DC solution of one circuit's compiled ``plan`` (see
-    :func:`mna.compile`) at time ``t`` (sources evaluated there).
+    :func:`mna.compile`) with its sources at ``column``, one column of
+    ``plan.sources.samples``; at t = 0 when it is not given.
 
     Plain damped Newton first (:func:`newton_stack` over ``plan``, a
     stack of one), restarting with :func:`gmin_stepped_dc` from the same
@@ -218,7 +219,7 @@ def newton_dc(
     """
     tol = tol or Tolerances()
     x0 = np.zeros(plan.u.size) if x0 is None else x0
-    column = plan.sources.values(t)
+    column = plan.sources.values(0.0) if column is None else column
     x, resid, its, errors = newton_stack(plan, tol, column, x0[None], None, _ONE)
     if not errors:
         return OperatingPoint(x[0], float(resid[0]), int(its[0]))

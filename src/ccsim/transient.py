@@ -13,17 +13,20 @@ zero current is wrong whenever a source steps right after t = 0.  The
 backward-Euler first step has the same local order as the trapezoid's
 global error, so the method keeps its second-order convergence.
 
-Every step reuses one compiled stamp plan (see :mod:`ccsim.mna`).
+Every step reuses one compiled stamp plan (see :mod:`ccsim.mna`), and
+:func:`mna.compile` is the last reader of a circuit: the runs, and the
+records' supply nodes, come from the plans alone.
 :func:`run_transient_stacked` runs K circuits as stacks (see
 :func:`mna.stack`), and :func:`run_transient` is a stack of one.
 Memoryless linear circuits (no MOSFETs, no capacitors) are solved by
 superposition: one stacked solve per topology for the circuits'
 responses to each unit source, each circuit's responses then combined
-by its own samples when its waveform is taken.  Every other circuit goes through the one
-stepped loop, which steps its stack together, one stacked Newton
-(:func:`newton_stack`) per step.  A ``.dc`` sweep (:func:`run_dc_sweep`)
-is that loop too, over a stack of one, with the swept values as its
-axis and its capacitors open.
+by its own samples when its waveform is taken.  Every other circuit
+goes through the one stepped loop, which steps its stack together, one
+stacked Newton (:func:`newton_stack`) per step.  A ``.dc`` sweep
+(:func:`run_dc_sweep`) is that loop too, over a stack of one, with the
+swept values as its axis, the source's entries found by its name, and
+its capacitors open.
 
 CSV export writes each cell as the text of :func:`format_sci`, byte for
 byte.  A vectorized kernel formats a block of rows at a time in numpy
@@ -43,8 +46,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import mna
-from .devices import Dc
-from .netlist import FlatCircuit, ISource, VSource
+from .netlist import FlatCircuit
 from .solver import (
     ConvergenceError,
     SingularMatrixError,
@@ -81,11 +83,6 @@ class Waveform:
         if name not in self.columns:
             raise KeyError(f"no recorded column {name!r}")
         return self.columns[name]
-
-
-def vsource_nodes(c: FlatCircuit) -> dict[str, tuple[str, str]]:
-    """Each voltage source's (p, n) nodes, as a :class:`Waveform` keeps them."""
-    return {e.name: (e.p, e.n) for e in c.elements if isinstance(e, VSource)}
 
 
 def _check_step(dt: float, tstop: float, method: str):
@@ -160,21 +157,20 @@ def run_transient_stacked(
     runs = {}
     for key, ks in stacks.items():
         if key[0] == "stepped":
-            members = ([seq[k] for k in ks] for seq in (circuits, plans))
             samples = [plans[k].sources.samples(times, sampled) for k in ks]
-            runs.update(zip(ks, _run_stack(*members, times, samples, dt, method, tol)))
+            runs.update(zip(ks, _run_stack([plans[k] for k in ks], times, samples, dt, method, tol)))
         else:
             runs.update(zip(ks, _superpose([plans[k] for k in ks], tol)))
-    return _in_order(circuits, plans, runs, times, sampled, dt, method)
+    return _in_order(plans, runs, times, sampled, dt, method)
 
 
-def _in_order(circuits, plans, runs, times, sampled, dt, method):
-    """Yield each circuit's result from ``runs`` in order; a memoryless
+def _in_order(plans, runs, times, sampled, dt, method):
+    """Yield each plan's result from ``runs`` in order; a memoryless
     circuit's is formed here, as its response (see :func:`_superpose`)
     times its own samples, each spec's taken from ``sampled``, with its
     operating point as column 0 and each row clipped to the plan's
     bounds, when any is finite."""
-    for k, (c, p) in enumerate(zip(circuits, plans)):
+    for k, p in enumerate(plans):
         run = runs.pop(k)
         if not isinstance(run, tuple):
             yield run
@@ -185,14 +181,15 @@ def _in_order(circuits, plans, runs, times, sampled, dt, method):
         if np.isfinite(p.bounds).any():
             lo, hi = p.bounds[:, 0]
             np.clip(data, lo[:, None], hi[:, None], out=data)
-        yield _waveform(c, p.u, times, data, dt, method)
+        yield _waveform(p.u, times, data, dt, method)
 
 
-def _waveform(c, u, times, data, dt, method, rows=None, label="time"):
-    """The record of ``c`` whose unknown i is row ``rows[i]`` of ``data``."""
+def _waveform(u, times, data, dt, method, rows=None, label="time"):
+    """The record of the circuit of unknown map ``u`` whose unknown i is
+    row ``rows[i]`` of ``data``, with the map's supply nodes."""
     rows = range(u.size) if rows is None else rows
     columns = {name: data[r] for r, name in zip(rows, u.names)}
-    return Waveform(times, columns, dt, method, vsource_nodes(c), label)
+    return Waveform(times, columns, dt, method, u.vsource_nodes, label)
 
 
 def _superpose(plans, tol):
@@ -219,25 +216,26 @@ def _superpose(plans, tol):
     return out
 
 
-def _run_stack(circuits, plans, axis, samples, dt, method, tol, label="time"):
-    """The stepped loop over K circuits with compiled plans ``plans``, as
-    one stack (see :func:`mna.stack`).  Point k of ``axis`` (a transient's
+def _run_stack(plans, axis, samples, dt, method, tol, label="time"):
+    """The stepped loop over the K circuits of compiled ``plans``, as one
+    stack (see :func:`mna.stack`).  Point k of ``axis`` (a transient's
     times, or the values of a ``.dc`` sweep, ``method`` "dc", of the
     source ``label``) starts from point k - 1 and stamps column k of each
     circuit's (entries x points) matrix in ``samples``; point 0 is each
-    circuit's :func:`newton_dc`.  Every point's solutions, the operating
-    points too, are clamped to the stack's bounds, when any is finite.
-    Returns each circuit's waveform, or the error its run raised."""
+    circuit's :func:`newton_dc` at its column 0.  Every point's
+    solutions, the operating points too, are clamped to the stack's
+    bounds, when any is finite.  Returns each circuit's waveform, or the
+    error its run raised."""
     plan = mna.stack(plans)
     rows = [mna.padded_rows(p.u, plan.u.n_nodes) for p in plans]
-    n_var = len(circuits)
+    n_var = len(plans)
     lo, hi = plan.bounds
     clamped = np.isfinite(plan.bounds).any()
     data = np.zeros((n_var, plan.u.size, len(axis)))
     errors = [None] * n_var
     for k, p in enumerate(plans):
         try:
-            data[k, rows[k], 0] = newton_dc(p, tol).x
+            data[k, rows[k], 0] = newton_dc(p, tol, samples[k][:, 0]).x
         except (ConvergenceError, SingularMatrixError) as exc:
             errors[k] = _step_failure(exc, label, axis[0], 0)
 
@@ -271,8 +269,8 @@ def _run_stack(circuits, plans, axis, samples, dt, method, tol, label="time"):
         v_prev = plan.cap_voltages(x)
         i_prev = geq * v_prev - ieq
         data[:, :, k] = x
-    return [e or _waveform(c, p.u, axis, d, dt, method, r, label)
-            for c, p, d, r, e in zip(circuits, plans, data, rows, errors)]
+    return [e or _waveform(p.u, axis, d, dt, method, r, label)
+            for p, d, r, e in zip(plans, data, rows, errors)]
 
 
 def _or_error(run, *args, **kwargs):
@@ -300,29 +298,22 @@ def run_dc_sweep(
     tol: Tolerances | None = None,
 ) -> Waveform:
     """Operating points over one independent source's DC value: the
-    stepped loop over a stack of one, compiled once with the source at
-    ``start``, whose sample matrix is the t = 0 column repeated with the
-    source's own entries set to each value.  Its entries are those whose
-    spec is the very ``Dc`` object made here for it: no other element can
-    hold that object, while two sources may hold equal specs."""
+    stepped loop over a stack of one, compiled once, whose sample matrix
+    is the t = 0 column repeated with the source's own entries, those its
+    name marks in the source table, set to each value."""
     tol = tol or Tolerances()
     name = source_name.lower()
-    sources = [e.name if isinstance(e, (VSource, ISource)) else None for e in c.elements]
-    if name not in sources:
+    plan = mna.compile(c, tol.gmin_floor)
+    swept = plan.sources.names == name
+    if not swept.any():
         raise ValueError(f"no independent source named {source_name!r} to sweep")
     n = int(round((stop - start) / step)) if step else -1
     if n < 0:
         raise ValueError("dc sweep step must be nonzero and lead from start to stop")
     values = start + np.arange(n + 1) * step
-    idx = sources.index(name)
-    first = Dc(float(values[0]))
-    elems = [*c.elements[:idx], c.elements[idx]._replace(spec=first), *c.elements[idx + 1:]]
-    c = FlatCircuit(c.nodes, elems, c.directives)
-    plan = mna.compile(c, tol.gmin_floor)
-    swept = np.array([spec is first for spec in plan.sources.specs], dtype=bool)
     samples = np.repeat(plan.sources.values(0.0)[:, None], len(values), axis=1)
     samples[swept] = plan.sources.sign[swept, None] * values
-    (wave,) = _run_stack([c], [plan], values, [samples], float(step), "dc", tol, name)
+    (wave,) = _run_stack([plan], values, [samples], float(step), "dc", tol, name)
     if isinstance(wave, Waveform):
         return wave
     raise wave

@@ -85,7 +85,7 @@ def conveyor_port_residuals(c, wave):
         if m.x == node:
             cur = cur - ix
         if m.z == node:
-            cur = cur - m.params.polarity * ix
+            cur = cur - m.polarity * ix
         return cur
 
     out = {}
@@ -101,10 +101,10 @@ def conveyor_port_residuals(c, wave):
         iz = others_z if k.z != "0" else None
         assert iz is not None, "library conveyors never ground Z"
         vy = vcol(k.y) if k.y != "0" else np.zeros_like(times)
-        branch = vcol(k.x) - vy - k.params.rx * ix
+        branch = vcol(k.x) - vy - k.rx * ix
         out[k.name] = (
             float(np.max(np.abs(iy))),
-            float(np.max(np.abs(iz - k.params.polarity * ix))),
+            float(np.max(np.abs(iz - k.polarity * ix))),
             float(np.max(np.abs(branch))),
         )
     return out
@@ -173,7 +173,7 @@ def node_kcl_residuals(c, wave):
         elif isinstance(e, Conveyor):
             ix = wave.column(f"i({e.name})")
             flow(e.x, ix)
-            flow(e.z, e.params.polarity * ix)
+            flow(e.z, e.polarity * ix)
         elif isinstance(e, Mosfet):
             vs = vcol(e.s)
             i_d = mosfet_eval(vcol(e.g) - vs, vcol(e.d) - vs, e.params)[0]  # into the drain
@@ -242,10 +242,10 @@ def exact_mna(c, u, gmin):
         elif isinstance(e, Conveyor):
             br = u.branch_row(e.name)
             add(row(e.x), br, 1)
-            add(row(e.z), br, e.params.polarity)
+            add(row(e.z), br, e.polarity)
             add(br, row(e.x), 1)
             add(br, row(e.y), -1)
-            add(br, br, -e.params.rx)
+            add(br, br, -e.rx)
         else:
             raise AssertionError(f"exact MNA has no law for {type(e).__name__}")
     return terms, sources

@@ -215,10 +215,17 @@ def test_zero_resistance_rejected(tmp_path):
 @pytest.mark.parametrize("old, new, line, message", [
     ("vin in 0 SIN(0 0.05 1k)", "vin in 0 PULSE(0 1 0 0 0 -1u 10u)", 4, "PULSE width must be non-negative"),
     (".end", ".measure m hist v(out) bins=2.5\n.end", 11, "hist bins must be an integer, got '2.5'"),
-], ids=["negative_width", "fractional_bins"])
+    (".end", ".measure m hist v(out) bins=0\n.end", 11, "hist bins must be at least 1, got '0'"),
+    (".end", ".measure m hist v(out) bins=-3\n.end", 11, "hist bins must be at least 1, got '-3'"),
+    ("rx=0", "ib=0 beta=1m", 5, "conveyor 'u1': conveyor_rx requires beta_n > 0 and ib > 0"),
+    ("rx=0", "ib=50u beta=-1m", 5, "conveyor 'u1': conveyor_rx requires beta_n > 0 and ib > 0"),
+    ("rx=0", "rx=-1", 5, "conveyor 'u1': conveyor rx must be non-negative"),
+], ids=["negative_width", "fractional_bins", "zero_bins", "negative_bins", "zero_ib", "negative_beta",
+        "negative_rx"])
 def test_malformed_input_exits_2_with_its_line(amp_file, capsys, old, new, line, message):
-    # both once ran silently: the negative width held the pulse at v1, and
-    # bins=2.5 was truncated to 2 bins
+    # the first four once ran silently or failed without a line: the
+    # negative width held the pulse at v1, bins=2.5 was truncated to 2
+    # bins, and bins < 1 failed only when the histogram was taken
     amp_file.write_text(AMP.replace(old, new))
     assert cli.main(["run", str(amp_file)]) == cli.EXIT_PARSE
     err = capsys.readouterr().err
@@ -321,6 +328,13 @@ def test_measure_subcommand_recomputes(amp_file, tmp_path):
 
     # the CSV keeps 9 significant digits, so agreement is to that precision
     assert gval(again) == pytest.approx(gval(first), rel=1e-8)
+
+
+def test_measure_takes_no_tolerance_flags(amp_file, tmp_path):
+    # ccsim measure runs no solver, so it has no tolerances to set
+    r = ccsim("measure", str(amp_file), "--csv", str(tmp_path / "wave.csv"), "--reltol", "1e-3")
+    assert r.returncode == 2
+    assert "--reltol" in r.stderr
 
 
 def test_unwritable_output_is_io_error(amp_file):

@@ -17,7 +17,7 @@ from ccsim.library import (
     simulated_gain,
     tuning_case,
 )
-from ccsim.devices import Dc, Pulse, Sin
+from ccsim.devices import Dc, Pulse, Sin, conveyor_rx
 from ccsim.measure import gain
 from ccsim.netlist import Conveyor, Resistor, expand_hierarchy, parse_and_flatten, parse_netlist
 from ccsim.transient import run_transient
@@ -100,17 +100,20 @@ def test_writer_numbers_read_back_exactly(name, family, r1, r2, rx, explicit_rx,
                              vmin=clamp[0], vmax=clamp[1])
     else:
         conv = TranslinearConveyor(ib=ib, family=family, rails=rails)
-    c = parse_and_flatten(emit_example(name, AmplifierConfig(r1=r1, r2=r2, conveyor=conv, input=source)))
+    ast = parse_netlist(emit_example(name, AmplifierConfig(r1=r1, r2=r2, conveyor=conv, input=source)))
+    c = expand_hierarchy(ast)
     els = {e.name: e for e in c.elements}
     if name != "cccii_char":
         assert (els["r1"].ohms, els["r2"].ohms) == (r1, r2)
         assert els["vin"].spec == source
     if family == "behavioral":
+        written = {e.name: e for e in ast.elements if e.kind == "u"}
         for u in (e for e in c.elements if isinstance(e, Conveyor)):
             if conv.rx is None:
-                assert (u.params.ib, u.params.beta_n) == (ib, beta)
+                assert (written[u.name].param("ib"), written[u.name].param("beta")) == (ib, beta)
+                assert u.rx == conveyor_rx(beta, ib)
             else:
-                assert u.params.rx == rx
+                assert u.rx == rx
             assert (u.vmin, u.vmax) == clamp
     else:
         assert (els["vdd"].spec, els["vss"].spec, els["xu1.ibias"].spec) == (Dc(rails), Dc(-rails), Dc(ib))

@@ -57,12 +57,12 @@ def test_resistor_stamp_pattern():
 
 
 def hand_amp(rx):
-    from ccsim.devices import ConveyorParams, Dc
+    from ccsim.devices import Dc
 
     return circuit_of(
         [
             VSource("vin", "in", "0", Dc(0.1)),
-            Conveyor("u1", "in", "x", "out", ConveyorParams(1, True, rx)),
+            Conveyor("u1", "in", "x", "out", 1, rx),
             Resistor("r1", "x", "0", 1e3),
             Resistor("r2", "out", "0", 1e5),
         ]
@@ -92,12 +92,12 @@ def test_conveyor_loaded_solution():
 
 
 def test_minus_polarity_inverts_output():
-    from ccsim.devices import ConveyorParams, Dc
+    from ccsim.devices import Dc
 
     c = circuit_of(
         [
             VSource("vin", "in", "0", Dc(0.1)),
-            Conveyor("u1", "in", "x", "out", ConveyorParams(-1, True, 0.0)),
+            Conveyor("u1", "in", "x", "out", -1, 0.0),
             Resistor("r1", "x", "0", 1e3),
             Resistor("r2", "out", "0", 1e5),
         ]
@@ -207,7 +207,8 @@ def test_port_equations_hold_at_dc():
     for rx in (0.0, 1581.0):
         c = behavioral_amp(rx=rx)
         u = index_unknowns(c)
-        op = newton_dc(mna.compile(c), t=0.25e-3)  # quarter period, peak drive
+        plan = mna.compile(c)
+        op = newton_dc(plan, column=plan.sources.values(0.25e-3))  # quarter period, peak drive
         wave = Waveform(
             np.zeros(1),
             {name: np.array([op.x[i]]) for i, name in enumerate(u.names)},

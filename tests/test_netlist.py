@@ -104,8 +104,8 @@ def test_conveyor_parse_roundtrip():
     assert el.param("beta") == pytest.approx(1e-3)
     c = expand_hierarchy(ast)
     conv = next(e for e in c.elements if isinstance(e, Conveyor))
-    assert conv.params.polarity == 1
-    assert conv.params.rx == pytest.approx(1 / math.sqrt(8e-3 * 5e-5))
+    assert conv.polarity == 1
+    assert conv.rx == pytest.approx(1 / math.sqrt(8e-3 * 5e-5))
 
 
 def test_mosfet_binds_model():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ccsim import mna
-from ccsim.devices import ConveyorParams, Dc, MosfetBank, MosfetParams, Pulse, Sin
+from ccsim.devices import Dc, MosfetBank, MosfetParams, Pulse, Sin
 from ccsim.library import AmplifierConfig, BehavioralConveyor, TranslinearConveyor
 from ccsim.measure import Histogram, Measurement
 from ccsim.solver import Tolerances
@@ -31,7 +31,6 @@ from ccsim.netlist import (
 )
 
 NMOS = MosfetParams("nmos", 0.4, 1e-3, 0.05)
-CCII = ConveyorParams(1, False, 0.0)
 SPEC = ElementSpec("r", "r1", ("a", "b"), (("value", 1e3),), line=4)
 FROZEN = [
     Dc(1.0),
@@ -39,7 +38,6 @@ FROZEN = [
     Pulse(0.0, 1.0, 0.0, 1e-6, 1e-6, 1e-3, 2e-3),
     NMOS,
     MosfetBank.of([NMOS]),
-    CCII,
     SPEC,
     ModelCard("n", "nmos", 0.4, 1e-3, None, None, None, 0.0, line=2),
     SubcktDef("cell", ("a",), (SPEC,), line=3),
@@ -50,7 +48,7 @@ FROZEN = [
     VSource("v1", "a", "0", Dc(1.0)),
     ISource("i1", "a", "0", Dc(1e-3)),
     Mosfet("m1", "d", "g", "s", "b", NMOS),
-    Conveyor("u1", "y", "x", "z", CCII),
+    Conveyor("u1", "y", "x", "z", 1, 0.0),
     Histogram(0.0, 1.0, 2, (1, 1)),
     Measurement("g", "gain", 2.0, "V/V"),
     BehavioralConveyor(),
@@ -89,14 +87,14 @@ def test_equal_records_hash_equal():
 def test_repr_names_every_field():
     assert repr(Sin(0.0, 0.05, 1000.0)) == "Sin(offset=0.0, amplitude=0.05, freq=1000.0)"
     assert repr(Directive("op", (), 3)) == "Directive(kind='op', args=(), line=3)"
-    assert repr(Conveyor("u1", "y", "x", "z", CCII)) == (
-        "Conveyor(name='u1', y='y', x='x', z='z', params=ConveyorParams(polarity=1, "
-        "controlled=False, rx=0.0, ib=None, beta_n=None), vmin=None, vmax=None)"
+    assert repr(Conveyor("u1", "y", "x", "z", 1, 0.0)) == (
+        "Conveyor(name='u1', y='y', x='x', z='z', polarity=1, rx=0.0, vmin=None, vmax=None)"
     )
 
 
 def test_source_table_tells_negative_zero_from_zero():
-    table = mna.SourceTable(np.array([0, 1, 2]), np.array([1.0, 1.0, -1.0]), [Dc(0.0), Dc(-0.0), Dc(0.0)])
+    table = mna.SourceTable(np.array([0, 1, 2]), np.array([1.0, 1.0, -1.0]), [Dc(0.0), Dc(-0.0), Dc(0.0)],
+                            np.array(["v1", "v2", "v3"]))
     sampled = {}
     column = table.samples(np.array([0.0]), sampled)[:, 0]
     assert list(sampled) == ["Dc(value=0.0)", "Dc(value=-0.0)"]
@@ -121,10 +119,8 @@ def test_frozen_records_copy_and_pickle(record):
     (lambda: MosfetParams("bjt", 0.4, 1e-3), "bad MOSFET polarity 'bjt'"),
     (lambda: MosfetParams("nmos", 0.4, 0.0), "MOSFET beta must be positive"),
     (lambda: MosfetParams("nmos", 0.4, 1e-3, -1.0), "MOSFET lambda must be non-negative"),
-    (lambda: ConveyorParams(2, False, 0.0), "conveyor polarity must be +1 or -1"),
-    (lambda: ConveyorParams(1, False, -1.0), "conveyor rx must be non-negative"),
-    (lambda: ConveyorParams(1, True, 1.0, ib=0.0), "conveyor bias current must be positive"),
-    (lambda: ConveyorParams(1, True, 1.0, beta_n=-1.0), "conveyor beta_n must be positive"),
+    (lambda: Conveyor("u1", "y", "x", "z", 2, 0.0), "conveyor polarity must be +1 or -1"),
+    (lambda: Conveyor("u1", "y", "x", "z", 1, -1.0), "conveyor rx must be non-negative"),
     (lambda: Sin(0.0, 1.0, 0.0), "SIN source frequency must be positive"),
     (lambda: Pulse(0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 2.0), "PULSE rise/fall must be non-negative"),
     (lambda: Pulse(0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 2.0), "PULSE width must be non-negative"),
@@ -142,8 +138,8 @@ def test_defaults_and_keyword_construction():
         conveyor=BehavioralConveyor(), input=Sin(0.0, 0.05, 1e3)
     )
     assert AmplifierConfig().r2 == 100e3
-    u = Conveyor(name="u1", y="y", x="x", z="z", params=CCII, vmax=1.0)
-    assert u == Conveyor("u1", "y", "x", "z", CCII, None, 1.0)
+    u = Conveyor(name="u1", y="y", x="x", z="z", polarity=1, rx=0.0, vmax=1.0)
+    assert u == Conveyor("u1", "y", "x", "z", 1, 0.0, None, 1.0)
     assert (u.vmin, u.vmax) == (None, 1.0)
     assert MosfetParams("pmos", vth=0.4, beta=1e-3).lam == 0.0
     assert Directive("op").args == () and Directive("op").line == 0

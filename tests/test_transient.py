@@ -76,7 +76,7 @@ def test_memoryless_equals_frozen_dc():
     w = run_transient(c, 1e-6, 2e-3, "trap")
     plan = mna.compile(c)
     for k in (1, 517, 1000, 1999):
-        op = newton_dc(plan, t=w.times[k])
+        op = newton_dc(plan, column=plan.sources.values(w.times[k]))
         for i, name in enumerate(plan.u.names):
             assert w.column(name)[k] == pytest.approx(op.x[i], abs=1e-12)
 
