@@ -129,11 +129,13 @@ class MosfetBank(Record):
     lam: np.ndarray
 
     @classmethod
-    def of(cls, params: list[MosfetParams]) -> "MosfetBank":
-        def col(name):
-            return np.array([getattr(p, name) for p in params], dtype=float)
+    def of(cls, params: list[MosfetParams], count: int = 0) -> "MosfetBank":
+        """The bank of ``params``, grown to ``count`` devices by pads that
+        conduct nothing (NMOS, beta 0)."""
+        def col(name, pad):
+            return np.array([getattr(p, name) for p in params] + [pad] * (count - len(params)), dtype=float)
 
-        return cls(col("sign"), col("vth"), col("beta"), col("lam"))
+        return cls(col("sign", 1.0), col("vth", 0.0), col("beta", 0.0), col("lam", 0.0))
 
 
 class Dc(Record):

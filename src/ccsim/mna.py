@@ -14,9 +14,12 @@ from Z to ground) comes out non-inverting with gain R2 / (R1 + R_X).
 :func:`compile` builds a circuit's unknown map and stamps its topology
 once into a :class:`StampPlan`, the one handle the layers below it take.
 Every plan is a stack: a compiled one holds one circuit, and
-:func:`stack` joins the plans of K circuits, padded to one size, into
-one plan with the stack's map, so that one :func:`assemble` call builds
-all K systems.  :func:`assemble` turns a plan into one Newton iterate,
+:func:`stack` joins the plans of K circuits of one layout into one plan
+with the stack's map, so that one :func:`assemble` call builds all K
+systems.  :func:`compile` is the one place a layout is built: given a
+:func:`stack_shape`, it lays a circuit out as a member of a stack of
+different circuits, padded to the stack's size, so that :func:`stack`
+only joins.  :func:`assemble` turns a plan into one Newton iterate,
 with all MOSFETs linearized by one vectorized :func:`mosfet_eval` call,
 and its sources stamped from one column of the run's
 :meth:`SourceTable.samples`, whose memo is the one place where equal
@@ -177,8 +180,9 @@ class SourceTable:
 
 
 class StampPlan:
-    """A stack of K circuits of one size, stamped once for the stack's
-    unknown map ``u``; :func:`compile` makes a stack of one.
+    """A stack of K circuits of one layout, stamped once for the stack's
+    unknown map ``u``; :func:`compile` makes a stack of one, laid out as
+    its own circuit or as a member of a :func:`stack_shape`.
 
     A system is one flat buffer: the (n+1)x(n+1) matrix row by row, then
     n+1 right-hand-side entries.  Row and column n (index -1 too) stand
@@ -232,15 +236,30 @@ def _with_ground(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x.reshape(-1), _GROUND))
 
 
-def compile(c: FlatCircuit, gmin_floor: float = GMIN_FLOOR) -> StampPlan:
+def compile(c: FlatCircuit, gmin_floor: float = GMIN_FLOOR,
+            like: tuple[UnknownMap, int, int] | None = None) -> StampPlan:
     """Stamp the fixed part of ``c`` once: the static matrix, the source
     table, the capacitor and MOSFET index arrays and the bounds of a
-    :class:`StampPlan` that keeps ``c``'s :func:`index_unknowns` map.
-    Conveyors that clamp one Z node compose in element order into one
-    (lo, hi), as successive clips do."""
+    :class:`StampPlan`, the one place a stamp position, a terminal row or
+    a bound is computed.  Conveyors that clamp one Z node compose in
+    element order into one (lo, hi), as successive clips do.
+
+    Without ``like`` the plan keeps ``c``'s :func:`index_unknowns` map.
+    ``like`` is a :func:`stack_shape`, and the plan is then laid out as a
+    member of that stack, with its map and its MOSFET and capacitor
+    counts.  ``c``'s unknowns sit at ``padded_rows(u, n_nodes)``, node
+    rows before branch rows.  A pad unknown has a unit diagonal and a
+    zero right-hand side, so it solves to 0, and bounds -inf and +inf.
+    Pad MOSFETs (beta 0) and capacitors (0 F) follow ``c``'s own and have
+    every terminal on the spare ground row.  ``c``'s own entries are
+    stamped in the same order in either layout, so they hold the same
+    values."""
     u = index_unknowns(c)
-    m = u.size + 1
+    to = like[0] if like else u
+    n = to.size
+    m = n + 1
     rhs = m * m
+    place = padded_rows(u, to.n_nodes) + [n]  # c's row -> the layout's; ground (-1) to ground
     static = np.zeros((1, rhs + m))
     matrix = static[0, :rhs].reshape(m, m)
     bounds = _UNBOUNDED.repeat(m, axis=2)  # the last column is ground's, dropped
@@ -253,118 +272,87 @@ def compile(c: FlatCircuit, gmin_floor: float = GMIN_FLOOR) -> StampPlan:
         else:
             entries, rows = _linear_stamp(e, c, u)
             for i, j, v in entries:
-                matrix[i, j] += v
-            at += [rhs + r % m for r, _ in rows]
+                matrix[place[i], place[j]] += v
+            at += [rhs + place[r] for r, _ in rows]
             sign += [row_sign for _, row_sign in rows]
             specs += [e.spec for _ in rows]
             names += [e.name for _ in rows]
-        if isinstance(e, Conveyor):
+        if isinstance(e, Conveyor) and (e.vmin, e.vmax) != (None, None):
             # clipping to [lo1, hi1] and then by f2 = clip(., lo2, hi2) is
             # the clip to [f2(lo1), f2(hi1)]
-            z = bounds[:, 0, u.node_row(c.nodes[e.z]) % m]
-            np.clip(z, -np.inf if e.vmin is None else e.vmin, np.inf if e.vmax is None else e.vmax, out=z)
-    static[0, : u.n_nodes * (m + 1) : m + 1] += gmin_floor  # the node-voltage diagonal
+            z = bounds[:, 0, place[u.node_row(c.nodes[e.z])]]
+            np.minimum(np.maximum(z, -np.inf if e.vmin is None else e.vmin, out=z),
+                       np.inf if e.vmax is None else e.vmax, out=z)
+    diagonal = static[0, :rhs : m + 1]
+    diagonal[: u.n_nodes] += gmin_floor  # c's node voltages
+    diagonal[u.n_nodes : to.n_nodes] = 1.0  # pad node rows
+    diagonal[to.n_nodes + u.size - u.n_nodes : n] = 1.0  # pad branch rows, after c's
+    _, n_mos, n_cap = like or (u, len(mos), len(caps))
 
-    def rows(elements, *terminals):
-        idx = [[u.node_row(c.nodes[getattr(e, t)]) % m for e in elements] for t in terminals]
-        return np.array(idx, dtype=np.intp).reshape(len(terminals), -1)
+    def terminals(elements, count, *ends):  # pads on ground
+        idx = [[place[u.node_row(c.nodes[getattr(e, t)])] for e in elements] + [n] * (count - len(elements))
+               for t in ends]
+        return np.array(idx, dtype=np.intp).reshape(len(ends), count)
 
-    a, b = cap_ab = rows(caps, "a", "b")
-    d, g, s = mos_dgs = rows(mos, "d", "g", "s")
+    a, b = cap_ab = terminals(caps, n_cap, "a", "b")
+    d, g, s = mos_dgs = terminals(mos, n_mos, "d", "g", "s")
     sources = SourceTable(np.array(at, dtype=np.intp), np.array(sign, dtype=float), specs,
                           np.array(names, dtype=str))
     return StampPlan(
-        u, static, sources, cap_ab, np.array([e.farads for e in caps]),
+        to, static, sources, cap_ab, np.array([e.farads for e in caps] + [0.0] * (n_cap - len(caps))),
         # +geq, +geq and +ieq, then the same entries negated
         np.concatenate([a * m + a, b * m + b, rhs + a, a * m + b, b * m + a, rhs + b]),
-        mos_dgs, MosfetBank.of([e.params for e in mos]),
+        mos_dgs, MosfetBank.of([e.params for e in mos], n_mos),
         # row d: +gm, +gds, -(gm+gds) and -ieq; row s: the same negated
         np.concatenate([d * m + g, d * m + d, d * m + s, rhs + d, s * m + g, s * m + d, s * m + s, rhs + s]),
-        bounds[:, :, : u.size],
+        bounds[:, :, :n],
     )
 
 
-def padded_rows(u: UnknownMap, n_nodes: int) -> np.ndarray:
-    """The rows of ``u``'s unknowns in a stack padded to ``n_nodes`` node
-    rows (see :func:`stack`): its node rows, then its branch rows."""
-    return np.concatenate([np.arange(u.n_nodes), np.arange(n_nodes, n_nodes + u.size - u.n_nodes)])
+def padded_rows(u: UnknownMap, n_nodes: int) -> list[int]:
+    """The rows of ``u``'s unknowns in a layout of ``n_nodes`` node rows
+    (see :func:`compile`): its node rows, then its branch rows."""
+    return [*range(u.n_nodes), *range(n_nodes, n_nodes + u.size - u.n_nodes)]
 
 
-def _pad(p: StampPlan, to: UnknownMap, n_mos: int, n_cap: int) -> StampPlan:
-    """The compiled plan ``p`` grown to the stack map ``to``'s unknowns,
-    node rows before branch rows, and to ``n_mos`` MOSFETs and ``n_cap``
-    capacitors; ``p`` itself when it has them all.
+def stack_shape(plans: list[StampPlan]) -> tuple[UnknownMap, int, int]:
+    """The layout of a stack of ``plans``, as :func:`compile` takes it
+    (``like``): the stack's unknown map, and its MOSFET and capacitor
+    counts, the largest of the plans'.  The map is the first plan's when
+    the plans' unknown names agree.  Otherwise it has the largest node
+    count and the largest branch count, names its rows by position
+    (``#i``), and has no supply nodes."""
+    maps = [p.u for p in plans]
+    u = maps[0]
+    if any(v.names != u.names for v in maps):
+        n_nodes = max(v.n_nodes for v in maps)
+        n = n_nodes + max(v.size - v.n_nodes for v in maps)
+        u = UnknownMap(n_nodes, {f"#{i}": i for i in range(n_nodes, n)}, [f"#{i}" for i in range(n)], {})
+    return u, max(p.mos_dgs.shape[1] for p in plans), max(p.farads.size for p in plans)
 
-    A pad unknown has a unit diagonal and a zero right-hand side, so it
-    solves to 0, and bounds -inf and +inf.  Pad MOSFETs (beta 0) and
-    capacitors (0 F) have every terminal and every position on the spare
-    ground row."""
-    u, n_nodes, n = p.u, to.n_nodes, to.size
-    if (u.n_nodes, u.size, p.mos_dgs.shape[1], p.farads.size) == (n_nodes, n, n_mos, n_cap):
-        return p
-    m, big = u.size + 1, n + 1
-    col = np.append(padded_rows(u, n_nodes), n)  # old row or column -> new; ground to ground
-    row = np.append(col, big)  # a buffer is m+1 rows of m: the last one is the right-hand side
-    static = np.zeros((big + 1, big))
-    static[np.ix_(row, col)] = p.static.reshape(m + 1, m)
-    unused = np.ones(big, bool)
-    unused[col] = False
-    pad = np.flatnonzero(unused)
-    static[pad, pad] = 1.0
-    bounds = _UNBOUNDED.repeat(n, axis=2)
-    bounds[:, :, col[:-1]] = p.bounds
 
-    def moved(a):
-        return row[a // m] * big + col[a % m]
-
-    def at(a, groups, count):  # positions in ``groups`` runs, each grown to ``count``
-        runs = moved(a).reshape(groups, -1)
-        return np.pad(runs, ((0, 0), (0, count - runs.shape[1])), constant_values=n * (big + 1)).ravel()
-
-    def terminals(r, count):
-        return np.pad(col[r], ((0, 0), (0, count - r.shape[1])), constant_values=n)
-
-    def grown(values, count, fill=0.0):
-        return np.append(values, np.full(count - len(values), fill))
-
-    src = p.sources
-    return StampPlan(
-        to, static.reshape(1, -1), SourceTable(moved(src.at), src.sign, src.specs, src.names),
-        terminals(p.cap_ab, n_cap), grown(p.farads, n_cap), at(p.cap_at, 6, n_cap),
-        terminals(p.mos_dgs, n_mos),
-        MosfetBank(grown(p.mos.sign, n_mos, 1.0), grown(p.mos.vth, n_mos), grown(p.mos.beta, n_mos),
-                   grown(p.mos.lam, n_mos)),
-        at(p.mos_at, 8, n_mos), bounds,
-    )
+def fits(p: StampPlan, shape: tuple[UnknownMap, int, int]) -> bool:
+    """Whether ``p`` is laid out as the :func:`stack_shape` ``shape``: its
+    unknown names and its MOSFET and capacitor counts."""
+    u, n_mos, n_cap = shape
+    return p.u.names == u.names and p.mos_dgs.shape[1] == n_mos and p.farads.size == n_cap
 
 
 def stack(plans: list[StampPlan]) -> StampPlan:
-    """One plan for the K circuits of compiled ``plans``, each circuit's
-    buffer a row of the stack, whose ``u`` is the stack's unknown map;
-    the stack of one plan is that plan.
-
-    Circuits of different sizes are padded (see :func:`_pad`) to the
-    largest node, branch, MOSFET and capacitor counts, node rows before
-    branch rows: circuit k's unknowns sit at ``padded_rows(plans[k].u,
-    n_nodes)`` of the stack's rows, and its node rows stay below the
-    stack's ``n_nodes``.  A plan already at those counts is used as it
-    is, so a stack of variants of one circuit (the same netlist with
-    other element values) keeps each plan's arrays.  Its map is the first
-    plan's, or names its rows by position (``#i``) when the names differ.
-    The members' bounds are joined along K.
+    """One plan for the K circuits of ``plans``, each circuit's buffer a
+    row of the stack, with the first plan's map; the stack of one plan is
+    that plan.  The plans share one layout (:func:`fits` their
+    :func:`stack_shape`): the variants of one netlist (other element
+    values) do, and so do plans that :func:`compile` laid out ``like``
+    one shape.  Each plan's arrays are joined as they are, and its
+    bounds along K.
     """
     if len(plans) == 1:
         return plans[0]
-    maps = [p.u for p in plans]
-    n_nodes = max(u.n_nodes for u in maps)
-    n = n_nodes + max(u.size - u.n_nodes for u in maps)
-    u = maps[0]
-    if any(v.names != u.names for v in maps):
-        u = UnknownMap(n_nodes, {f"#{i}": i for i in range(n_nodes, n)}, [f"#{i}" for i in range(n)], {})
-    n_mos = max(p.mos_dgs.shape[1] for p in plans)
-    n_cap = max(p.farads.size for p in plans)
-    plans = [_pad(p, u, n_mos, n_cap) for p in plans]
-    n_var, size = len(plans), plans[0].static.size
+    shape = stack_shape(plans)
+    if not all(fits(p, shape) for p in plans):
+        raise ValueError("stacked plans differ in layout; compile them like their stack_shape")
+    n_var, n, size = len(plans), plans[0].u.size, plans[0].static.size
 
     def values(arrays):  # entry d of plan k at d*K + k
         return np.array(arrays).T.ravel()
@@ -381,7 +369,7 @@ def stack(plans: list[StampPlan]) -> StampPlan:
     # plan k's positions move to its row of the flattened stack
     cap_at, mos_at = ([k * size + getattr(p, f) for k, p in enumerate(plans)] for f in ("cap_at", "mos_at"))
     return StampPlan(
-        u, np.concatenate([p.static for p in plans]), sources,
+        plans[0].u, np.concatenate([p.static for p in plans]), sources,
         rows("cap_ab"), values([p.farads for p in plans]), values(cap_at),
         rows("mos_dgs"), MosfetBank(*bank), values(mos_at),
         np.concatenate([p.bounds for p in plans], axis=1),

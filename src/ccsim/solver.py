@@ -17,7 +17,7 @@ The Newton loop evaluates no source: it stamps a given column of the
 sources' samples once per call.
 
 There is one Newton loop, :func:`newton_stack`.  It runs the plain
-Newton over K circuits at once, padded to one size (see
+Newton over K circuits at once, laid out as one stack (see
 :func:`mna.stack`): one assembly and one stacked LAPACK solve per
 iteration for all circuits still iterating.  A single circuit is a
 stack of one, so :func:`newton_dc` and each rung of

@@ -17,7 +17,8 @@ Every step reuses one compiled stamp plan (see :mod:`ccsim.mna`), and
 :func:`mna.compile` is the last reader of a circuit: the runs, and the
 records' supply nodes, come from the plans alone.
 :func:`run_transient_stacked` runs K circuits as stacks (see
-:func:`mna.stack`), and :func:`run_transient` is a stack of one.
+:func:`mna.stack`), and :func:`run_transient` is a stack of one;
+circuits of different sizes are compiled again to step as one stack.
 Memoryless linear circuits (no MOSFETs, no capacitors) are solved by
 superposition: one stacked solve per topology for the circuits'
 responses to each unit source, each circuit's responses then combined
@@ -123,8 +124,9 @@ def run_transient_stacked(
 
     The stepped circuits go through the one stepped loop, the linear ones
     (with capacitors, no MOSFETs) as one stack and the nonlinear ones as
-    another, so a linear circuit keeps its one solve per step.  A stack is
-    padded to one size when its topologies differ (see :func:`mna.stack`).
+    another, so a linear circuit keeps its one solve per step.  Members
+    that differ in layout are compiled again like their
+    :func:`mna.stack_shape` to step as one plan (see :func:`_run_stack`).
     The memoryless linear ones (no MOSFETs, no capacitors) are solved by
     superposition, one stack per unknown map and source-table entry count
     (see :func:`_superpose`), and each of their waveforms is formed only
@@ -156,11 +158,15 @@ def run_transient_stacked(
     sampled = {}  # each spec's samples, shared by every circuit
     runs = {}
     for key, ks in stacks.items():
+        group = [plans[k] for k in ks]
         if key[0] == "stepped":
-            samples = [plans[k].sources.samples(times, sampled) for k in ks]
-            runs.update(zip(ks, _run_stack([plans[k] for k in ks], times, samples, dt, method, tol)))
+            shape = mna.stack_shape(group)
+            fit = all(mna.fits(p, shape) for p in group)
+            plan = mna.stack(group if fit else [mna.compile(circuits[k], tol.gmin_floor, shape) for k in ks])
+            samples = [p.sources.samples(times, sampled) for p in group]
+            runs.update(zip(ks, _run_stack(group, plan, times, samples, dt, method, tol)))
         else:
-            runs.update(zip(ks, _superpose([plans[k] for k in ks], tol)))
+            runs.update(zip(ks, _superpose(group, tol)))
     return _in_order(plans, runs, times, sampled, dt, method)
 
 
@@ -216,9 +222,12 @@ def _superpose(plans, tol):
     return out
 
 
-def _run_stack(plans, axis, samples, dt, method, tol, label="time"):
-    """The stepped loop over the K circuits of compiled ``plans``, as one
-    stack (see :func:`mna.stack`).  Point k of ``axis`` (a transient's
+def _run_stack(plans, plan, axis, samples, dt, method, tol, label="time"):
+    """The stepped loop over the K circuits of compiled ``plans``, as
+    ``plan``, their stack (see :func:`mna.stack`), in which circuit k's
+    unknowns sit at ``mna.padded_rows(plans[k].u, plan.u.n_nodes)``.
+    Each circuit's own plan gives its operating point, its rescue and
+    its record; ``plan`` only steps.  Point k of ``axis`` (a transient's
     times, or the values of a ``.dc`` sweep, ``method`` "dc", of the
     source ``label``) starts from point k - 1 and stamps column k of each
     circuit's (entries x points) matrix in ``samples``; point 0 is each
@@ -226,7 +235,6 @@ def _run_stack(plans, axis, samples, dt, method, tol, label="time"):
     solutions, the operating points too, are clamped to the stack's
     bounds, when any is finite.  Returns each circuit's waveform, or the
     error its run raised."""
-    plan = mna.stack(plans)
     rows = [mna.padded_rows(p.u, plan.u.n_nodes) for p in plans]
     n_var = len(plans)
     lo, hi = plan.bounds
@@ -313,7 +321,7 @@ def run_dc_sweep(
     values = start + np.arange(n + 1) * step
     samples = np.repeat(plan.sources.values(0.0)[:, None], len(values), axis=1)
     samples[swept] = plan.sources.sign[swept, None] * values
-    (wave,) = _run_stack([plan], values, [samples], float(step), "dc", tol, name)
+    (wave,) = _run_stack([plan], plan, values, [samples], float(step), "dc", tol, name)
     if isinstance(wave, Waveform):
         return wave
     raise wave

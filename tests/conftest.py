@@ -1,5 +1,5 @@
 """Shared circuit builders, the conveyor port-equation checker and the
-exact references for KCL and the compiled static matrix."""
+exact references for KCL, the compiled static matrix and its rank."""
 
 from fractions import Fraction
 
@@ -249,6 +249,44 @@ def exact_mna(c, u, gmin):
         else:
             raise AssertionError(f"exact MNA has no law for {type(e).__name__}")
     return terms, sources
+
+
+def exact_rank(c, gmin):
+    """Rank of the static MNA matrix of :func:`exact_mna` (``c``'s own
+    unknown map, floor ``gmin``), by Gaussian elimination in
+    ``Fraction``: a circuit is singular without its floor exactly when
+    ``exact_rank(c, 0)`` is short of its unknown count."""
+    terms, _ = exact_mna(c, mna.index_unknowns(c), gmin)
+    rows = [[sum(t, Fraction(0)) for t in row] for row in terms]
+    rank = 0
+    for col in range(len(rows)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+# A circuit with no solution without the gmin floor: with rx = 0, v(n3)
+# equals v(n2), so r3 carries nothing, and i1's 1 mA into n3 can only
+# leave through the floor.  Its operating point is a known wrong answer,
+# about 1e9 V at n3, that the engine accepts.
+FLOOR_HELD = """floor-held node
+v1 n1 0 SIN(0.1 0.5 1k)
+r2 n2 n1 1k
+r3 n3 n2 100
+r4 n4 0 1k
+r5 n5 n4 1k
+i1 0 n3 DC 1m
+u1 n3 n2 n5 cccii- rx=0
+.op
+.end
+"""
 
 
 @st.composite

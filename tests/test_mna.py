@@ -18,7 +18,7 @@ from ccsim.netlist import (
 )
 from ccsim.solver import solve_linear
 
-from conftest import assembled, behavioral_amp, exact_mna, memoryless_or_rc_netlists
+from conftest import FLOOR_HELD, assembled, behavioral_amp, exact_mna, exact_rank, memoryless_or_rc_netlists
 
 
 def circuit_of(elements, directives=()):
@@ -260,7 +260,7 @@ def test_stack_assembles_each_variant_as_alone():
     for circuits in (variants, ragged):
         plans = [mna.compile(c) for c in circuits]
         maps = [p.u for p in plans]
-        plan = mna.stack(plans)
+        plan = mna.stack([mna.compile(c, like=mna.stack_shape(plans)) for c in circuits])
         u = plan.u
         assert (u is maps[0]) == (circuits is variants)  # a ragged stack names rows by position
         x = rng.normal(size=(2, u.size))
@@ -291,13 +291,13 @@ def test_every_plan_is_a_stack_with_one_flat_layout():
     d = plans[0].u.names.index("v(d)")
     assert (lo[d], hi[d]) == (-0.2, 0.3) and np.isfinite(plans[0].bounds).sum() == 2
     assert not np.isfinite(plans[1].bounds).any()
-    plan = mna.stack(plans)
+    plan = mna.stack([mna.compile(c, like=mna.stack_shape(plans)) for c in circuits])
     n_var, n = len(plans), plan.u.size
     ground = n_var * n
     assert plan.bounds.shape == (2, n_var, n) and plans[0].u.size < n  # the RC circuit is padded
     for k, p in enumerate(plans):
         # member k's bounds sit at its padded rows; pad unknowns are unclamped
-        own = mna.padded_rows(p.u, plan.u.n_nodes)
+        own = np.array(mna.padded_rows(p.u, plan.u.n_nodes))
         assert np.array_equal(plan.bounds[:, k, own], p.bounds[:, 0])
         pad = np.setdiff1d(np.arange(n), own)
         assert (plan.bounds[:, k, pad] == [[-np.inf], [np.inf]]).all()
@@ -315,6 +315,14 @@ def test_every_plan_is_a_stack_with_one_flat_layout():
             assert (mine[:, own.shape[1] :] == ground).all()
     assert plan.farads.size == n_var * max(p.farads.size for p in plans)
     assert plan.mos_dgs.shape == (3, n_var * max(p.mos_dgs.shape[1] for p in plans))
+
+
+def test_stack_only_joins_plans_of_one_layout():
+    # stack pads nothing: members of different sizes are laid out by compile
+    ferri = emit_example("ferri_2cc", AmplifierConfig(conveyor=TranslinearConveyor()))
+    plans = [mna.compile(parse_and_flatten(text)) for text in (RAGGED_RC, ferri)]
+    with pytest.raises(ValueError, match="differ in layout"):
+        mna.stack(plans)
 
 
 def test_stamp_sources_adds_in_table_order():
@@ -355,7 +363,8 @@ def test_assembled_matrix_is_the_residual_jacobian(members, seed):
     # assembled A(x) is its Jacobian: column j against a centred
     # difference, for each circuit alone and in a padded stack
     circuits = [TRANSLINEAR_NETLISTS[k] for k in members]
-    plan = mna.stack([mna.compile(c) for c in circuits])
+    plans = [mna.compile(c) for c in circuits]
+    plan = mna.stack([mna.compile(c, like=mna.stack_shape(plans)) for c in circuits])
     u = plan.u
     base = mna.stamp_sources(plan, plan.sources.values(0.0))
     rng = np.random.default_rng(seed)
@@ -411,3 +420,14 @@ def test_compiled_floating_sources_are_the_exact_stamp():
     c = parse_and_flatten("t\nv1 a 0 SIN(0 1 1k)\nv2 a b DC 2\ni1 b c DC 1m\nr1 b 0 1k\n"
                           "r2 c 0 3k\nu1 c x a ccii- rx=5\nr3 x 0 2k\n.end\n")
     assert_exact_stamp(c, mna.GMIN_FLOOR)
+
+
+def test_exact_rank_is_short_only_where_the_floor_holds_a_node():
+    # the floor-held netlist is singular without the floor and regular
+    # with it; the amplifier is regular without it at both rx ends
+    c = parse_and_flatten(FLOOR_HELD)
+    assert index_unknowns(c).size == 7
+    assert (exact_rank(c, 0.0), exact_rank(c, mna.GMIN_FLOOR)) == (6, 7)
+    for rx in (0.0, 1581.0):
+        amp = behavioral_amp(rx=rx)
+        assert exact_rank(amp, 0.0) == index_unknowns(amp).size

@@ -1,6 +1,7 @@
 """Unions of circuits: K flattened circuits of different topologies,
-stepped together as one stack padded to one size (``mna.stack``), each
-returning its own record under its own names."""
+stepped together as one stack, each laid out like the stack by
+``mna.compile`` and padded to its size, each returning its own record
+under its own names."""
 
 import re
 
